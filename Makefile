@@ -15,12 +15,14 @@ test:
 
 # The concurrency-heavy packages must stay race-clean. mna/measure are
 # here for the parallel sweep and the shared workspace pool;
-# backend/gmid/opt for the parallel sizing-backend sweep.
+# backend/gmid/opt for the parallel sizing-backend sweep; llm for the
+# knowledge index every model shares. Keep in step with scripts/check.sh.
 race:
 	$(GO) test -race ./internal/jobs ./internal/server ./internal/experiment \
 		./internal/resilience ./internal/agents ./internal/telemetry \
 		./internal/mna ./internal/measure ./internal/sizing ./internal/cluster \
-		./internal/backend ./internal/gmid ./internal/opt
+		./internal/backend ./internal/gmid ./internal/opt \
+		./internal/topology ./internal/bench ./internal/llm
 
 # Chaos: the deterministic fault-injection suite run twice, then the
 # fleet chaos harness's long profile — a bigger fleet under a denser

@@ -107,6 +107,47 @@ func TestChaosFaultClasses(t *testing.T) {
 	}
 }
 
+// archCounter counts the architecture proposals a designer answers.
+type archCounter struct {
+	llm.DesignerModel
+	calls int
+}
+
+func (c *archCounter) ProposeArchitectures(ctx context.Context, s spec.Spec, k int) ([]llm.ArchChoice, error) {
+	c.calls++
+	return c.DesignerModel.ProposeArchitectures(ctx, s, k)
+}
+
+// A spec no architecture suits fails identically on every attempt, so
+// the retry policy must not back off and re-ask: the primary designer is
+// asked once, the fallback once, and the session fails with the
+// model's own reason.
+func TestUnsuitedSpecSkipsRetries(t *testing.T) {
+	sp, err := spec.Group("G-5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp.Name, sp.CL = "huge-load", 10e-9 // beyond every architecture's MaxCL
+	primary := &archCounter{DesignerModel: llm.NewDomainModel(1, 0)}
+	fallback := &archCounter{DesignerModel: llm.NewDomainModel(1, 0)}
+	var c resilience.Counters
+	s := NewSession(primary, sp, DefaultOptions())
+	s.Res = &Resilience{Retry: fastRetry(3), Fallback: fallback, Counters: &c}
+	out, err := s.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Success || !strings.Contains(out.FailReason, "no architecture suits spec huge-load") {
+		t.Errorf("outcome = success %v, reason %q; want the unsuited-spec failure", out.Success, out.FailReason)
+	}
+	if primary.calls != 1 || fallback.calls != 1 {
+		t.Errorf("designer asked %d times, fallback %d; want 1 and 1", primary.calls, fallback.calls)
+	}
+	if snap := c.Snapshot(); snap.Retries != 0 || snap.Fallbacks != 1 {
+		t.Errorf("counters = %+v, want 0 retries and 1 fallback", snap)
+	}
+}
+
 // Without a resilience ladder the injected error surfaces as a graceful
 // session failure whose reason carries the typed injection sentinel.
 func TestChaosFailFastWithoutResilience(t *testing.T) {

@@ -30,8 +30,14 @@ type PersistentManager struct {
 	m     *jobs.Manager
 	store *Store
 
-	mu    sync.Mutex
-	execs map[string]Executor
+	mu     sync.Mutex
+	execs  map[string]Executor
+	closed bool // set by Close; later submissions are refused
+
+	// watchers counts submissions in flight and the watch goroutines
+	// they hand their jobs to, so Close can wait for every terminal
+	// record before it closes the store.
+	watchers sync.WaitGroup
 
 	// Replay accounting, surfaced on /stats.
 	replayedPending atomic.Int64
@@ -67,6 +73,18 @@ func (p *PersistentManager) executor(kind string) (Executor, error) {
 	return ex, nil
 }
 
+// Close journals every outstanding terminal record, then closes the
+// store. Call it after the manager has drained (jobs.Manager.Shutdown):
+// every watched job is then terminal, so the wait is bounded. Submits
+// after Close fail with jobs.ErrShutdown.
+func (p *PersistentManager) Close() error {
+	p.mu.Lock()
+	p.closed = true
+	p.mu.Unlock()
+	p.watchers.Wait()
+	return p.store.Close()
+}
+
 // Submit journals and enqueues one job of a registered kind. Cache hits
 // and coalesced attaches are not journaled — their result visibility is
 // already guaranteed by the journaled leader. The submit record is
@@ -84,15 +102,31 @@ func (p *PersistentManager) submit(kind string, payload json.RawMessage, opts jo
 	if err != nil {
 		return nil, false, err
 	}
-	// The logical id is resolved after the manager assigns the job id on
-	// first submit; the closure reads it through this cell.
-	idCell := &atomic.Value{}
-	if logicalID != "" {
-		idCell.Store(logicalID)
+	// The submission counts as a watcher until it returns, so Close cannot
+	// close the store between the enqueue and the journal records.
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		return nil, false, jobs.ErrShutdown
 	}
+	p.watchers.Add(1)
+	p.mu.Unlock()
+	defer p.watchers.Done()
+	// A worker may dequeue the job before the submit or resume record is
+	// journaled, so the job waits at gate until submit returns: its start
+	// record can never precede the record that introduces the job. id is
+	// set only once that record is in the journal. (The gate lives as
+	// long as the retained job, hence a WaitGroup rather than a channel.)
+	var gate struct {
+		sync.WaitGroup
+		id string
+	}
+	gate.Add(1)
+	defer gate.Done()
 	fn := func(ctx context.Context) (any, error) {
-		if id, ok := idCell.Load().(string); ok {
-			_ = p.store.Append(Record{Op: OpStart, ID: id})
+		gate.Wait()
+		if gate.id != "" {
+			_ = p.store.Append(Record{Op: OpStart, ID: gate.id})
 		}
 		return ex.Run(ctx, payload)
 	}
@@ -106,7 +140,6 @@ func (p *PersistentManager) submit(kind string, payload json.RawMessage, opts jo
 			return j, shared, nil // visibility covered by the journaled leader
 		}
 		logicalID = j.ID()
-		idCell.Store(logicalID)
 		if err := p.store.Append(Record{
 			Op: OpSubmit, ID: logicalID, Kind: kind, Key: opts.Key, Payload: payload,
 		}); err != nil {
@@ -126,12 +159,15 @@ func (p *PersistentManager) submit(kind string, payload json.RawMessage, opts jo
 		// and every future restart would re-submit it.
 		_ = p.store.Append(Record{Op: OpResume, ID: logicalID})
 	}
+	gate.id = logicalID
+	p.watchers.Add(1) // while this submission still holds the count above zero
 	go p.watch(logicalID, j)
 	return j, shared, nil
 }
 
 // watch journals the terminal transition of one job.
 func (p *PersistentManager) watch(logicalID string, j *jobs.Job) {
+	defer p.watchers.Done()
 	_, _ = j.Wait(context.Background())
 	snap := j.Snapshot()
 	rec := Record{ID: logicalID}

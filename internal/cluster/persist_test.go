@@ -3,7 +3,10 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -295,5 +298,133 @@ func TestPersistUnknownKind(t *testing.T) {
 	}
 	if store.Len() != 0 {
 		t.Fatalf("store journaled %d jobs for a rejected submit", store.Len())
+	}
+}
+
+// TestPersistJournalOrder: with workers idle and eager to dequeue, every
+// job's journal still reads submit, then start, then its terminal record
+// — a worker never journals a start for a job whose submit record is not
+// yet written. The large payloads widen the window in which the submit
+// record is still being encoded after the job is already queued.
+func TestPersistJournalOrder(t *testing.T) {
+	dir := t.TempDir()
+	store, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := jobs.NewManager(jobs.Config{Workers: 4, Queue: 64})
+	pm := NewPersistentManager(m, store)
+	pm.Register("t", testExecutor(newRunCounter(), nil, nil))
+	pad := strings.Repeat("x", 64<<10)
+	var js []*jobs.Job
+	for i := 0; i < 48; i++ {
+		payload := json.RawMessage(fmt.Sprintf(`{"v":%d,"pad":%q}`, i, pad))
+		j, _, err := pm.Submit("t", payload, jobs.SubmitOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		js = append(js, j)
+	}
+	for _, j := range js {
+		if _, err := j.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := pm.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ops := map[string][]Op{}
+	if _, err := ScanJournal(JournalPath(dir), func(rec Record) {
+		ops[rec.ID] = append(ops[rec.ID], rec.Op)
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+	want := []Op{OpSubmit, OpStart, OpDone}
+	for _, j := range js {
+		if got := ops[j.ID()]; !reflect.DeepEqual(got, want) {
+			t.Errorf("job %s journaled %v, want %v", j.ID(), got, want)
+		}
+	}
+}
+
+// slowJSON is a job result that takes a while to encode, which keeps
+// its job's watcher busy journaling the done record after the job is
+// already acknowledged.
+type slowJSON struct{ v any }
+
+func (s slowJSON) MarshalJSON() ([]byte, error) {
+	time.Sleep(10 * time.Millisecond)
+	return json.Marshal(s.v)
+}
+
+// TestPersistCloseJournalsResults: a graceful stop (drain the manager,
+// then Close) journals every acknowledged result before the store
+// closes, so after reopening each replays as done — a cache hit, not a
+// re-run — and nothing is left pending. Submits after Close are refused.
+func TestPersistCloseJournalsResults(t *testing.T) {
+	dir := t.TempDir()
+	store, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	counter := newRunCounter()
+	m := jobs.NewManager(jobs.Config{Workers: 2, Queue: 32})
+	pm := NewPersistentManager(m, store)
+	ex := testExecutor(counter, nil, nil)
+	run := ex.Run
+	ex.Run = func(ctx context.Context, payload json.RawMessage) (any, error) {
+		v, err := run(ctx, payload)
+		return slowJSON{v}, err
+	}
+	pm.Register("t", ex)
+	const n = 24
+	for i := 0; i < n; i++ {
+		j, _, err := pm.Submit("t", payloadFor(i), jobs.SubmitOpts{Key: fmt.Sprint("k", i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := j.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := pm.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := pm.Submit("t", payloadFor(n), jobs.SubmitOpts{}); !errors.Is(err, jobs.ErrShutdown) {
+		t.Errorf("submit after Close = %v, want jobs.ErrShutdown", err)
+	}
+
+	store2, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store2.Close()
+	if got := len(store2.Done()); got != n {
+		t.Errorf("reopened journal holds %d done jobs, want %d", got, n)
+	}
+	if got := len(store2.Pending()); got != 0 {
+		t.Errorf("reopened journal holds %d pending jobs, want 0", got)
+	}
+	m2 := jobs.NewManager(jobs.Config{Workers: 2, Queue: 32})
+	defer m2.Shutdown(context.Background())
+	pm2 := NewPersistentManager(m2, store2)
+	pm2.Register("t", testExecutor(counter, nil, nil))
+	stats, err := pm2.Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.ResultsWarmed != n || stats.Resubmitted != 0 {
+		t.Errorf("replay = %+v, want %d results warmed and nothing resubmitted", stats, n)
+	}
+	for i := 0; i < n; i++ {
+		if runs := counter.get(i); runs != 1 {
+			t.Errorf("payload %d ran %d times, want 1", i, runs)
+		}
 	}
 }

@@ -500,6 +500,14 @@ func copyProxyHeaders(dst, src http.Header) {
 	}
 }
 
+// copyBufs recycles copyResponse's chunk buffers across proxied
+// responses; a fresh one per response was the router's largest
+// allocation site.
+var copyBufs = sync.Pool{New: func() any {
+	buf := make([]byte, 32*1024)
+	return &buf
+}}
+
 // copyResponse streams an upstream response to the client, flushing per
 // write so NDJSON batch streams pass through unbuffered.
 func copyResponse(w http.ResponseWriter, resp *http.Response) {
@@ -510,7 +518,9 @@ func copyResponse(w http.ResponseWriter, resp *http.Response) {
 	}
 	w.WriteHeader(resp.StatusCode)
 	flusher, _ := w.(http.Flusher)
-	buf := make([]byte, 32*1024)
+	bp := copyBufs.Get().(*[]byte)
+	defer copyBufs.Put(bp)
+	buf := *bp
 	for {
 		n, err := resp.Body.Read(buf)
 		if n > 0 {

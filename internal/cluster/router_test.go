@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -375,5 +376,60 @@ func TestRouterConfigValidation(t *testing.T) {
 	}
 	if _, err := NewRouter(RouterConfig{Nodes: []string{""}}); err == nil {
 		t.Error("empty node URL accepted")
+	}
+}
+
+// TestRouterStreamsChunks: the router hands each upstream chunk to the
+// client as it arrives (NDJSON batch items must not wait for the whole
+// stream), and reusing its copy buffers never mixes up two responses.
+func TestRouterStreamsChunks(t *testing.T) {
+	release := make(chan struct{})
+	w := &fakeWorker{id: "n1"}
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", func(rw http.ResponseWriter, r *http.Request) {
+		_ = json.NewEncoder(rw).Encode(map[string]string{"node": w.id})
+	})
+	mux.HandleFunc("POST /design/batch", func(rw http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		fmt.Fprintf(rw, "first %s\n", body)
+		rw.(http.Flusher).Flush()
+		select {
+		case <-release:
+		case <-r.Context().Done():
+			return
+		}
+		// Larger than one copy buffer, so the tail spans several chunks.
+		fmt.Fprintf(rw, "%s\nlast %s\n", strings.Repeat(string(body), 40<<10), body)
+	})
+	w.srv = httptest.NewServer(mux)
+	t.Cleanup(w.srv.Close)
+	front := httptest.NewServer(newTestRouter(t, w))
+	defer front.Close()
+	client := &http.Client{Timeout: 10 * time.Second}
+
+	for i, body := range []string{"a", "b"} {
+		resp, err := client.Post(front.URL+"/design/batch", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rd := bufio.NewReader(resp.Body)
+		first, err := rd.ReadString('\n')
+		if err != nil {
+			t.Fatalf("request %d: first line never arrived before the stream ended: %v", i, err)
+		}
+		if first != "first "+body+"\n" {
+			t.Fatalf("request %d: first line %q", i, first)
+		}
+		if i == 0 {
+			close(release)
+		}
+		rest, err := io.ReadAll(rd)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := strings.Repeat(body, 40<<10) + "\nlast " + body + "\n"; string(rest) != want {
+			t.Fatalf("request %d: tail of %d bytes differs from the upstream's %d", i, len(rest), len(want))
+		}
 	}
 }

@@ -16,14 +16,18 @@ type Card struct {
 }
 
 // Index is a tf-idf cosine retrieval index over cards: the mechanism that
-// stands in for the fine-tuned model's parametric knowledge.
+// stands in for the fine-tuned model's parametric knowledge. An Index is
+// immutable once NewIndex returns, so one Index may serve any number of
+// goroutines' Search and SearchTopic calls at once. Hits share the
+// indexed cards' Keywords slices; treat them as read-only.
 type Index struct {
 	cards []Card
 	df    map[string]int
 	vecs  []map[string]float64
 }
 
-// NewIndex builds the index.
+// NewIndex builds the index. It keeps cards, which the caller must not
+// modify afterwards.
 func NewIndex(cards []Card) *Index {
 	ix := &Index{cards: cards, df: map[string]int{}}
 	docs := make([]map[string]int, len(cards))

@@ -6,9 +6,24 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 
 	"artisan/internal/design"
+	"artisan/internal/resilience"
 	"artisan/internal/spec"
+)
+
+// The knowledge bases are fixed, so each process builds them once, on
+// first use, and every model shares them read-only: the Artisan-LLM
+// index and profile table and the two baselines' indexes. What a model
+// learns or samples (rng, slips, Temperature, SlipRate, lm) stays on the
+// instance; Train builds its own extended index instead of touching
+// these.
+var (
+	domainIndex    = sync.OnceValue(func() *Index { return NewIndex(DomainCards()) })
+	domainProfiles = sync.OnceValue(DomainProfiles)
+	gpt4Index      = sync.OnceValue(func() *Index { return NewIndex(GPT4Cards()) })
+	llama2Index    = sync.OnceValue(func() *Index { return NewIndex(Llama2Cards()) })
 )
 
 // Model is the text interface an LLM server exposes; every agent in the
@@ -123,13 +138,13 @@ type knobSlip struct {
 	factor float64
 }
 
-// NewDomainModel builds the trained Artisan-LLM from the expert knowledge
-// base. Temperature 0.22 with the matching slip rate reproduces the
-// paper's success-rate spread.
+// NewDomainModel builds the trained Artisan-LLM over the shared expert
+// knowledge base. Temperature 0.22 with the matching slip rate
+// reproduces the paper's success-rate spread.
 func NewDomainModel(seed int64, temperature float64) *DomainModel {
 	return &DomainModel{
-		retrievalModel: retrievalModel{name: "Artisan-LLM", ix: NewIndex(DomainCards())},
-		profiles:       DomainProfiles(),
+		retrievalModel: retrievalModel{name: "Artisan-LLM", ix: domainIndex()},
+		profiles:       domainProfiles(),
 		rng:            rand.New(rand.NewSource(seed)),
 		Temperature:    temperature,
 		SlipRate:       temperature, // calibrated against the paper's 7–9/10 band
@@ -160,7 +175,9 @@ func (m *DomainModel) ProposeArchitectures(ctx context.Context, s spec.Spec, k i
 		out = append(out, ArchChoice{Arch: p.Arch, Score: base * noise, Rationale: p.Rationale})
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("llm: no architecture suits spec %s", s.Name)
+		// The same spec fails the same way on every attempt: mark it so a
+		// retry policy moves straight on to its fallback.
+		return nil, resilience.Permanent(fmt.Errorf("llm: no architecture suits spec %s", s.Name))
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Score != out[j].Score {
@@ -243,7 +260,7 @@ type GPT4Model struct{ retrievalModel }
 
 // NewGPT4Model builds the GPT-4 baseline.
 func NewGPT4Model() *GPT4Model {
-	return &GPT4Model{retrievalModel{name: "GPT-4", ix: NewIndex(GPT4Cards())}}
+	return &GPT4Model{retrievalModel{name: "GPT-4", ix: gpt4Index()}}
 }
 
 // ProposeArchitectures: GPT-4 does recommend NMC appropriately.
@@ -276,7 +293,7 @@ type Llama2Model struct{ retrievalModel }
 
 // NewLlama2Model builds the Llama2 baseline.
 func NewLlama2Model() *Llama2Model {
-	return &Llama2Model{retrievalModel{name: "Llama2-7b-chat", ix: NewIndex(Llama2Cards())}}
+	return &Llama2Model{retrievalModel{name: "Llama2-7b-chat", ix: llama2Index()}}
 }
 
 // ProposeArchitectures: the "current feedback opamp + voltage followers"

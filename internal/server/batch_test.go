@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"artisan/internal/jobs"
 )
 
 // postBatch posts a batch body and decodes the NDJSON reply into
@@ -97,7 +99,31 @@ func TestDesignBatchHappyPath(t *testing.T) {
 // A duplicate-heavy batch coalesces: the identical items share one run
 // and the coalesce-hit counter shows up on /metrics.
 func TestDesignBatchCoalescesDuplicates(t *testing.T) {
-	srv := New()
+	// A blocker pins the only worker, so the first item stays queued, and
+	// so in flight, until every duplicate has attached to it; a design
+	// run fast enough to finish first would turn them into cache hits.
+	srv := NewWithOptions(Options{Workers: 1})
+	defer srv.Shutdown(context.Background())
+	release := make(chan struct{})
+	blocker, err := srv.jobs.Submit(func(ctx context.Context) (any, error) {
+		select {
+		case <-release:
+		case <-ctx.Done():
+		}
+		return nil, nil
+	}, jobs.SubmitOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for blocker.Status() != jobs.StatusRunning {
+		time.Sleep(time.Millisecond)
+	}
+	go func() {
+		defer close(release)
+		for deadline := time.Now().Add(10 * time.Second); srv.jobs.CoalesceHits() < 7 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+	}()
 	items := make([]DesignRequest, 8)
 	for i := range items {
 		items[i] = DesignRequest{Group: "G-1", Seed: 99}

@@ -298,12 +298,13 @@ func (s *Server) StartDraining() { s.draining.Store(true) }
 func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Shutdown marks the node draining, drains the design worker pool, and
-// closes the persistent job store (used for graceful exit).
+// closes the persistent job store once every finished job's terminal
+// record is journaled (used for graceful exit).
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.StartDraining()
 	err := s.jobs.Shutdown(ctx)
 	if s.persist != nil {
-		if cerr := s.persist.Store().Close(); err == nil {
+		if cerr := s.persist.Close(); err == nil {
 			err = cerr
 		}
 	}

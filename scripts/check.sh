@@ -1,21 +1,26 @@
 #!/bin/sh
-# CI gate: vet, build, full test suite, a race pass over the
-# concurrency-heavy packages, a two-node router smoke, a chaos smoke
-# over the resilience layer, a hot-path perf gate against the committed
-# benchmark baseline, and an errcheck-style grep gate. Mirrors
-# `make check`.
+# CI gate: vet, build, full test suite, the benchmark module's tests, a
+# race pass over the concurrency-heavy packages, a two-node router
+# smoke, a chaos smoke over the resilience layer, a hot-path perf gate
+# against the committed benchmark baseline, and an errcheck-style grep
+# gate. Mirrors `make check`.
 set -eux
 cd "$(dirname "$0")/.."
 go vet ./...
 go build ./...
 go test ./...
+# The benchmark is its own module, so ./... above does not reach its
+# tests; -short skips the workload smoke runs.
+(cd perfbench && go test -short ./...)
 # The experiment package's race pass also exercises the sharded
-# Monte-Carlo yield and parallel corner sweeps (worker-identity tests).
+# Monte-Carlo yield and parallel corner sweeps (worker-identity tests);
+# llm's covers the knowledge index every model shares. Keep this list in
+# step with the Makefile race target.
 go test -race ./internal/jobs ./internal/server ./internal/experiment \
     ./internal/resilience ./internal/agents ./internal/telemetry \
     ./internal/mna ./internal/measure ./internal/sizing ./internal/cluster \
     ./internal/backend ./internal/gmid ./internal/opt \
-    ./internal/topology ./internal/bench
+    ./internal/topology ./internal/bench ./internal/llm
 
 # Two-node router smoke: a quick fleet loadgen run proves two worker
 # nodes behind the consistent-hash router serve the full mix end to end
