@@ -1,11 +1,16 @@
 GO ?= go
 
-.PHONY: all build vet test race chaos check bench
+.PHONY: all fmt build vet test race chaos check bench
 
 all: check
 
 build:
 	$(GO) build ./...
+
+# Every tracked Go file must be gofmt-clean; the listing names offenders.
+fmt:
+	@out="$$(gofmt -l $$(git ls-files '*.go'))"; \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -32,7 +37,7 @@ chaos:
 	$(GO) test ./internal/resilience/... -race -count=2
 	ARTISAN_CHAOS_LONG=1 $(GO) test ./internal/chaos -race -count=1
 
-check: vet build test race chaos
+check: fmt vet build test race chaos
 
 # bench records (name, ns/op, allocs/op) as JSON for cross-PR comparison
 # and fails on a >20% hot-path regression vs the previous PR's baseline.

@@ -51,7 +51,7 @@ func (p Problem) validate() error {
 		return fmt.Errorf("sizing: bounds length mismatch (%d vs %d)", len(p.Lo), len(p.Hi))
 	}
 	for i := range p.Lo {
-		if !(p.Lo[i] < p.Hi[i]) {
+		if !(p.Lo[i] < p.Hi[i]) || math.IsInf(p.Lo[i], 0) || math.IsInf(p.Hi[i], 0) {
 			return fmt.Errorf("sizing: bad bounds in dim %d: [%g, %g]", i, p.Lo[i], p.Hi[i])
 		}
 	}
@@ -61,12 +61,11 @@ func (p Problem) validate() error {
 	return nil
 }
 
-func (p Problem) denorm(u []float64) []float64 {
-	x := make([]float64, len(u))
+// denorm maps the unit-cube point u into x, in the problem's coordinates.
+func (p Problem) denorm(x, u []float64) {
 	for i := range u {
 		x[i] = p.Lo[i] + u[i]*(p.Hi[i]-p.Lo[i])
 	}
-	return x
 }
 
 // Optimize runs GP-based Bayesian optimization (maximization).
@@ -98,15 +97,19 @@ func OptimizeContext(ctx context.Context, p Problem, o Options) (*Result, error)
 			return nil, fmt.Errorf("sizing: incumbent dimension %d, want %d", len(o.Init), d)
 		}
 		for i, v := range o.Init {
-			if v < p.Lo[i] || v > p.Hi[i] {
+			if !(v >= p.Lo[i] && v <= p.Hi[i]) {
 				return nil, fmt.Errorf("sizing: incumbent[%d]=%g outside [%g, %g]", i, v, p.Lo[i], p.Hi[i])
 			}
 		}
 	}
 
-	res := &Result{BestY: math.Inf(-1)}
-	var xs [][]float64
-	var ys []float64
+	// One GP serves the whole run, sized for every evaluation it will see.
+	nmax := o.InitSamples + max(o.Iterations, 0)
+	if o.Init != nil {
+		nmax++
+	}
+	g := newGP(d, nmax, o.Candidates)
+	res := &Result{BestY: math.Inf(-1), History: make([]float64, 0, nmax)}
 	// A single non-finite objective value would poison the GP
 	// standardization (NaN mean/std make every EI comparison false, so no
 	// candidate ever wins). Clamp NaN/±Inf to just below the worst finite
@@ -124,15 +127,20 @@ func OptimizeContext(ctx context.Context, p Problem, o Options) (*Result, error)
 		}
 		return -1e6
 	}
+	// record evaluates u and adds it to the GP, which copies it: callers
+	// may reuse their buffer.
 	record := func(u []float64) {
-		u = append([]float64(nil), u...) // callers may reuse their buffer
-		y := sanitize(p.Eval(p.denorm(u)))
-		xs = append(xs, u)
-		ys = append(ys, y)
+		x := make([]float64, d) // the objective may retain its argument
+		p.denorm(x, u)
+		y := sanitize(p.Eval(x))
+		g.add(u, y)
 		res.Evals++
 		if y > res.BestY {
 			res.BestY = y
-			res.BestX = p.denorm(u)
+			if res.BestX == nil {
+				res.BestX = make([]float64, d)
+			}
+			p.denorm(res.BestX, u)
 		}
 		res.History = append(res.History, res.BestY)
 	}
@@ -156,57 +164,60 @@ func OptimizeContext(ctx context.Context, p Problem, o Options) (*Result, error)
 
 	_, boSpan := telemetry.StartSpan(ctx, "sizing.bo")
 	defer boSpan.End()
-	// The acquisition loop scores o.Candidates points per iteration; both
-	// the scratch candidate and the incumbent winner live in reused
-	// buffers (record copies before retaining).
-	cand := make([]float64, d)
-	bestCand := make([]float64, d)
+	// Each iteration draws its whole candidate pool, then scores it in
+	// one batched prediction: prediction consumes no randomness, so the
+	// rng sequence is that of drawing and scoring one candidate at a time.
+	cands := make([]float64, o.Candidates*d)
+	mu := make([]float64, o.Candidates)
+	sd := make([]float64, o.Candidates)
+	randomPoint := func() []float64 {
+		u := cands[:d]
+		for i := range u {
+			u[i] = rng.Float64()
+		}
+		return u
+	}
 	for it := 0; it < o.Iterations; it++ {
 		if err := ctx.Err(); err != nil {
 			boSpan.SetAttr("cancelled", err.Error())
 			return res, err
 		}
-		g, err := fitGP(xs, ys)
-		if err != nil {
-			// Degenerate model (e.g. constant objective): fall back to
-			// random exploration rather than aborting the tuning run.
-			for i := range cand {
-				cand[i] = rng.Float64()
-			}
-			record(cand)
+		if g.broken {
+			// Degenerate model (no jitter factors the kernel): fall back
+			// to random exploration rather than aborting the tuning run.
+			record(randomPoint())
 			continue
 		}
+		g.fit()
 		// Candidate pool: uniform + Gaussian perturbations of the
 		// incumbent (local exploitation).
-		bestU := xs[argmax(ys)]
-		haveBest := false
-		bestEI := math.Inf(-1)
+		bestU := g.row(argmax(g.y[:g.n]))
 		for c := 0; c < o.Candidates; c++ {
+			u := cands[c*d : (c+1)*d]
 			if c%3 == 0 {
-				for i := range cand {
-					cand[i] = clamp01(bestU[i] + rng.NormFloat64()*0.08)
+				for i := range u {
+					u[i] = clamp01(bestU[i] + rng.NormFloat64()*0.08)
 				}
 			} else {
-				for i := range cand {
-					cand[i] = rng.Float64()
+				for i := range u {
+					u[i] = rng.Float64()
 				}
 			}
-			mu, sd := g.predict(cand)
-			ei := expectedImprovement(mu, sd, res.BestY)
-			if ei > bestEI {
-				bestEI = ei
-				copy(bestCand, cand)
-				haveBest = true
+		}
+		g.predict(cands, mu, sd)
+		best, bestEI := -1, math.Inf(-1)
+		for c := range mu {
+			if ei := expectedImprovement(mu[c], sd[c], res.BestY); ei > bestEI {
+				best, bestEI = c, ei
 			}
 		}
-		if !haveBest {
+		if best < 0 {
 			// No candidate won (EI degenerate everywhere): evaluate a
-			// random point instead of handing the objective a nil slice.
-			for i := range bestCand {
-				bestCand[i] = rng.Float64()
-			}
+			// random point instead.
+			record(randomPoint())
+			continue
 		}
-		record(bestCand)
+		record(cands[best*d : (best+1)*d])
 	}
 	return res, nil
 }

@@ -1,8 +1,11 @@
 package sizing
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 
@@ -82,6 +85,12 @@ func TestOptimizeInitValidation(t *testing.T) {
 	o.Init = []float64{-5, 5} // boundary points are valid
 	if _, err := Optimize(p, o); err != nil {
 		t.Errorf("boundary incumbent rejected: %v", err)
+	}
+	for _, bad := range [][]float64{{math.NaN(), 0}, {0, math.NaN()}, {math.Inf(1), 0}, {0, math.Inf(-1)}} {
+		o.Init = bad
+		if _, err := Optimize(p, o); err == nil {
+			t.Errorf("non-finite incumbent %v accepted", bad)
+		}
 	}
 }
 
@@ -184,6 +193,16 @@ func TestOptimizeValidation(t *testing.T) {
 	if _, err := Optimize(Problem{Lo: []float64{0}, Hi: []float64{1}}, DefaultOptions(1)); err == nil {
 		t.Error("nil objective accepted")
 	}
+	inf := math.Inf(1)
+	for _, b := range [][2]float64{{-inf, inf}, {0, inf}, {-inf, 0}, {math.NaN(), 1}, {0, math.NaN()}} {
+		p := Problem{Lo: []float64{0, b[0]}, Hi: []float64{1, b[1]}, Eval: func([]float64) float64 { return 0 }}
+		if _, err := Optimize(p, DefaultOptions(1)); err == nil {
+			t.Errorf("bounds [%g, %g] accepted", b[0], b[1])
+		}
+		if _, err := NelderMead(p, []float64{0.5, 0}, 10); err == nil {
+			t.Errorf("NelderMead accepted bounds [%g, %g]", b[0], b[1])
+		}
+	}
 }
 
 func TestConstantObjectiveSurvives(t *testing.T) {
@@ -237,15 +256,32 @@ func TestNelderMeadValidation(t *testing.T) {
 	}
 }
 
+// fitted builds a regressor over the training set and fits it.
+func fitted(xs [][]float64, ys []float64) *gp {
+	g := newGP(len(xs[0]), len(xs), 1)
+	for i := range xs {
+		g.add(xs[i], ys[i])
+	}
+	g.fit()
+	return g
+}
+
+// predictAt is the posterior (μ, σ) at a single point.
+func (g *gp) predictAt(xq []float64) (mu, sd float64) {
+	m, s := make([]float64, 1), make([]float64, 1)
+	g.predict(xq, m, s)
+	return m[0], s[0]
+}
+
 func TestGPInterpolates(t *testing.T) {
 	xs := [][]float64{{0.1}, {0.5}, {0.9}}
 	ys := []float64{1, 3, 2}
-	g, err := fitGP(xs, ys)
-	if err != nil {
-		t.Fatal(err)
+	g := fitted(xs, ys)
+	if g.broken {
+		t.Fatal("kernel factorization failed")
 	}
 	for i := range xs {
-		mu, sd := g.predict(xs[i])
+		mu, sd := g.predictAt(xs[i])
 		if !units.ApproxEqual(mu, ys[i], 0.05) {
 			t.Errorf("GP at training point %v: mu=%g want %g", xs[i], mu, ys[i])
 		}
@@ -254,28 +290,50 @@ func TestGPInterpolates(t *testing.T) {
 		}
 	}
 	// Far point has larger predictive sd than training points.
-	_, sdFar := g.predict([]float64{5})
-	_, sdNear := g.predict(xs[1])
+	_, sdFar := g.predictAt([]float64{5})
+	_, sdNear := g.predictAt(xs[1])
 	if sdFar <= sdNear {
 		t.Error("predictive sd should grow away from data")
 	}
 }
 
+// TestCholeskyAndSolve checks the packed factor and α against the
+// kernel itself: L·Lᵀ reproduces K + σn²·I, and (K + σn²·I)·α gives back
+// the standardized targets.
 func TestCholeskyAndSolve(t *testing.T) {
-	a := [][]float64{{4, 2, 0.6}, {2, 5, 1.5}, {0.6, 1.5, 3}}
-	l, err := cholesky(a)
-	if err != nil {
-		t.Fatal(err)
+	xs := [][]float64{{0.1, 0.7}, {0.4, 0.2}, {0.45, 0.25}, {0.9, 0.9}}
+	ys := []float64{1, -2, 3, 0.5}
+	g := fitted(xs, ys)
+	if g.broken {
+		t.Fatal("kernel factorization failed")
 	}
-	b := []float64{1, -2, 3}
-	x := cholSolve(l, b)
-	for i := range b {
-		got := 0.0
-		for j := range x {
-			got += a[i][j] * x[j]
+	n := len(xs)
+	a := kernelMatrix(xs, g.ell, g.sigF2, g.sigN2)
+	lij := func(i, j int) float64 {
+		if j > i {
+			return 0
 		}
-		if !units.ApproxEqual(got, b[i], 1e-9) {
-			t.Errorf("row %d: Ax = %g, want %g", i, got, b[i])
+		return g.l[i*(i+1)/2+j]
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			llt := 0.0
+			for k := 0; k < n; k++ {
+				llt += lij(i, k) * lij(j, k)
+			}
+			if !units.ApproxEqual(llt, a[i][j], 1e-9) {
+				t.Errorf("(L·Lᵀ)[%d][%d] = %g, want %g", i, j, llt, a[i][j])
+			}
+		}
+	}
+	for i := range ys {
+		b := (ys[i] - g.mean) / g.std
+		got := 0.0
+		for j := range g.alpha[:n] {
+			got += a[i][j] * g.alpha[j]
+		}
+		if !units.ApproxEqual(got, b, 1e-9) {
+			t.Errorf("row %d: Ax = %g, want %g", i, got, b)
 		}
 	}
 }
@@ -375,5 +433,127 @@ func TestOptimizeMixedNaNStillImproves(t *testing.T) {
 	}
 	if res.BestY < -0.05 {
 		t.Errorf("BestY = %g at %v, want near 0 (found the finite basin)", res.BestY, res.BestX)
+	}
+}
+
+// wavy is a cheap multimodal objective: a sine ripple on a shifted bowl.
+func wavy(x []float64) float64 {
+	s := 0.0
+	for i, v := range x {
+		d := v - 0.3*float64(i)
+		s += math.Sin(3*v) - 0.5*d*d
+	}
+	return s
+}
+
+// box8 is an 8-D box with unequal sides, the dimension of the sizing
+// backends' parameter spaces.
+func box8() (lo, hi []float64) {
+	lo, hi = make([]float64, 8), make([]float64, 8)
+	for i := range lo {
+		lo[i], hi[i] = -1-0.25*float64(i), 2+float64(i)
+	}
+	return lo, hi
+}
+
+// historyHash is an FNV-1a hash over the Float64bits of a run's History,
+// BestX and BestY.
+func historyHash(r *Result) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(v float64) {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	for _, v := range r.History {
+		put(v)
+	}
+	for _, v := range r.BestX {
+		put(v)
+	}
+	put(r.BestY)
+	return h.Sum64()
+}
+
+// TestOptimizeHistoryPinned pins three complete runs to the bit: the
+// sizing-backend shape (d = 8, 15 + 45 evaluations, 256 candidates), the
+// default budget (512 candidates), and the hybrid backend's shape with
+// an incumbent. The hashes were recorded from the original
+// one-candidate-at-a-time GP, so they hold the incremental factor and
+// the batched acquisition to choosing exactly the same points.
+func TestOptimizeHistoryPinned(t *testing.T) {
+	lo, hi := box8()
+	incumbent := Options{InitSamples: 15, Iterations: 44, Candidates: 256, Seed: 3,
+		Init: []float64{0.5, 0, 1, 1.5, 2, 2.5, 3, 3.5}}
+	for _, tc := range []struct {
+		name  string
+		p     Problem
+		o     Options
+		evals int
+		want  uint64
+	}{
+		{"size_recover", Problem{Lo: lo, Hi: hi, Eval: wavy},
+			Options{InitSamples: 15, Iterations: 45, Candidates: 256, Seed: 11}, 60, 0x35bdeff682df54ae},
+		{"default", Problem{Lo: []float64{-5, -5, -5}, Hi: []float64{5, 5, 5}, Eval: wavy},
+			DefaultOptions(5), 52, 0x1dba999b10fa092e},
+		{"incumbent", Problem{Lo: lo, Hi: hi, Eval: wavy}, incumbent, 60, 0x4153d34b049dcfc8},
+	} {
+		res, err := Optimize(tc.p, tc.o)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if res.Evals != tc.evals {
+			t.Errorf("%s: Evals = %d, want %d", tc.name, res.Evals, tc.evals)
+		}
+		if got := historyHash(res); got != tc.want {
+			t.Errorf("%s: history hash %#x, want %#x (BestY %v)", tc.name, got, tc.want, res.BestY)
+		}
+	}
+}
+
+// sizeRecoverOptions is the bo backend's budget for a 60-evaluation
+// trial: 15 Latin-hypercube samples, 45 acquisition iterations.
+func sizeRecoverOptions(seed int64) Options {
+	return Options{InitSamples: 15, Iterations: 45, Candidates: 256, Seed: seed}
+}
+
+// TestOptimizeAllocsIndependentOfCandidates guards the acquisition loop:
+// every buffer is sized once per run, so the allocation count of a run
+// must not depend on how many candidates each iteration scores.
+func TestOptimizeAllocsIndependentOfCandidates(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	// A collection during the longer run can add a runtime-internal
+	// allocation to the count; with the collector off the count is the
+	// optimizer's own.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	lo, hi := box8()
+	p := Problem{Lo: lo, Hi: hi, Eval: wavy}
+	allocs := func(c int) float64 {
+		o := sizeRecoverOptions(4)
+		o.Candidates = c
+		return testing.AllocsPerRun(3, func() {
+			if _, err := Optimize(p, o); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := allocs(16), allocs(512); few != many {
+		t.Errorf("allocations per run: %v at 16 candidates, %v at 512", few, many)
+	}
+}
+
+// BenchmarkOptimize is one bo-backend trial's optimizer work with a
+// cheap analytic objective in place of the circuit simulator, so it
+// times the GP and the acquisition loop alone.
+func BenchmarkOptimize(b *testing.B) {
+	lo, hi := box8()
+	p := Problem{Lo: lo, Hi: hi, Eval: wavy}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Optimize(p, sizeRecoverOptions(int64(i))); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -7,17 +7,17 @@ import "sort"
 // benchmark rubric checks a designer's claimed families against the
 // actual structure, so the mapping is exported and total.
 const (
-	FamilyMiller      = "miller"       // plain capacitive (Miller) coupling
-	FamilyNullingR    = "nulling-R"    // series/parallel RC zero control
-	FamilyShuntR      = "shunt-R"      // bare resistive coupling or shunt
-	FamilyFeedforward = "feedforward"  // plain transconductance fast path
-	FamilyActiveZero  = "active-zero"  // gm coupled through C/R networks
-	FamilyMultipath   = "multipath"    // gm in parallel with a Miller cap
-	FamilyBuffered    = "buffered"     // unity-buffer-decoupled Miller
-	FamilyDamping     = "damping"      // DFC block shunting a node
-	FamilyAuxStage    = "aux-stage"    // full auxiliary gain stage
-	FamilyCascode     = "cascode"      // current-buffer (cascode) Miller
-	FamilyQFC         = "QFC"          // Q-factor-control damped coupling
+	FamilyMiller      = "miller"      // plain capacitive (Miller) coupling
+	FamilyNullingR    = "nulling-R"   // series/parallel RC zero control
+	FamilyShuntR      = "shunt-R"     // bare resistive coupling or shunt
+	FamilyFeedforward = "feedforward" // plain transconductance fast path
+	FamilyActiveZero  = "active-zero" // gm coupled through C/R networks
+	FamilyMultipath   = "multipath"   // gm in parallel with a Miller cap
+	FamilyBuffered    = "buffered"    // unity-buffer-decoupled Miller
+	FamilyDamping     = "damping"     // DFC block shunting a node
+	FamilyAuxStage    = "aux-stage"   // full auxiliary gain stage
+	FamilyCascode     = "cascode"     // current-buffer (cascode) Miller
+	FamilyQFC         = "QFC"         // Q-factor-control damped coupling
 )
 
 // Family returns the compensation family of a connection type, or "" for

@@ -142,7 +142,7 @@ func TestValidateTypedErrors(t *testing.T) {
 			Stages: []Stage{{Gm: 1e-3, A0: 160}, {Gm: 1e-3, A0: 45}, {Gm: 1e-3, A0: 45}}}},
 		{"position beyond depth", Topology{Name: "x",
 			Stages: []Stage{{Gm: 1e-3, A0: 160}, {Gm: 1e-3, A0: 45}},
-			Conns: []Connection{{Pos: Position{From: "n2", To: "out"}, Type: ConnC, C: 1e-12}}}},
+			Conns:  []Connection{{Pos: Position{From: "n2", To: "out"}, Type: ConnC, C: 1e-12}}}},
 	}
 	for _, tc := range cases {
 		err := tc.topo.Validate()

@@ -1,11 +1,13 @@
 #!/bin/sh
-# CI gate: vet, build, full test suite, the benchmark module's tests, a
+# CI gate: gofmt, vet, build, full test suite, the benchmark module's tests, a
 # race pass over the concurrency-heavy packages, a two-node router
 # smoke, a chaos smoke over the resilience layer, a hot-path perf gate
 # against the committed benchmark baseline, and an errcheck-style grep
 # gate. Mirrors `make check`.
 set -eux
 cd "$(dirname "$0")/.."
+# Formatting gate: every tracked Go file must be gofmt-clean.
+test -z "$(gofmt -l $(git ls-files '*.go'))"
 go vet ./...
 go build ./...
 go test ./...
