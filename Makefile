@@ -39,7 +39,8 @@ chaos:
 
 check: fmt vet build test race chaos
 
-# bench records (name, ns/op, allocs/op) as JSON for cross-PR comparison
-# and fails on a >20% hot-path regression vs the previous PR's baseline.
+# bench records (name, ns/op, allocs/op) into the untracked BENCH.json
+# and fails on a >20% hot-path regression vs the committed baseline that
+# scripts/check.sh gates against.
 bench:
-	scripts/bench.sh BENCH_pr9.json BENCH_pr8.json
+	scripts/bench.sh BENCH.json BENCH_pr9.json

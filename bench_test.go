@@ -334,7 +334,7 @@ func BenchmarkCircuitSweep(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Sweep("out", 1e-2, 1e10, 24); err != nil {
+		if _, err := c.Sweep(context.Background(), "out", 1e-2, 1e10, 24); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -354,10 +354,10 @@ func BenchmarkPoleZero(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := c.Poles(); err != nil {
+		if _, err := c.Poles(context.Background()); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := c.Zeros("out"); err != nil {
+		if _, err := c.Zeros(context.Background(), "out"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -533,12 +533,11 @@ func BenchmarkAblationBudgetCurve(b *testing.B) {
 	b.ReportMetric(last, "successAtMaxBudget")
 }
 
-// BenchmarkSparseLadderAC sweeps a 60-stage RC ladder — 61 unknowns, far
-// past the sparse-engine threshold — so it tracks the symbolic-reuse AC
-// path on a genuinely sparse system, complementing the small dense-path
-// benchmarks above.
-func BenchmarkSparseLadderAC(b *testing.B) {
-	nl := netlist.New("sparse-ladder")
+// BenchmarkLadderAC sweeps a 60-stage RC ladder — 61 unknowns — to
+// measure the dense AC kernel's cost at a size no workload serves
+// (generated, sampled and library topologies have 4–24 unknowns).
+func BenchmarkLadderAC(b *testing.B) {
+	nl := netlist.New("ladder")
 	nl.AddV("V1", "in", "0", 1)
 	prev := "in"
 	const stages = 60
@@ -557,7 +556,7 @@ func BenchmarkSparseLadderAC(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Sweep("out", 1e-1, 1e9, 24); err != nil {
+		if _, err := c.Sweep(context.Background(), "out", 1e-1, 1e9, 24); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -90,13 +90,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "opampsim:", err)
 		os.Exit(1)
 	}
-	if poles, err := c.Poles(); err == nil {
+	if poles, err := c.Poles(context.Background()); err == nil {
 		fmt.Printf("poles (%d):\n", len(poles))
 		for _, p := range poles {
 			fmt.Printf("  %s rad/s  (%sHz)\n", fmtC(p), units.Format(cmplx.Abs(p)/(2*3.141592653589793)))
 		}
 	}
-	if zeros, err := c.Zeros(*out); err == nil {
+	if zeros, err := c.Zeros(context.Background(), *out); err == nil {
 		fmt.Printf("zeros (%d):\n", len(zeros))
 		for _, z := range zeros {
 			fmt.Printf("  %s rad/s\n", fmtC(z))
@@ -104,7 +104,7 @@ func main() {
 	}
 
 	if *sweep {
-		pts, err := c.Sweep(*out, 1, 1e9, 4)
+		pts, err := c.Sweep(context.Background(), *out, 1, 1e9, 4)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "opampsim:", err)
 			os.Exit(1)

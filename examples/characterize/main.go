@@ -59,7 +59,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if poles, err := c.Poles(); err == nil {
+	if poles, err := c.Poles(context.Background()); err == nil {
 		fmt.Println("[poles]")
 		for _, p := range poles {
 			fmt.Printf("  %sHz", units.Format(cmplx.Abs(p)/(2*math.Pi)))

@@ -1,6 +1,7 @@
 package measure
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/cmplx"
@@ -17,7 +18,7 @@ import (
 // a small perturbation of one nominal design. MCAnalyzer exploits both:
 //
 //   - the netlist is compiled once; each sample re-stamps matrix values
-//     through Circuit.Restamped (shared pattern, node index, degree memo);
+//     through Circuit.Restamped (shared node index and degree memo);
 //   - DC gain is one solve at the sweep's DC anchor frequency;
 //   - GBW is a log-domain bisection for the unity crossing, bracketed
 //     around the nominal design's GBW;
@@ -61,7 +62,7 @@ func NewMCAnalyzer(nl *netlist.Netlist, out string) (*MCAnalyzer, error) {
 		return nil, err
 	}
 	a.gbw0, _ = bisectGBW(base, out, 0)
-	if poles, err := base.Poles(); err == nil {
+	if poles, err := base.Poles(context.Background()); err == nil {
 		a.seeds = poles
 	}
 	return a, nil

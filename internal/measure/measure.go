@@ -120,7 +120,7 @@ func AnalyzeWithContext(ctx context.Context, nl *netlist.Netlist, out string, pm
 	if err != nil {
 		return Report{}, err
 	}
-	pts, err := c.SweepContext(ctx, out, sweepStart, sweepStop, sweepPerDecade)
+	pts, err := c.Sweep(ctx, out, sweepStart, sweepStop, sweepPerDecade)
 	if err != nil {
 		return Report{}, err
 	}
@@ -191,7 +191,7 @@ func AnalyzeWithContext(ctx context.Context, nl *netlist.Netlist, out string, pm
 
 	// Stability via pole locations. A root-finder failure is surfaced in
 	// PoleZeroErr rather than silently reported as "0 poles, unstable".
-	poles, perr := c.PolesContext(ctx)
+	poles, perr := c.Poles(ctx)
 	if perr != nil {
 		rep.PoleZeroErr = perr.Error()
 	} else {
@@ -203,7 +203,7 @@ func AnalyzeWithContext(ctx context.Context, nl *netlist.Netlist, out string, pm
 			}
 		}
 	}
-	zeros, zerr := c.ZerosContext(ctx, out)
+	zeros, zerr := c.Zeros(ctx, out)
 	switch {
 	case zerr != nil:
 		if rep.PoleZeroErr == "" {

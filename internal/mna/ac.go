@@ -1,10 +1,14 @@
 package mna
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
+	"strconv"
 	"sync"
+
+	"artisan/internal/telemetry"
 )
 
 // TFPoint is one point of a swept transfer function.
@@ -22,16 +26,27 @@ const parallelSweepMin = 32
 // excitation is the netlist's independent sources (normally a single 1 V
 // AC source), so H is V(out) directly. Sweeps long enough to amortize the
 // startup are partitioned across GOMAXPROCS workers, each with its own
-// Workspace; the output is byte-identical to the serial path.
-func (c *Circuit) Sweep(out string, fStart, fStop float64, perDecade int) ([]TFPoint, error) {
-	return c.SweepParallel(out, fStart, fStop, perDecade, 0)
+// Workspace; the output is byte-identical to the serial path. When ctx
+// carries a tracer the sweep is recorded as an "mna.sweep" span with the
+// matrix size and point count.
+func (c *Circuit) Sweep(ctx context.Context, out string, fStart, fStop float64, perDecade int) ([]TFPoint, error) {
+	_, span := telemetry.StartSpan(ctx, "mna.sweep")
+	defer span.End()
+	pts, err := c.SweepParallel(out, fStart, fStop, perDecade, 0)
+	if span != nil { // untraced sweeps skip formatting the attributes
+		span.SetAttr("size", strconv.Itoa(c.Size()))
+		span.SetAttr("points", strconv.Itoa(len(pts)))
+	}
+	return pts, err
 }
 
 // SweepParallel is Sweep with an explicit worker count: 0 means
 // GOMAXPROCS, 1 forces the serial path. Every point is an independent
 // deterministic solve, so the result does not depend on workers.
 func (c *Circuit) SweepParallel(out string, fStart, fStop float64, perDecade, workers int) ([]TFPoint, error) {
-	if fStart <= 0 || fStop <= fStart {
+	// Negated so NaN fails; the ratio bound rejects +Inf and a range
+	// whose fStop/fStart overflows.
+	if !(fStart > 0 && fStop > fStart && fStop/fStart <= math.MaxFloat64) {
 		return nil, fmt.Errorf("mna: bad sweep range [%g, %g]", fStart, fStop)
 	}
 	if perDecade < 1 {

@@ -35,13 +35,9 @@ type Circuit struct {
 	deg *degMemo
 
 	// Lazily built structural CSC pattern (union of the G and C stamps)
-	// plus pattern-aligned complex value arrays for the sparse AC path.
-	// The pattern is shared with Restamped variants; the value arrays are
-	// per-circuit and invalidated by restamp.
-	patMu    sync.Mutex
-	pat      *Pattern
-	spG, spC []complex128
-	spOK     bool
+	// for the transient engine.
+	patMu sync.Mutex
+	pat   *Pattern
 
 	tranPool sync.Pool // *tranScratch for Transient
 }
@@ -208,9 +204,9 @@ func Compile(nl *netlist.Netlist) (*Circuit, error) {
 // Restamped re-stamps the circuit's topology with per-device value scale
 // factors (scale[i] multiplies nl.Devices[i].Value) into a reusable target
 // circuit, allocating one when into is nil. The result shares the node
-// index, branch map, structural pattern, and degree memo with the base —
-// only matrix values are rebuilt — which is what makes Monte-Carlo and
-// corner sampling cheap: the symbolic work survives across samples.
+// index, branch map, and degree memo with the base — only matrix values
+// are rebuilt — which is what makes Monte-Carlo and corner sampling
+// cheap: the symbolic work survives across samples.
 //
 // A restamped circuit is NOT immutable: it is owned by the goroutine that
 // restamps it, and in-flight Workspaces on it become stale after the next
@@ -224,7 +220,7 @@ func (c *Circuit) Restamped(scale []float64, into *Circuit) (*Circuit, error) {
 		n := c.Size()
 		into = &Circuit{
 			nl: c.nl, nodeIdx: c.nodeIdx, nodes: c.nodes, nn: c.nn, nb: c.nb,
-			branches: c.branches, deg: c.deg, pat: c.pattern(),
+			branches: c.branches, deg: c.deg,
 			G: NewMatrix(n), C: NewMatrix(n), b: make([]complex128, n),
 		}
 	}
@@ -235,9 +231,6 @@ func (c *Circuit) Restamped(scale []float64, into *Circuit) (*Circuit, error) {
 	for i := range into.b {
 		into.b[i] = 0
 	}
-	into.patMu.Lock()
-	into.spOK = false
-	into.patMu.Unlock()
 	if err := into.stampInto(scale, &matrixSink{g: into.G, c: into.C, b: into.b}); err != nil {
 		return nil, err
 	}
@@ -245,8 +238,7 @@ func (c *Circuit) Restamped(scale []float64, into *Circuit) (*Circuit, error) {
 }
 
 // pattern returns the structural CSC pattern of A = G + sC (union of the
-// G and C stamps), building it on first use. The pattern is immutable and
-// shared with Restamped variants.
+// G and C stamps), building it on first use. The pattern is immutable.
 func (c *Circuit) pattern() *Pattern {
 	c.patMu.Lock()
 	defer c.patMu.Unlock()
@@ -263,39 +255,6 @@ func (c *Circuit) pattern() *Pattern {
 	}
 	return c.pat
 }
-
-// sparseVals returns the pattern plus pattern-aligned complex G and C
-// value arrays, gathering them from the dense matrices on first use (and
-// again after a restamp). The returned slices are read-only shared state:
-// concurrent solvers may read them, but only the owner of a restamped
-// circuit may trigger a re-gather.
-func (c *Circuit) sparseVals() (*Pattern, []complex128, []complex128) {
-	pat := c.pattern()
-	c.patMu.Lock()
-	defer c.patMu.Unlock()
-	if !c.spOK {
-		if c.spG == nil {
-			c.spG = make([]complex128, pat.NNZ())
-			c.spC = make([]complex128, pat.NNZ())
-		}
-		for col := 0; col < pat.N; col++ {
-			for i := pat.ColPtr[col]; i < pat.ColPtr[col+1]; i++ {
-				c.spG[i] = c.G.At(pat.Rows[i], col)
-				c.spC[i] = c.C.At(pat.Rows[i], col)
-			}
-		}
-		c.spOK = true
-	}
-	return pat, c.spG, c.spC
-}
-
-// sparseACMinN is the system size at which the AC path switches from the
-// dense in-place LU to the sparse refactoring engine. Small behavioral
-// opamps (a handful of unknowns) stay dense — the dense kernel's tight
-// loops win below this point — while ladder-scale netlists go sparse.
-const sparseACMinN = 24
-
-func (c *Circuit) useSparseAC() bool { return c.Size() >= sparseACMinN }
 
 // Size returns the total number of MNA unknowns.
 func (c *Circuit) Size() int { return c.nn + c.nb }
@@ -345,24 +304,6 @@ func (c *Circuit) VoltageAt(node string, s complex128) (complex128, error) {
 		return 0, err
 	}
 	return x[i], nil
-}
-
-// DetAt returns det(G + sC) in scaled form, allocation-free in steady
-// state.
-func (c *Circuit) DetAt(s complex128) ScaledDet {
-	w := c.workspace()
-	defer c.release(w)
-	return w.DetAt(s)
-}
-
-// NumerDetAt returns the Cramer numerator determinant for the given output
-// node: det of A(s) with the output column replaced by the excitation b.
-// Zeros of the transfer function V(out)/excitation are the roots of this
-// polynomial in s.
-func (c *Circuit) NumerDetAt(node string, s complex128) (ScaledDet, error) {
-	w := c.workspace()
-	defer c.release(w)
-	return w.NumerDetAt(node, s)
 }
 
 // Omega converts a frequency in Hz to the Laplace variable jω.

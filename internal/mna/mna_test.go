@@ -1,9 +1,11 @@
 package mna
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -58,7 +60,7 @@ func TestRCLowPass(t *testing.T) {
 		t.Errorf("phase(fc) = %g°, want -45°", phase)
 	}
 
-	poles, err := c.Poles()
+	poles, err := c.Poles(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +145,7 @@ func TestMillerRHPZero(t *testing.T) {
 	nl.AddC("Cl", "out", "0", Cl)
 	c := compileOK(t, nl)
 
-	zeros, err := c.Zeros("out")
+	zeros, err := c.Zeros(context.Background(), "out")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +157,7 @@ func TestMillerRHPZero(t *testing.T) {
 		t.Errorf("zero = %v, want %g (RHP)", zeros[0], want)
 	}
 
-	poles, err := c.Poles()
+	poles, err := c.Poles(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +181,7 @@ func TestTwoStageRCPoles(t *testing.T) {
 	nl.AddR("R2", "b", "out", 10e3)
 	nl.AddC("C2", "out", "0", 1e-9)
 	c := compileOK(t, nl)
-	poles, err := c.Poles()
+	poles, err := c.Poles(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +237,7 @@ func TestNMCDCGain(t *testing.T) {
 func TestNMCUnityGainAndPhase(t *testing.T) {
 	c := compileOK(t, buildNMC())
 	// GBW should be near gm1/(2π·Cm1) = 1 MHz.
-	pts, err := c.Sweep("out", 0.1, 1e9, 40)
+	pts, err := c.Sweep(context.Background(), "out", 0.1, 1e9, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +258,7 @@ func TestNMCUnityGainAndPhase(t *testing.T) {
 
 func TestNMCPoles(t *testing.T) {
 	c := compileOK(t, buildNMC())
-	poles, err := c.Poles()
+	poles, err := c.Poles(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,11 +289,11 @@ func TestNMCPoles(t *testing.T) {
 // a strong cross-check that both paths agree.
 func TestPoleZeroSweepConsistency(t *testing.T) {
 	c := compileOK(t, buildNMC())
-	poles, err := c.Poles()
+	poles, err := c.Poles(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	zeros, err := c.Zeros("out")
+	zeros, err := c.Zeros(context.Background(), "out")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,19 +323,26 @@ func TestPoleZeroSweepConsistency(t *testing.T) {
 
 func TestSweepValidation(t *testing.T) {
 	c := compileOK(t, buildNMC())
-	if _, err := c.Sweep("out", -1, 10, 10); err == nil {
-		t.Error("negative fStart accepted")
+	for _, r := range []struct{ fStart, fStop float64 }{
+		{-1, 10},
+		{10, 1},
+		{math.NaN(), 10},
+		{1, math.NaN()},
+		{1, math.Inf(1)},
+		{5e-324, 1e10}, // fStop/fStart overflows
+	} {
+		_, err := c.Sweep(context.Background(), "out", r.fStart, r.fStop, 10)
+		if err == nil || !strings.Contains(err.Error(), "bad sweep range") {
+			t.Errorf("range [%g, %g]: err = %v, want bad sweep range", r.fStart, r.fStop, err)
+		}
 	}
-	if _, err := c.Sweep("out", 10, 1, 10); err == nil {
-		t.Error("reversed range accepted")
-	}
-	if _, err := c.Sweep("out", 1, 10, 0); err == nil {
+	if _, err := c.Sweep(context.Background(), "out", 1, 10, 0); err == nil {
 		t.Error("zero perDecade accepted")
 	}
-	if _, err := c.Sweep("nonode", 1, 10, 10); err == nil {
+	if _, err := c.Sweep(context.Background(), "nonode", 1, 10, 10); err == nil {
 		t.Error("unknown node accepted")
 	}
-	pts, err := c.Sweep("out", 1, 1e3, 5)
+	pts, err := c.Sweep(context.Background(), "out", 1, 1e3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,7 +82,9 @@ func (c *Circuit) NoiseSweep(out string, fStart, fStop float64, perDecade int, o
 	if err != nil {
 		return nil, err
 	}
-	if fStart <= 0 || fStop < fStart || perDecade < 1 {
+	// Negated so NaN fails; the ratio bound rejects +Inf and a range
+	// whose fStop/fStart overflows.
+	if !(fStart > 0 && fStop >= fStart && fStop/fStart <= math.MaxFloat64) || perDecade < 1 {
 		return nil, fmt.Errorf("mna: bad noise sweep [%g, %g] @%d", fStart, fStop, perDecade)
 	}
 	sources := c.noiseSources(opts)
@@ -98,14 +100,15 @@ func (c *Circuit) NoiseSweep(out string, fStart, fStop float64, perDecade int, o
 	}
 
 	// One workspace serves the whole sweep: each frequency is a single
-	// in-place factorization (sparse refactor on large systems), each
-	// source one allocation-free solve into workspace-owned scratch.
+	// in-place factorization, each source one allocation-free solve into
+	// workspace-owned scratch.
 	w := c.workspace()
 	defer c.release(w)
 	pts := make([]NoisePoint, 0, len(freqs))
 	rhs, x := w.noiseBuffers()
 	for _, f := range freqs {
-		if err := w.prepareAt(Omega(f)); err != nil {
+		lu := w.factorAt(Omega(f))
+		if !lu.OK() {
 			return nil, fmt.Errorf("mna: singular at %g Hz", f)
 		}
 		total := 0.0
@@ -121,7 +124,7 @@ func (c *Circuit) NoiseSweep(out string, fStart, fStop float64, perDecade int, o
 			if s.b >= 0 {
 				rhs[s.b] += 1
 			}
-			if err := w.solvePrepared(x, rhs); err != nil {
+			if err := lu.SolveInto(x, rhs); err != nil {
 				return nil, err
 			}
 			h := cmplx.Abs(x[j])

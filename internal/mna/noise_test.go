@@ -2,6 +2,7 @@ package mna
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"artisan/internal/netlist"
@@ -114,8 +115,25 @@ func TestNoiseValidation(t *testing.T) {
 	nl2 := netlist.New("r")
 	nl2.AddR("R1", "out", "0", 1e3)
 	c2, _ := Compile(nl2)
-	if _, err := c2.NoiseSweep("out", -1, 10, 10, NoiseOpts{}); err == nil {
-		t.Error("negative start accepted")
+	inf, nan := math.Inf(1), math.NaN()
+	for _, r := range []struct{ fStart, fStop float64 }{
+		{-1, 10},
+		{nan, 10},
+		{1, nan},
+		{1, inf},
+		{inf, inf},
+		{5e-324, 1e10}, // fStop/fStart overflows
+	} {
+		_, err := c2.NoiseSweep("out", r.fStart, r.fStop, 10, NoiseOpts{})
+		if err == nil || !strings.Contains(err.Error(), "bad noise sweep") {
+			t.Errorf("range [%g, %g]: err = %v, want bad noise sweep", r.fStart, r.fStop, err)
+		}
+	}
+	if _, err := c2.NoiseAt("out", nan, NoiseOpts{}); err == nil {
+		t.Error("NaN NoiseAt frequency accepted")
+	}
+	if _, err := c2.IntegratedNoise("out", 1, inf, NoiseOpts{}); err == nil {
+		t.Error("infinite IntegratedNoise bound accepted")
 	}
 	if _, err := c2.NoiseSweep("nope", 1, 10, 10, NoiseOpts{}); err == nil {
 		t.Error("unknown node accepted")

@@ -1,12 +1,16 @@
 package mna
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/cmplx"
 	"sort"
+	"strconv"
 	"sync"
+
+	"artisan/internal/telemetry"
 )
 
 // detFunc evaluates a determinant-valued analytic function of s (the MNA
@@ -390,8 +394,14 @@ func (c *Circuit) StableNear(seeds []complex128) (stable, ok bool) {
 // part of the system (a voltage source pins its node), matching what a
 // simulator's pz analysis reports for the driven network. All determinant
 // evaluations share one Workspace, so a Poles call is a single small
-// allocation burst.
-func (c *Circuit) Poles() ([]complex128, error) {
+// allocation burst. When ctx carries a tracer the call is recorded as an
+// "mna.poles" span with the pole count.
+func (c *Circuit) Poles(ctx context.Context) (poles []complex128, err error) {
+	_, span := telemetry.StartSpan(ctx, "mna.poles")
+	defer func() {
+		span.SetAttr("n", strconv.Itoa(len(poles)))
+		span.End()
+	}()
 	w := c.workspace()
 	defer c.release(w)
 	f := func(s complex128) ScaledDet { return w.DetAt(s) }
@@ -403,32 +413,24 @@ func (c *Circuit) Poles() ([]complex128, error) {
 }
 
 // Zeros returns the transmission zeros of V(out)/excitation in rad/s: the
-// roots of the Cramer numerator determinant.
-func (c *Circuit) Zeros(out string) ([]complex128, error) {
+// roots of the Cramer numerator determinant. When ctx carries a tracer
+// the call is recorded as an "mna.zeros" span with the zero count.
+func (c *Circuit) Zeros(ctx context.Context, out string) (zeros []complex128, err error) {
+	_, span := telemetry.StartSpan(ctx, "mna.zeros")
+	defer func() {
+		span.SetAttr("n", strconv.Itoa(len(zeros)))
+		span.End()
+	}()
 	j, err := c.NodeIndex(out)
 	if err != nil {
 		return nil, err
 	}
 	w := c.workspace()
 	defer c.release(w)
-	f := func(s complex128) ScaledDet {
-		w.a.AddScaled(c.G, c.C, s)
-		for i := 0; i < w.a.N; i++ {
-			w.a.Set(i, j, c.b[i])
-		}
-		w.lu.FactorInto(w.a)
-		return w.lu.Det()
-	}
+	f := func(s complex128) ScaledDet { return w.numerDet(j, s) }
 	deg, err := c.zerosDegree(out, f)
 	if err != nil {
 		return nil, err
 	}
 	return aberth(f, deg)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

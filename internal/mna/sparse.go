@@ -6,15 +6,15 @@ import (
 	"sort"
 )
 
-// Sparse MNA path: CSC storage assembled from the netlist stamps, a
-// Markowitz-style minimum-degree ordering, and an LU factorization split
-// into a pattern-analysis phase done once per circuit and a numeric
-// refactorization done per evaluation point. The split exploits the one
-// invariant every repeated-solve workload shares — AC sweep points,
-// transient steps, Monte-Carlo samples, and process corners all change
-// matrix *values*, never the sparsity *pattern* — so the symbolic work
-// (ordering, reach sets, fill-in, pivot sequence) is paid once and each
-// subsequent point is a straight numeric replay with zero allocations.
+// Sparse MNA path of the transient engine: CSC storage assembled from the
+// netlist stamps, a Markowitz-style minimum-degree ordering, and a real LU
+// factorization split into a pattern-analysis phase done once per circuit
+// and a numeric refactorization done per evaluation point. The split
+// exploits the invariant of time stepping — every step and every Newton
+// Jacobian refresh changes matrix *values*, never the sparsity *pattern* —
+// so the symbolic work (ordering, reach sets, fill-in, pivot sequence) is
+// paid once and each subsequent point is a straight numeric replay with
+// zero allocations.
 //
 // The design follows the classic SPICE/KLU recipe: the first Factor runs
 // left-looking Gilbert–Peierls elimination with partial pivoting and
@@ -24,8 +24,8 @@ import (
 
 // Pattern is an immutable CSC sparsity pattern: the structural nonzero
 // positions of an N×N matrix, column-major, rows sorted within a column.
-// Patterns are shared freely across matrices and factorizations (a
-// compiled Circuit and all its Restamped variants use one Pattern).
+// Patterns are shared freely across matrices and factorizations (every
+// Transient call on a Circuit uses the circuit's one Pattern).
 type Pattern struct {
 	N      int
 	ColPtr []int // len N+1
@@ -164,31 +164,24 @@ func minDegreeOrder(p *Pattern) []int {
 	return order
 }
 
-// luScalar is the element type of a sparse factorization: the transient
-// engine instantiates it over float64, the AC/noise path over complex128.
-type luScalar interface {
-	~float64 | ~complex128
-}
-
 // refactorPivTol is the relative pivot-degradation threshold: a Refactor
 // replay whose recorded pivot falls below this fraction of the largest
 // candidate magnitude abandons the replay and repivots from scratch.
 const refactorPivTol = 1e-6
 
-// SparseLU is a sparse LU factorization with a reusable symbolic phase.
-// Typical use:
+// SparseLU is a real sparse LU factorization with a reusable symbolic
+// phase; it is the transient engine's solver. Typical use:
 //
-//	var lu SparseLU[float64]
-//	lu.Analyze(pat, absReal)     // once per pattern: ordering + scratch
-//	lu.Factor(vals)              // first point: pivoting factorization
-//	lu.Refactor(vals2)           // every later point: numeric replay
+//	var lu SparseLU
+//	lu.Analyze(pat)     // once per pattern: ordering + scratch
+//	lu.Factor(vals)     // first point: pivoting factorization
+//	lu.Refactor(vals2)  // every later point: numeric replay
 //	lu.SolveInto(x, b)
 //
 // A SparseLU is single-goroutine scratch, exactly like the dense LU: give
-// each worker its own (the Workspace pool does).
-type SparseLU[T luScalar] struct {
+// each worker its own (the pooled transient scratch does).
+type SparseLU struct {
 	pat *Pattern
-	abs func(T) float64
 	q   []int // column order (minimum degree)
 
 	pinv []int // original row -> pivot position
@@ -198,18 +191,18 @@ type SparseLU[T luScalar] struct {
 	// earlier pivot columns c (< k); uVals aligned. uDiagR holds 1/pivot.
 	uPtr   []int
 	uCols  []int
-	uVals  []T
-	uDiag  []T
-	uDiagR []T
+	uVals  []float64
+	uDiag  []float64
+	uDiagR []float64
 	// L: per pivot column k, pivot-space rows (> k) with multipliers.
 	lPtr  []int
 	lRows []int
-	lVals []T
+	lVals []float64
 
 	// scratch
-	w     []T   // dense accumulator, kept all-zero between columns
-	y     []T   // solve buffer
-	mark  []int // DFS visit epochs
+	w     []float64 // dense accumulator, kept all-zero between columns
+	y     []float64 // solve buffer
+	mark  []int     // DFS visit epochs
 	epoch int
 	stack []int // DFS node stack
 	pos   []int // DFS per-node child cursor
@@ -220,19 +213,12 @@ type SparseLU[T luScalar] struct {
 	ok       bool
 }
 
-// absReal and absCmplx are the magnitude callbacks for the two
-// instantiations (the 1-norm is enough for pivot ordering, as in the
-// dense LU).
-func absReal(v float64) float64 { return math.Abs(v) }
-
-func absCmplx(v complex128) float64 { return abs1(v) }
-
 // Analyze binds the factorization to a pattern: computes the elimination
 // order and sizes the scratch. It must be called before Factor/Refactor
 // and may be called again to rebind to a different pattern.
-func (lu *SparseLU[T]) Analyze(pat *Pattern, abs func(T) float64) {
+func (lu *SparseLU) Analyze(pat *Pattern) {
 	n := pat.N
-	lu.pat, lu.abs = pat, abs
+	lu.pat = pat
 	lu.q = minDegreeOrder(pat)
 	grow := func(s []int) []int {
 		if cap(s) < n {
@@ -244,8 +230,8 @@ func (lu *SparseLU[T]) Analyze(pat *Pattern, abs func(T) float64) {
 	lu.mark, lu.pos, lu.topo = grow(lu.mark), grow(lu.pos), grow(lu.topo)
 	lu.stack = lu.stack[:0]
 	if cap(lu.w) < n {
-		lu.w = make([]T, n)
-		lu.y = make([]T, n)
+		lu.w = make([]float64, n)
+		lu.y = make([]float64, n)
 	}
 	lu.w, lu.y = lu.w[:n], lu.y[:n]
 	for i := range lu.w {
@@ -259,21 +245,21 @@ func (lu *SparseLU[T]) Analyze(pat *Pattern, abs func(T) float64) {
 	}
 	lu.uPtr, lu.lPtr = lu.uPtr[:n+1], lu.lPtr[:n+1]
 	if cap(lu.uDiag) < n {
-		lu.uDiag = make([]T, n)
-		lu.uDiagR = make([]T, n)
+		lu.uDiag = make([]float64, n)
+		lu.uDiagR = make([]float64, n)
 	}
 	lu.uDiag, lu.uDiagR = lu.uDiag[:n], lu.uDiagR[:n]
 	lu.factored, lu.ok = false, false
 }
 
 // OK reports whether the last Factor/Refactor succeeded.
-func (lu *SparseLU[T]) OK() bool { return lu.ok }
+func (lu *SparseLU) OK() bool { return lu.ok }
 
 // Factor performs the full pivoting factorization of the pattern-aligned
 // values. It records the pivot sequence and the L/U structure for later
 // Refactor replays. Returns false (and marks the LU not-OK) on a
 // structurally or numerically singular matrix.
-func (lu *SparseLU[T]) Factor(vals []T) bool {
+func (lu *SparseLU) Factor(vals []float64) bool {
 	n := lu.pat.N
 	for i := 0; i < n; i++ {
 		lu.pinv[i], lu.prow[i] = -1, -1
@@ -311,7 +297,7 @@ func (lu *SparseLU[T]) Factor(vals []T) bool {
 		// Partial pivot over the unpivoted candidates.
 		piv, best := -1, 0.0
 		for _, r := range lu.cand {
-			if a := lu.abs(lu.w[r]); piv < 0 || a > best {
+			if a := math.Abs(lu.w[r]); piv < 0 || a > best {
 				piv, best = r, a
 			}
 		}
@@ -356,7 +342,7 @@ func (lu *SparseLU[T]) Factor(vals []T) bool {
 // topological order (CSparse-style) and returning top. During Factor the
 // L structure is indexed by original rows, which is exactly the space the
 // DFS walks in.
-func (lu *SparseLU[T]) reach(j int) int {
+func (lu *SparseLU) reach(j int) int {
 	n := lu.pat.N
 	lu.epoch++
 	top := n
@@ -404,7 +390,7 @@ func (lu *SparseLU[T]) reach(j int) int {
 // of its column's largest candidate (the values moved too far from the ones
 // the pivot sequence was chosen for), it transparently falls back to a full
 // repivoting Factor.
-func (lu *SparseLU[T]) Refactor(vals []T) bool {
+func (lu *SparseLU) Refactor(vals []float64) bool {
 	if !lu.factored {
 		return lu.Factor(vals)
 	}
@@ -426,13 +412,13 @@ func (lu *SparseLU[T]) Refactor(vals []T) bool {
 			}
 		}
 		pv := lu.w[k]
-		best := lu.abs(pv)
+		best := math.Abs(pv)
 		for i := lu.lPtr[k]; i < lu.lPtr[k+1]; i++ {
-			if a := lu.abs(lu.w[lu.lRows[i]]); a > best {
+			if a := math.Abs(lu.w[lu.lRows[i]]); a > best {
 				best = a
 			}
 		}
-		if pv == 0 || lu.abs(pv) < refactorPivTol*best {
+		if pv == 0 || math.Abs(pv) < refactorPivTol*best {
 			// Recorded pivot no longer viable: clear scratch and repivot.
 			lu.w[k] = 0
 			for t := lu.uPtr[k]; t < lu.uPtr[k+1]; t++ {
@@ -461,7 +447,7 @@ func (lu *SparseLU[T]) Refactor(vals []T) bool {
 
 // SolveInto solves Ax = b into x (len n each; x and b may alias). It
 // performs no allocations.
-func (lu *SparseLU[T]) SolveInto(x, b []T) error {
+func (lu *SparseLU) SolveInto(x, b []float64) error {
 	if !lu.ok {
 		return fmt.Errorf("mna: singular sparse matrix")
 	}
@@ -501,7 +487,7 @@ func (lu *SparseLU[T]) SolveInto(x, b []T) error {
 }
 
 // matVecAdd accumulates y += A·x for a pattern-aligned CSC value array.
-func matVecAdd[T luScalar](y []T, p *Pattern, vals []T, x []T) {
+func matVecAdd(y []float64, p *Pattern, vals, x []float64) {
 	for c := 0; c < p.N; c++ {
 		xc := x[c]
 		if xc == 0 {
@@ -514,7 +500,7 @@ func matVecAdd[T luScalar](y []T, p *Pattern, vals []T, x []T) {
 }
 
 // matVecSub accumulates y -= A·x for a pattern-aligned CSC value array.
-func matVecSub[T luScalar](y []T, p *Pattern, vals []T, x []T) {
+func matVecSub(y []float64, p *Pattern, vals, x []float64) {
 	for c := 0; c < p.N; c++ {
 		xc := x[c]
 		if xc == 0 {

@@ -1,13 +1,9 @@
 package mna
 
 import (
-	"fmt"
 	"math"
-	"math/cmplx"
 	"math/rand"
 	"testing"
-
-	"artisan/internal/netlist"
 )
 
 // randSparseSystem builds a random diagonally-loaded sparse system with
@@ -73,8 +69,8 @@ func TestSparseLUMatchesDense(t *testing.T) {
 		if !ref.OK() {
 			refOK = false
 		}
-		var lu SparseLU[float64]
-		lu.Analyze(pat, absReal)
+		var lu SparseLU
+		lu.Analyze(pat)
 		got := lu.Factor(vals)
 		if got != refOK {
 			t.Fatalf("trial %d: sparse ok=%v dense ok=%v", trial, got, refOK)
@@ -110,8 +106,8 @@ func TestSparseLURefactorReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	n := 20
 	pat, vals := randSparseSystem(rng, n, 60)
-	var lu SparseLU[float64]
-	lu.Analyze(pat, absReal)
+	var lu SparseLU
+	lu.Analyze(pat)
 	if !lu.Factor(vals) {
 		t.Fatal("initial factor failed")
 	}
@@ -157,8 +153,8 @@ func TestSparseLURefactorRepivots(t *testing.T) {
 		[]int{0, 1, 0, 1},
 		[]int{0, 0, 1, 1})
 	vals := []float64{10, 1, 1, 10}
-	var lu SparseLU[float64]
-	lu.Analyze(pat, absReal)
+	var lu SparseLU
+	lu.Analyze(pat)
 	if !lu.Factor(vals) {
 		t.Fatal("factor failed")
 	}
@@ -184,8 +180,8 @@ func TestSparseLUSingular(t *testing.T) {
 		[]int{0, 0, 1, 1, 2})
 	// Column 2 only has its diagonal; zero it for numeric singularity.
 	vals := []float64{1, 2, 3, 6, 0} // rows 0/1 proportional AND w[2,2]=0
-	var lu SparseLU[float64]
-	lu.Analyze(pat, absReal)
+	var lu SparseLU
+	lu.Analyze(pat)
 	if lu.Factor(vals) {
 		t.Fatal("factor of singular matrix succeeded")
 	}
@@ -203,49 +199,11 @@ func TestSparseLUSingular(t *testing.T) {
 	}
 }
 
-func TestSparseLUComplex(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	n := 15
-	pat, rv := randSparseSystem(rng, n, 40)
-	vals := make([]complex128, len(rv))
-	for i, v := range rv {
-		vals[i] = complex(v, rng.NormFloat64())
-	}
-	var lu SparseLU[complex128]
-	lu.Analyze(pat, absCmplx)
-	if !lu.Factor(vals) {
-		t.Fatal("complex factor failed")
-	}
-	b := make([]complex128, n)
-	for i := range b {
-		b[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
-	x := make([]complex128, n)
-	if err := lu.SolveInto(x, b); err != nil {
-		t.Fatal(err)
-	}
-	dense := NewMatrix(n)
-	for c := 0; c < n; c++ {
-		for i := pat.ColPtr[c]; i < pat.ColPtr[c+1]; i++ {
-			dense.Set(pat.Rows[i], c, vals[i])
-		}
-	}
-	want, err := Factor(dense).Solve(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range x {
-		if cmplx.Abs(x[i]-want[i]) > 1e-8*(1+cmplx.Abs(want[i])) {
-			t.Fatalf("x[%d] = %v, want %v", i, x[i], want[i])
-		}
-	}
-}
-
 func TestSparseLUSolveAliasing(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	pat, vals := randSparseSystem(rng, 10, 25)
-	var lu SparseLU[float64]
-	lu.Analyze(pat, absReal)
+	var lu SparseLU
+	lu.Analyze(pat)
 	if !lu.Factor(vals) {
 		t.Fatal("factor failed")
 	}
@@ -274,8 +232,8 @@ func TestSparseLUSteadyStateAllocs(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(41))
 	pat, vals := randSparseSystem(rng, 25, 80)
-	var lu SparseLU[float64]
-	lu.Analyze(pat, absReal)
+	var lu SparseLU
+	lu.Analyze(pat)
 	if !lu.Factor(vals) {
 		t.Fatal("factor failed")
 	}
@@ -319,79 +277,5 @@ func TestMinDegreeOrderDeterministic(t *testing.T) {
 			t.Fatalf("ordering is not a permutation: %v", first)
 		}
 		seen[v] = true
-	}
-}
-
-// ladderNetlist builds a deterministic n-stage RC ladder driven by a
-// voltage source — n+1 unknowns, so n >= sparseACMinN puts the AC path
-// onto the sparse engine.
-func ladderNetlist(stages int) *netlist.Netlist {
-	nl := netlist.New(fmt.Sprintf("ladder-%d", stages))
-	nl.AddV("V1", "in", "0", 1)
-	prev := "in"
-	for i := 0; i < stages; i++ {
-		node := fmt.Sprintf("n%d", i)
-		if i == stages-1 {
-			node = "out"
-		}
-		nl.AddR(fmt.Sprintf("R%d", i), prev, node, 1e3*(1+float64(i%7)))
-		nl.AddC(fmt.Sprintf("C%d", i), node, "0", 1e-12*(1+float64(i%5)))
-		prev = node
-	}
-	return nl
-}
-
-// TestLargeLadderSparseMatchesDense cross-checks the sparse AC path
-// against a dense factorization of the same stamped system at several
-// frequencies.
-func TestLargeLadderSparseMatchesDense(t *testing.T) {
-	nl := ladderNetlist(40)
-	c := compileOK(t, nl)
-	if !c.useSparseAC() {
-		t.Fatalf("ladder with %d unknowns should use the sparse AC path", c.Size())
-	}
-	a := NewMatrix(c.Size())
-	var lu LU
-	for _, f := range []float64{1, 1e3, 1e6, 1e9} {
-		s := Omega(f)
-		got, err := c.VoltageAt("out", s)
-		if err != nil {
-			t.Fatalf("sparse solve at %g Hz: %v", f, err)
-		}
-		a.AddScaled(c.G, c.C, s)
-		lu.FactorInto(a)
-		x, err := lu.Solve(c.b)
-		if err != nil {
-			t.Fatalf("dense solve at %g Hz: %v", f, err)
-		}
-		j, _ := c.NodeIndex("out")
-		want := x[j]
-		if cmplx.Abs(got-want) > 1e-9*(cmplx.Abs(want)+1e-30) {
-			t.Errorf("at %g Hz: sparse %v vs dense %v", f, got, want)
-		}
-	}
-}
-
-// TestLargeLadderSweepParallelIdentity extends the byte-identity contract
-// of SweepParallel to circuits large enough for the sparse engine.
-func TestLargeLadderSweepParallelIdentity(t *testing.T) {
-	c := compileOK(t, ladderNetlist(40))
-	serial, err := c.SweepParallel("out", 1e-1, 1e9, 24, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 2, 3, 8} {
-		par, err := c.SweepParallel("out", 1e-1, 1e9, 24, workers)
-		if err != nil {
-			t.Fatalf("workers %d: %v", workers, err)
-		}
-		if len(par) != len(serial) {
-			t.Fatalf("workers %d: %d points vs %d serial", workers, len(par), len(serial))
-		}
-		for i := range par {
-			if par[i] != serial[i] {
-				t.Fatalf("workers %d: point %d differs: %+v vs %+v", workers, i, par[i], serial[i])
-			}
-		}
 	}
 }

@@ -79,7 +79,7 @@ const stepRoundTol = 1e-9
 // zero steady-state allocations.
 type tranScratch struct {
 	pat *Pattern
-	lu  SparseLU[float64]
+	lu  SparseLU
 
 	gv, cv  []float64 // pattern-aligned Re(G_lin), Re(C)
 	aBase   []float64 // gv + (2/h)·cv at the current step size
@@ -99,7 +99,7 @@ func (ts *tranScratch) ensure(pat *Pattern, nSats int) {
 	n, nnz := pat.N, pat.NNZ()
 	if ts.pat != pat {
 		ts.pat = pat
-		ts.lu.Analyze(pat, absReal)
+		ts.lu.Analyze(pat)
 		ts.gv = make([]float64, nnz)
 		ts.cv = make([]float64, nnz)
 		ts.aBase = make([]float64, nnz)
@@ -129,7 +129,9 @@ func (c *Circuit) Transient(out string, opts TranOpts) ([]TranPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.TEnd <= 0 || opts.Dt <= 0 || opts.Dt > opts.TEnd {
+	// Negated so NaN fails; the ratio bound rejects +Inf and any window
+	// whose step count TEnd/Dt does not fit an int.
+	if !(opts.Dt > 0 && opts.TEnd >= opts.Dt && opts.TEnd/opts.Dt < math.MaxInt) {
 		return nil, fmt.Errorf("mna: bad transient window tEnd=%g dt=%g", opts.TEnd, opts.Dt)
 	}
 	if opts.Input == nil {

@@ -163,11 +163,21 @@ func TestTransientValidation(t *testing.T) {
 	nl.AddR("R1", "in", "out", 1e3)
 	nl.AddC("C1", "out", "0", 1e-9)
 	c, _ := Compile(nl)
-	if _, err := c.Transient("out", TranOpts{TEnd: 0, Dt: 1e-9}); err == nil {
-		t.Error("zero TEnd accepted")
-	}
-	if _, err := c.Transient("out", TranOpts{TEnd: 1e-6, Dt: 1e-5}); err == nil {
-		t.Error("dt > TEnd accepted")
+	inf, nan := math.Inf(1), math.NaN()
+	for _, w := range []struct{ tEnd, dt float64 }{
+		{0, 1e-9},
+		{1e-6, 1e-5}, // dt > TEnd
+		{nan, 1e-9},
+		{inf, 1e-9},
+		{1e-6, nan},
+		{inf, inf},
+		{1e300, 1e-9},  // TEnd/Dt overflows float64
+		{1e300, 1e200}, // TEnd/Dt overflows int
+	} {
+		_, err := c.Transient("out", TranOpts{TEnd: w.tEnd, Dt: w.dt})
+		if err == nil || !strings.Contains(err.Error(), "bad transient window") {
+			t.Errorf("tEnd=%g dt=%g: err = %v, want bad transient window", w.tEnd, w.dt, err)
+		}
 	}
 	if _, err := c.Transient("nope", TranOpts{TEnd: 1e-6, Dt: 1e-9}); err == nil {
 		t.Error("unknown node accepted")

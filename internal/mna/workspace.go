@@ -3,18 +3,11 @@ package mna
 import "fmt"
 
 // Workspace holds the reusable scratch for repeated solves on one Circuit:
-// the assembled A(s) matrix (which the LU factors in place), the pivot
-// array, and an unknown-vector buffer. Every per-frequency operation on a
-// compiled circuit — AC sweep points, determinant evaluations for the
+// the assembled A(s) matrix (which the dense LU factors in place), the
+// pivot array, and an unknown-vector buffer. Every per-frequency operation
+// on a compiled circuit — AC sweep points, determinant evaluations for the
 // root finder, noise solves — is one assemble + factor in this scratch,
 // so steady-state use performs zero allocations.
-//
-// For systems of sparseACMinN unknowns or more, the solve path switches
-// to the sparse engine: the structural pattern is analyzed once (shared
-// circuit-wide), the first solve runs a pivoting Factor, and every later
-// frequency point is a numeric Refactor replaying the recorded pivot
-// sequence. Determinant evaluations stay on the dense kernel, which the
-// root finder's scaled-determinant bookkeeping is built around.
 //
 // Ownership and goroutine-safety rules (see DESIGN.md):
 //
@@ -34,20 +27,15 @@ type Workspace struct {
 	lu LU
 	x  []complex128 // solution buffer returned by SolveAt
 
-	// Sparse AC path scratch (used when c.useSparseAC()).
-	spVals []complex128
-	spLU   SparseLU[complex128]
-	spInit bool
-
 	// Noise-analysis scratch (rhs + per-source solution).
 	rhs []complex128
 	xn  []complex128
 }
 
 // NewWorkspace allocates a solver workspace for the circuit. The pooled
-// entry points (Circuit.SolveAt, DetAt, …) manage workspaces internally;
-// allocate one explicitly for tight loops that want the zero-allocation
-// guarantee and single-goroutine ownership.
+// entry points (Circuit.SolveAt, VoltageAt, …) manage workspaces
+// internally; allocate one explicitly for tight loops that want the
+// zero-allocation guarantee and single-goroutine ownership.
 func (c *Circuit) NewWorkspace() *Workspace {
 	n := c.Size()
 	w := &Workspace{c: c, a: NewMatrix(n), x: make([]complex128, n)}
@@ -56,58 +44,19 @@ func (c *Circuit) NewWorkspace() *Workspace {
 	return w
 }
 
-// factorAt assembles A(s) = G + sC into the dense scratch matrix and
-// factors it in place (the determinant path is always dense).
+// factorAt assembles A(s) = G + sC into the scratch matrix and factors it
+// in place.
 func (w *Workspace) factorAt(s complex128) *LU {
 	w.a.AddScaled(w.c.G, w.c.C, s)
 	w.lu.FactorInto(w.a)
 	return &w.lu
 }
 
-// prepareAt factors A(s) in whichever engine the circuit size selects,
-// leaving the workspace ready for solvePrepared calls at that frequency.
-// Noise analysis uses this split to factor once and back-solve once per
-// source.
-func (w *Workspace) prepareAt(s complex128) error {
-	if w.c.useSparseAC() {
-		pat, gv, cv := w.c.sparseVals()
-		if !w.spInit {
-			w.spLU.Analyze(pat, absCmplx)
-			w.spVals = make([]complex128, pat.NNZ())
-			w.spInit = true
-		}
-		for i := range w.spVals {
-			w.spVals[i] = gv[i] + s*cv[i]
-		}
-		if !w.spLU.Refactor(w.spVals) {
-			return fmt.Errorf("mna: singular matrix")
-		}
-		return nil
-	}
-	w.factorAt(s)
-	if !w.lu.OK() {
-		return fmt.Errorf("mna: singular matrix")
-	}
-	return nil
-}
-
-// solvePrepared back-substitutes one right-hand side through the
-// factorization left by the last successful prepareAt. x and b may alias.
-func (w *Workspace) solvePrepared(x, b []complex128) error {
-	if w.c.useSparseAC() {
-		return w.spLU.SolveInto(x, b)
-	}
-	return w.lu.SolveInto(x, b)
-}
-
 // SolveAt solves the MNA system at complex frequency s. The returned
 // slice (node voltages then branch currents) is workspace-owned: it is
 // overwritten by the next call.
 func (w *Workspace) SolveAt(s complex128) ([]complex128, error) {
-	if err := w.prepareAt(s); err != nil {
-		return nil, fmt.Errorf("mna: solve at s=%v: %w", s, err)
-	}
-	if err := w.solvePrepared(w.x, w.c.b); err != nil {
+	if err := w.factorAt(s).SolveInto(w.x, w.c.b); err != nil {
 		return nil, fmt.Errorf("mna: solve at s=%v: %w", s, err)
 	}
 	return w.x, nil
@@ -126,12 +75,17 @@ func (w *Workspace) NumerDetAt(node string, s complex128) (ScaledDet, error) {
 	if err != nil {
 		return ScaledDet{}, err
 	}
+	return w.numerDet(j, s), nil
+}
+
+// numerDet is NumerDetAt for the output at matrix index j.
+func (w *Workspace) numerDet(j int, s complex128) ScaledDet {
 	w.a.AddScaled(w.c.G, w.c.C, s)
 	for i := 0; i < w.a.N; i++ {
 		w.a.Set(i, j, w.c.b[i])
 	}
 	w.lu.FactorInto(w.a)
-	return w.lu.Det(), nil
+	return w.lu.Det()
 }
 
 // noiseBuffers returns the workspace-owned rhs and solution scratch for

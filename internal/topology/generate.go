@@ -14,7 +14,7 @@ import (
 // ways: the skeleton depth itself is sampled (Sampler is pinned to the
 // paper's three-stage space so the Table 3 baselines stay comparable),
 // and every emitted topology is *guaranteed* to elaborate through the
-// sparse MNA path and produce a finite AC analysis — candidates that
+// MNA path and produce a finite AC analysis — candidates that
 // stamp but do not measure are rejected and redrawn. Generation is a
 // pure function of the seed.
 type Generator struct {

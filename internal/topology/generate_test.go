@@ -11,7 +11,7 @@ import (
 
 // checkInvariants asserts the three generator guarantees on one
 // topology: it validates, it round-trips through JSON byte-identically,
-// and its elaboration compiles and solves on the sparse MNA path.
+// and its elaboration compiles and solves on the MNA path.
 func checkInvariants(t *testing.T, topo *Topology, label string) {
 	t.Helper()
 	if err := topo.Validate(); err != nil {
@@ -63,7 +63,7 @@ func TestSamplerPropertySweep(t *testing.T) {
 
 // TestGeneratorPropertySweep: across 1000 seeds the constrained random
 // generator keeps its guarantees — every draw validates, round-trips,
-// and measures on the sparse path — while actually covering the design
+// and measures on the MNA path — while actually covering the design
 // space: all stage depths in [2,4] and at least six distinct
 // compensation families.
 func TestGeneratorPropertySweep(t *testing.T) {
