@@ -12,16 +12,22 @@ fmt:
 	@out="$$(gofmt -l $$(git ls-files '*.go'))"; \
 	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
+# perfbench is its own module, so ./... in the root does not reach it;
+# -short skips its workload smoke runs.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 test:
 	$(GO) test ./...
+	cd perfbench && $(GO) test -short ./...
 
 # The concurrency-heavy packages must stay race-clean. mna/measure are
-# here for the parallel sweep and the shared workspace pool;
-# backend/gmid/opt for the parallel sizing-backend sweep; llm for the
-# knowledge index every model shares. Keep in step with scripts/check.sh.
+# here for the parallel AC sweep and the shared workspace pool;
+# experiment for the jobs.Map sweeps and the sharded Monte-Carlo yield;
+# backend/gmid/opt for the trials those sweeps run concurrently; llm for
+# the knowledge index every model shares. Keep in step with
+# scripts/check.sh.
 race:
 	$(GO) test -race ./internal/jobs ./internal/server ./internal/experiment \
 		./internal/resilience ./internal/agents ./internal/telemetry \

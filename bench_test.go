@@ -71,7 +71,7 @@ func BenchmarkTable3Comparison(b *testing.B) {
 		cfg.Trials = 1
 		cfg.Budget = 40
 		cfg.Groups = []string{"G-1"}
-		t3, err := experiment.Run(cfg)
+		t3, err := experiment.Run(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func BenchmarkFig5MultiAgent(b *testing.B) {
 func BenchmarkFig6Examples(b *testing.B) {
 	g1, _ := spec.Group("G-1")
 	for i := 0; i < b.N; i++ {
-		if _, err := opt.BOBO(g1, 25, int64(i)); err != nil {
+		if _, err := opt.BOBO(context.Background(), g1, 25, int64(i)); err != nil {
 			b.Fatal(err)
 		}
 		r, err := design.Design("NMC", g1, nil)
@@ -508,7 +508,7 @@ func BenchmarkBackendComparison(b *testing.B) {
 	cfg.Groups = []string{"G-1"}
 	var adv float64
 	for i := 0; i < b.N; i++ {
-		table, err := experiment.RunBackends(cfg)
+		table, err := experiment.RunBackends(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -524,7 +524,7 @@ func BenchmarkAblationBudgetCurve(b *testing.B) {
 	g1, _ := spec.Group("G-1")
 	var last float64
 	for i := 0; i < b.N; i++ {
-		pts, err := experiment.BudgetCurve(experiment.MethodGA, g1, []int{40, 120}, 2, int64(i))
+		pts, err := experiment.BudgetCurve(context.Background(), experiment.MethodGA, g1, []int{40, 120}, 2, int64(i))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -33,7 +34,7 @@ func goldenCfg() experiment.Config {
 }
 
 func TestEvaltableGolden(t *testing.T) {
-	t3, err := experiment.Run(goldenCfg())
+	t3, err := experiment.Run(context.Background(), goldenCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestEvaltableGolden(t *testing.T) {
 func TestEvaltableGoldenParallel(t *testing.T) {
 	cfg := goldenCfg()
 	cfg.Workers = 4
-	t3, err := experiment.Run(cfg)
+	t3, err := experiment.Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func backendGoldenCfg() experiment.BackendConfig {
 }
 
 func TestBackendsGolden(t *testing.T) {
-	table, err := experiment.RunBackends(backendGoldenCfg())
+	table, err := experiment.RunBackends(context.Background(), backendGoldenCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,12 +79,12 @@ func TestBackendsGolden(t *testing.T) {
 func TestBackendsGoldenDeterministic(t *testing.T) {
 	cfg := backendGoldenCfg()
 	cfg.Workers = 4
-	table, err := experiment.RunBackends(cfg)
+	table, err := experiment.RunBackends(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	compareGolden(t, "backends.golden", renderBackendReport(table))
-	again, err := experiment.RunBackends(cfg)
+	again, err := experiment.RunBackends(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func genBenchGoldenCfg() experiment.GenBenchConfig {
 }
 
 func TestGenBenchGolden(t *testing.T) {
-	table, err := experiment.RunGenBench(genBenchGoldenCfg())
+	table, err := experiment.RunGenBench(context.Background(), genBenchGoldenCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,12 +117,12 @@ func TestGenBenchGolden(t *testing.T) {
 func TestGenBenchGoldenDeterministic(t *testing.T) {
 	cfg := genBenchGoldenCfg()
 	cfg.Workers = 4
-	table, err := experiment.RunGenBench(cfg)
+	table, err := experiment.RunGenBench(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	compareGolden(t, "genbench.golden", renderGenBenchReport(table))
-	again, err := experiment.RunGenBench(cfg)
+	again, err := experiment.RunGenBench(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

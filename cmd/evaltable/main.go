@@ -75,7 +75,7 @@ func main() {
 		}
 		ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 		defer stop()
-		table, err := experiment.RunGenBenchContext(ctx, gcfg)
+		table, err := experiment.RunGenBench(ctx, gcfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "evaltable:", err)
 			os.Exit(1)
@@ -110,7 +110,7 @@ func main() {
 		}
 		ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 		defer stop()
-		table, err := experiment.RunBackendsContext(ctx, bcfg)
+		table, err := experiment.RunBackends(ctx, bcfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "evaltable:", err)
 			os.Exit(1)
@@ -141,7 +141,7 @@ func main() {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-	t3, err := experiment.RunContext(ctx, cfg)
+	t3, err := experiment.Run(ctx, cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "evaltable:", err)
 		os.Exit(1)
@@ -333,12 +333,12 @@ func printFig6(seed int64, budget int) {
 	g1, _ := spec.Group("G-1")
 
 	fmt.Println("=== Fig. 6(a): BOBO's best circuit on G-1 ===")
-	if r, err := opt.BOBO(g1, budget, seed); err == nil && r.Best != nil {
+	if r, err := opt.BOBO(context.Background(), g1, budget, seed); err == nil && r.Best != nil {
 		fmt.Println(r.Best.Summary())
 		fmt.Printf("  %s (success=%v)\n\n", experiment.FormatReport(g1, r.Report), r.Success)
 	}
 	fmt.Println("=== Fig. 6(b): RLBO's best circuit on G-1 ===")
-	if r, err := opt.RLBO(g1, budget, seed); err == nil && r.Best != nil {
+	if r, err := opt.RLBO(context.Background(), g1, budget, seed); err == nil && r.Best != nil {
 		fmt.Println(r.Best.Summary())
 		fmt.Printf("  %s (success=%v)\n\n", experiment.FormatReport(g1, r.Report), r.Success)
 	}

@@ -25,14 +25,14 @@ func main() {
 	fmt.Println("spec:", g3)
 	fmt.Printf("baseline budget: %d simulations\n\n", budget)
 
-	if r, err := opt.BOBO(g3, budget, 1); err == nil {
+	if r, err := opt.BOBO(context.Background(), g3, budget, 1); err == nil {
 		fmt.Printf("BOBO   : success=%-5v sims=%3d  modeled time %v\n", r.Success, r.Sims, cost.BOBOTime(r.Sims))
 		if r.Best != nil {
 			fmt.Printf("         best: %s\n", r.Best.Summary())
 			fmt.Printf("         %s\n", experiment.FormatReport(g3, r.Report))
 		}
 	}
-	if r, err := opt.RLBO(g3, budget, 2); err == nil {
+	if r, err := opt.RLBO(context.Background(), g3, budget, 2); err == nil {
 		fmt.Printf("RLBO   : success=%-5v sims=%3d  modeled time %v\n", r.Success, r.Sims, cost.RLBOTime(r.Sims))
 		if r.Best != nil {
 			fmt.Printf("         best: %s\n", r.Best.Summary())

@@ -235,7 +235,7 @@ func (t *Tuner) Tune(ctx context.Context, topo *topology.Topology, sp spec.Spec)
 		}
 		return Score(sp, rep)
 	}}
-	res, err := sizing.OptimizeContext(ctx, prob, t.Budget)
+	res, err := sizing.Optimize(ctx, prob, t.Budget)
 	if err != nil {
 		return nil, measure.Report{}, 0, err
 	}

@@ -69,10 +69,10 @@ func sizeBO(ctx context.Context, p Problem, seed int64, incumbent []float64) (*R
 		}
 		return tr.eval(ctx, tp)
 	}}
-	if _, err := sizing.OptimizeContext(ctx, prob, opts); err != nil {
+	if _, err := sizing.Optimize(ctx, prob, opts); err != nil {
 		if res, rerr := tr.result(); rerr == nil && ctx.Err() != nil {
 			// Cancellation: surface the best point found so far alongside
-			// the context error, like sizing.OptimizeContext does.
+			// the context error, like sizing.Optimize does.
 			return res, err
 		}
 		return nil, err

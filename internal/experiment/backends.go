@@ -11,12 +11,10 @@ package experiment
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"strings"
-	"time"
 
 	"artisan/internal/backend"
 	"artisan/internal/design"
@@ -37,9 +35,9 @@ type BackendConfig struct {
 	Detune   float64
 	Backends []string // subset of backend.Names(); empty = all
 	Groups   []string // subset of G-1..G-5; empty = all
-	// Workers > 1 fans trials out over a worker pool; per-trial seeds
-	// depend only on (Seed, trial, group), so the parallel table is
-	// byte-identical to the serial one.
+	// Workers bounds how many trials run at once (values below 1 mean
+	// one); per-trial seeds depend only on (Seed, trial, group), so every
+	// worker count yields a byte-identical table.
 	Workers int
 }
 
@@ -175,34 +173,25 @@ type backendTrialResult struct {
 	ets      int // evaluations to first spec-satisfying candidate
 }
 
-// backendTask addresses one trial of the parallel sweep.
+// backendTask addresses one (backend, group, trial) unit of the sweep.
 type backendTask struct {
 	name string
 	g    spec.Spec
 	seed int64
 }
 
-func (t backendTask) key(cfg BackendConfig) string {
-	return fmt.Sprintf("bt|%s|%s|budget=%d|detune=%g|seed=%d",
-		t.name, t.g.Name, cfg.Budget, cfg.Detune, t.seed)
-}
-
-// RunBackends executes the comparison.
-func RunBackends(cfg BackendConfig) (*BackendTable, error) {
-	return RunBackendsContext(context.Background(), cfg)
-}
-
-// RunBackendsContext executes the comparison under a context. Cells are
-// emitted in (backend, group) order with backends and groups in the
-// configured (or registry/Table-2) order.
-func RunBackendsContext(ctx context.Context, cfg BackendConfig) (*BackendTable, error) {
+// RunBackends executes the comparison under a context. Trials fan out
+// over max(cfg.Workers, 1) workers; cells are emitted in (backend, group)
+// order with backends and groups in the configured (or registry/Table-2)
+// order.
+func RunBackends(ctx context.Context, cfg BackendConfig) (*BackendTable, error) {
 	if cfg.Trials < 1 {
 		return nil, fmt.Errorf("experiment: trials must be >= 1")
 	}
 	if cfg.Budget < 10 {
 		return nil, fmt.Errorf("experiment: backend budget must be >= 10")
 	}
-	if cfg.Detune < 0 {
+	if !(cfg.Detune >= 0) {
 		return nil, fmt.Errorf("experiment: detune sigma must be >= 0")
 	}
 	names := cfg.Backends
@@ -215,46 +204,10 @@ func RunBackendsContext(ctx context.Context, cfg BackendConfig) (*BackendTable, 
 			}
 		}
 	}
-	groups := spec.Groups()
-	if len(cfg.Groups) > 0 {
-		var sel []spec.Spec
-		for _, name := range cfg.Groups {
-			g, err := spec.Group(name)
-			if err != nil {
-				return nil, err
-			}
-			sel = append(sel, g)
-		}
-		groups = sel
+	groups, err := selectGroups(cfg.Groups)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Workers > 1 {
-		return runBackendsParallel(ctx, cfg, names, groups)
-	}
-	table := &BackendTable{Cfg: cfg}
-	for _, name := range names {
-		for _, g := range groups {
-			var results []backendTrialResult
-			for i := 0; i < cfg.Trials; i++ {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				tr, err := runBackendTrial(ctx, name, g, cfg, trialSeed(cfg.Seed, i, g.Name))
-				if err != nil {
-					return nil, fmt.Errorf("experiment: %s on %s: %w", name, g.Name, err)
-				}
-				results = append(results, tr)
-			}
-			table.Cells = append(table.Cells, aggregateBackendCell(name, g.Name, cfg, results))
-		}
-	}
-	return table, nil
-}
-
-// runBackendsParallel fans every trial out over a jobs manager, exactly
-// like the Table 3 harness: per-trial seeds are derived from config
-// alone and results reassemble in index order, so the parallel table is
-// byte-identical to the serial one.
-func runBackendsParallel(ctx context.Context, cfg BackendConfig, names []string, groups []spec.Spec) (*BackendTable, error) {
 	var tasks []backendTask
 	for _, name := range names {
 		for _, g := range groups {
@@ -263,71 +216,21 @@ func runBackendsParallel(ctx context.Context, cfg BackendConfig, names []string,
 			}
 		}
 	}
-	mgr := jobs.NewManager(jobs.Config{
-		Workers: cfg.Workers, Queue: len(tasks), CacheSize: len(tasks),
-	})
-	defer func() {
-		drain, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		_ = mgr.Shutdown(drain)
-	}()
-
-	sweepCtx, cancelSweep := context.WithCancel(ctx)
-	defer cancelSweep()
-
-	items := make([]jobs.BatchItem, len(tasks))
-	for i, task := range tasks {
-		task := task
-		items[i] = jobs.BatchItem{
-			Fn: func(jctx context.Context) (any, error) {
-				runCtx, cancel := context.WithCancel(jctx)
-				defer cancel()
-				stop := context.AfterFunc(sweepCtx, cancel)
-				defer stop()
-				if err := sweepCtx.Err(); err != nil {
-					return nil, err
-				}
-				tr, err := runBackendTrial(runCtx, task.name, task.g, cfg, task.seed)
-				if err != nil {
-					if cerr := sweepCtx.Err(); cerr != nil {
-						return nil, cerr
-					}
-					cancelSweep()
-					return nil, fmt.Errorf("experiment: %s on %s: %w", task.name, task.g.Name, err)
-				}
-				return tr, nil
-			},
-			Opts: jobs.SubmitOpts{Key: task.key(cfg)},
-		}
-	}
-
-	raw, errs := jobs.WaitBatch(sweepCtx, mgr.SubmitBatch(items))
-	var firstErr error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-		if !errors.Is(err, context.Canceled) {
-			firstErr = err
-			break
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	results := make([]backendTrialResult, len(raw))
-	for i, v := range raw {
-		results[i] = v.(backendTrialResult)
+	results, err := jobs.Map(ctx, max(cfg.Workers, 1), tasks,
+		func(ctx context.Context, t backendTask) (backendTrialResult, error) {
+			tr, err := runBackendTrial(ctx, t.name, t.g, cfg, t.seed)
+			if err != nil {
+				return backendTrialResult{}, fmt.Errorf("experiment: %s on %s: %w", t.name, t.g.Name, err)
+			}
+			return tr, nil
+		})
+	if err != nil {
+		return nil, err
 	}
 	table := &BackendTable{Cfg: cfg}
-	for ci := 0; ci*cfg.Trials < len(results); ci++ {
-		task := tasks[ci*cfg.Trials]
-		cell := aggregateBackendCell(task.name, task.g.Name, cfg,
-			results[ci*cfg.Trials:(ci+1)*cfg.Trials])
-		table.Cells = append(table.Cells, cell)
+	for i := 0; i < len(tasks); i += cfg.Trials {
+		table.Cells = append(table.Cells, aggregateBackendCell(tasks[i].name, tasks[i].g.Name, cfg,
+			results[i:i+cfg.Trials]))
 	}
 	return table, nil
 }
@@ -374,8 +277,7 @@ func runBackendTrial(ctx context.Context, name string, g spec.Spec, cfg BackendC
 	return tr, nil
 }
 
-// aggregateBackendCell folds trial results into one cell; shared by the
-// serial and parallel sweeps so both produce identical tables.
+// aggregateBackendCell folds trial results into one cell.
 func aggregateBackendCell(name, group string, cfg BackendConfig, results []backendTrialResult) BackendCell {
 	cell := BackendCell{Backend: name, Group: group, Trials: cfg.Trials}
 	var evals, ets int

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -18,29 +19,34 @@ func backendTestConfig() BackendConfig {
 func TestRunBackendsValidation(t *testing.T) {
 	cfg := backendTestConfig()
 	cfg.Trials = 0
-	if _, err := RunBackends(cfg); err == nil {
+	if _, err := RunBackends(context.Background(), cfg); err == nil {
 		t.Error("zero trials accepted")
 	}
 	cfg = backendTestConfig()
 	cfg.Budget = 5
-	if _, err := RunBackends(cfg); err == nil {
+	if _, err := RunBackends(context.Background(), cfg); err == nil {
 		t.Error("tiny budget accepted")
 	}
 	cfg = backendTestConfig()
+	cfg.Detune = math.NaN()
+	if _, err := RunBackends(context.Background(), cfg); err == nil {
+		t.Error("NaN detune accepted")
+	}
+	cfg = backendTestConfig()
 	cfg.Backends = []string{"annealing"}
-	if _, err := RunBackends(cfg); err == nil {
+	if _, err := RunBackends(context.Background(), cfg); err == nil {
 		t.Error("unknown backend accepted")
 	}
 	cfg = backendTestConfig()
 	cfg.Groups = []string{"G-9"}
-	if _, err := RunBackends(cfg); err == nil {
+	if _, err := RunBackends(context.Background(), cfg); err == nil {
 		t.Error("unknown group accepted")
 	}
 }
 
 func TestRunBackendsTable(t *testing.T) {
 	cfg := backendTestConfig()
-	table, err := RunBackends(cfg)
+	table, err := RunBackends(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,12 +83,12 @@ func TestRunBackendsTable(t *testing.T) {
 // parallel sweep must produce byte-identical cells to the serial one.
 func TestRunBackendsSerialParallelIdentical(t *testing.T) {
 	cfg := backendTestConfig()
-	serial, err := RunBackends(cfg)
+	serial, err := RunBackends(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Workers = 4
-	parallel, err := RunBackends(cfg)
+	parallel, err := RunBackends(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +98,7 @@ func TestRunBackendsSerialParallelIdentical(t *testing.T) {
 	if serial.String() != parallel.String() {
 		t.Error("rendered tables differ")
 	}
-	again, err := RunBackends(cfg)
+	again, err := RunBackends(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +110,7 @@ func TestRunBackendsSerialParallelIdentical(t *testing.T) {
 func TestRunBackendsContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunBackendsContext(ctx, backendTestConfig()); err == nil {
+	if _, err := RunBackends(ctx, backendTestConfig()); err == nil {
 		t.Error("cancelled sweep returned a table")
 	}
 }

@@ -9,7 +9,7 @@ import (
 // artisanSuccesses runs an Artisan-only sweep and tallies successes.
 func artisanSuccesses(t *testing.T, cfg Config) (succ, trials int) {
 	t.Helper()
-	t3, err := RunContext(context.Background(), cfg)
+	t3, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,11 +54,11 @@ func TestChaosSweepDeterministic(t *testing.T) {
 	cfg.Groups = []string{"G-1"}
 	cfg.FaultRate = 0.3
 
-	a, err := RunContext(context.Background(), cfg)
+	a, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunContext(context.Background(), cfg)
+	b, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,11 +82,11 @@ func TestSweepCancellation(t *testing.T) {
 	cfg.Methods = []Method{MethodArtisan}
 	cfg.Groups = []string{"G-1"}
 
-	if _, err := RunContext(ctx, cfg); !errors.Is(err, context.Canceled) {
+	if _, err := Run(ctx, cfg); !errors.Is(err, context.Canceled) {
 		t.Errorf("serial: err = %v, want Canceled", err)
 	}
 	cfg.Workers = 4
-	if _, err := RunContext(ctx, cfg); !errors.Is(err, context.Canceled) {
+	if _, err := Run(ctx, cfg); !errors.Is(err, context.Canceled) {
 		t.Errorf("parallel: err = %v, want Canceled", err)
 	}
 }

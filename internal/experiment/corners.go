@@ -1,11 +1,11 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 
+	"artisan/internal/jobs"
 	"artisan/internal/measure"
 	"artisan/internal/spec"
 	"artisan/internal/topology"
@@ -103,58 +103,32 @@ func runCorner(topo *topology.Topology, sp spec.Spec, cn Corner) (CornerResult, 
 
 // RunCorners evaluates the topology at every corner under the spec's
 // load. The corner scalings apply to the skeleton stages and to every
-// transconductor in the compensation network. Corners are evaluated with
-// GOMAXPROCS workers; see RunCornersParallel for the determinism
-// contract.
+// transconductor in the compensation network. Corners are evaluated
+// concurrently and collected in corner order; a failure reports the
+// lowest-index failing corner together with the results that precede
+// it, exactly as a serial loop would.
 func RunCorners(topo *topology.Topology, sp spec.Spec, corners []Corner) (CornersReport, error) {
-	return RunCornersParallel(topo, sp, corners, 0)
-}
-
-// RunCornersParallel shards the corner sweep over workers goroutines
-// (0 = GOMAXPROCS, 1 = serial). Results are collected in corner order and
-// a failure reports the lowest-index failing corner together with the
-// results that precede it, so the output is identical for any worker
-// count — including the serial loop it replaces.
-func RunCornersParallel(topo *topology.Topology, sp spec.Spec, corners []Corner, workers int) (CornersReport, error) {
 	if len(corners) == 0 {
 		corners = StandardCorners()
 	}
-	results := make([]CornerResult, len(corners))
-	errs := make([]error, len(corners))
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	type outcome struct {
+		res CornerResult
+		err error
 	}
-	if workers > len(corners) {
-		workers = len(corners)
-	}
-	if workers <= 1 {
-		for i, cn := range corners {
-			results[i], errs[i] = runCorner(topo, sp, cn)
-		}
-	} else {
-		var wg sync.WaitGroup
-		next := make(chan int, len(corners))
-		for i := range corners {
-			next <- i
-		}
-		close(next)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					results[i], errs[i] = runCorner(topo, sp, corners[i])
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	outs, err := jobs.Map(context.Background(), 0, corners,
+		func(_ context.Context, cn Corner) (outcome, error) {
+			res, err := runCorner(topo, sp, cn)
+			return outcome{res, err}, nil
+		})
 	var out CornersReport
-	for i := range results {
-		if errs[i] != nil {
-			return out, errs[i]
+	if err != nil {
+		return out, err
+	}
+	for _, o := range outs {
+		if o.err != nil {
+			return out, o.err
 		}
-		out.Results = append(out.Results, results[i])
+		out.Results = append(out.Results, o.res)
 	}
 	return out, nil
 }

@@ -1,10 +1,10 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
-	"artisan/internal/opt"
 	"artisan/internal/spec"
 )
 
@@ -26,42 +26,26 @@ type CurvePoint struct {
 // BudgetCurve evaluates the method at each budget with the given trials.
 // Only the black-box methods are meaningful here (Artisan does not
 // consume a search budget).
-func BudgetCurve(m Method, g spec.Spec, budgets []int, trials int, seed int64) ([]CurvePoint, error) {
+func BudgetCurve(ctx context.Context, m Method, g spec.Spec, budgets []int, trials int, seed int64) ([]CurvePoint, error) {
 	if trials < 1 {
 		return nil, fmt.Errorf("experiment: trials must be >= 1")
+	}
+	switch m {
+	case MethodBOBO, MethodRLBO, MethodGA:
+	default:
+		return nil, fmt.Errorf("experiment: %s has no budget curve", m)
 	}
 	var out []CurvePoint
 	for _, b := range budgets {
 		pt := CurvePoint{Budget: b, Trials: trials}
 		for i := 0; i < trials; i++ {
-			s := seed + int64(i)*977 + int64(b)
-			var ok bool
-			var fom float64
-			switch m {
-			case MethodBOBO:
-				r, err := opt.BOBO(g, b, s)
-				if err != nil {
-					return nil, err
-				}
-				ok, fom = r.Success, g.FoMOf(r.Report)
-			case MethodRLBO:
-				r, err := opt.RLBO(g, b, s)
-				if err != nil {
-					return nil, err
-				}
-				ok, fom = r.Success, g.FoMOf(r.Report)
-			case MethodGA:
-				r, err := opt.GA(g, b, s, opt.DefaultGAOpts())
-				if err != nil {
-					return nil, err
-				}
-				ok, fom = r.Success, g.FoMOf(r.Report)
-			default:
-				return nil, fmt.Errorf("experiment: %s has no budget curve", m)
+			r, err := runTrial(ctx, m, g, Config{Budget: b}, seed+int64(i)*977+int64(b))
+			if err != nil {
+				return nil, err
 			}
-			if ok {
+			if r.ok {
 				pt.Successes++
-				if fom > pt.BestFoM {
+				if fom := g.FoMOf(r.rep); fom > pt.BestFoM {
 					pt.BestFoM = fom
 				}
 			}

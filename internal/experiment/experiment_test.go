@@ -1,9 +1,13 @@
 package experiment
 
 import (
+	"context"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"artisan/internal/telemetry"
 )
 
 func TestCostModelCalibration(t *testing.T) {
@@ -38,7 +42,7 @@ func TestTable3Shape(t *testing.T) {
 	cfg.Trials = 2
 	cfg.Budget = 60
 	cfg.Groups = []string{"G-1", "G-5"}
-	t3, err := Run(cfg)
+	t3, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,13 +82,13 @@ func TestTable3Shape(t *testing.T) {
 func TestRunValidation(t *testing.T) {
 	cfg := DefaultConfig(1)
 	cfg.Trials = 0
-	if _, err := Run(cfg); err == nil {
+	if _, err := Run(context.Background(), cfg); err == nil {
 		t.Error("zero trials accepted")
 	}
 	cfg = DefaultConfig(1)
 	cfg.Trials = 1
 	cfg.Groups = []string{"G-9"}
-	if _, err := Run(cfg); err == nil {
+	if _, err := Run(context.Background(), cfg); err == nil {
 		t.Error("unknown group accepted")
 	}
 }
@@ -111,15 +115,37 @@ func TestHarnessDeterministic(t *testing.T) {
 	cfg.Trials = 2
 	cfg.Methods = []Method{MethodArtisan}
 	cfg.Groups = []string{"G-1"}
-	a, err := Run(cfg)
+	a, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg)
+	b, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {
 		t.Error("harness is not deterministic")
+	}
+}
+
+// Black-box trials run under the sweep's context, so each optimizer's
+// span lands on the caller's tracer as one root.
+func TestBlackBoxTrialsTraceUnderSweepContext(t *testing.T) {
+	cfg := DefaultConfig(1)
+	cfg.Trials = 1
+	cfg.Budget = 20
+	cfg.Groups = []string{"G-1"}
+	cfg.Methods = []Method{MethodBOBO, MethodRLBO, MethodGA}
+	tracer := telemetry.NewTracer(8)
+	if _, err := Run(telemetry.WithTracer(context.Background(), tracer), cfg); err != nil {
+		t.Fatal(err)
+	}
+	roots := map[string]int{}
+	for _, s := range tracer.Traces() {
+		roots[s.Name()]++
+	}
+	want := map[string]int{"opt.bobo": 1, "opt.rlbo": 1, "opt.ga": 1}
+	if !reflect.DeepEqual(roots, want) {
+		t.Errorf("trace roots = %v, want %v", roots, want)
 	}
 }

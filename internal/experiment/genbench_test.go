@@ -11,12 +11,12 @@ import (
 // the serial one byte for byte.
 func TestGenBenchSerialParallelIdentical(t *testing.T) {
 	cfg := GenBenchConfig{Trials: 6, Seed: 7}
-	ser, err := RunGenBench(cfg)
+	ser, err := RunGenBench(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Workers = 4
-	par, err := RunGenBench(cfg)
+	par, err := RunGenBench(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestGenBenchSerialParallelIdentical(t *testing.T) {
 // designed — retrieval fully credited, terse grounded but uncredited,
 // fabricator failing groundedness on every trial.
 func TestGenBenchScoreSeparation(t *testing.T) {
-	table, err := RunGenBench(DefaultGenBenchConfig(42))
+	table, err := RunGenBench(context.Background(), DefaultGenBenchConfig(42))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestGenBenchScoreSeparation(t *testing.T) {
 // TestGenBenchDesignerSubset: configured designer subsets select and
 // order rows; unknown names fail fast.
 func TestGenBenchDesignerSubset(t *testing.T) {
-	table, err := RunGenBenchContext(context.Background(), GenBenchConfig{
+	table, err := RunGenBench(context.Background(), GenBenchConfig{
 		Trials: 2, Seed: 1, Designers: []string{"terse", "retrieval"},
 	})
 	if err != nil {
@@ -74,11 +74,11 @@ func TestGenBenchDesignerSubset(t *testing.T) {
 	if len(table.Rows) != 2 || table.Rows[0].Designer != "terse" || table.Rows[1].Designer != "retrieval" {
 		t.Fatalf("rows = %+v; want terse then retrieval", table.Rows)
 	}
-	if _, err := RunGenBench(GenBenchConfig{Trials: 1, Seed: 1, Designers: []string{"nope"}}); err == nil ||
+	if _, err := RunGenBench(context.Background(), GenBenchConfig{Trials: 1, Seed: 1, Designers: []string{"nope"}}); err == nil ||
 		!strings.Contains(err.Error(), "unknown designer") {
 		t.Fatalf("unknown designer error = %v", err)
 	}
-	if _, err := RunGenBench(GenBenchConfig{Trials: 0, Seed: 1}); err == nil {
+	if _, err := RunGenBench(context.Background(), GenBenchConfig{Trials: 0, Seed: 1}); err == nil {
 		t.Fatal("zero trials accepted")
 	}
 }

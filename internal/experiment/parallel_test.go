@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"testing"
 )
 
@@ -15,14 +16,14 @@ func TestParallelMatchesSerial(t *testing.T) {
 
 	serialCfg := base
 	serialCfg.Workers = 0
-	serial, err := Run(serialCfg)
+	serial, err := Run(context.Background(), serialCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	parallelCfg := base
 	parallelCfg.Workers = 4
-	parallel, err := Run(parallelCfg)
+	parallel, err := Run(context.Background(), parallelCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestParallelPropagatesErrors(t *testing.T) {
 	cfg.Budget = 5 // below BOBO's minimum → deterministic error
 	cfg.Groups = []string{"G-1"}
 	cfg.Methods = []Method{MethodBOBO}
-	if _, err := Run(cfg); err == nil {
+	if _, err := Run(context.Background(), cfg); err == nil {
 		t.Fatal("want budget error from parallel harness")
 	}
 }

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -15,7 +16,7 @@ func TestMeasuredPhases(t *testing.T) {
 	cfg.Budget = 60
 	cfg.Methods = []Method{MethodBOBO, MethodArtisan}
 	cfg.Groups = []string{"G-1"}
-	t3, err := Run(cfg)
+	t3, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

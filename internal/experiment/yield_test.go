@@ -2,6 +2,8 @@ package experiment
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -140,7 +142,7 @@ func TestCornersValidation(t *testing.T) {
 
 func TestBudgetCurve(t *testing.T) {
 	g1, _ := spec.Group("G-1")
-	pts, err := BudgetCurve(MethodGA, g1, []int{30, 60}, 2, 4)
+	pts, err := BudgetCurve(context.Background(), MethodGA, g1, []int{30, 60}, 2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,11 +152,16 @@ func TestBudgetCurve(t *testing.T) {
 	if !strings.Contains(FormatCurve(MethodGA, pts), "sims:") {
 		t.Error("format malformed")
 	}
-	if _, err := BudgetCurve(MethodArtisan, g1, []int{10}, 1, 1); err == nil {
+	if _, err := BudgetCurve(context.Background(), MethodArtisan, g1, []int{10}, 1, 1); err == nil {
 		t.Error("Artisan budget curve should be refused")
 	}
-	if _, err := BudgetCurve(MethodGA, g1, []int{10}, 0, 1); err == nil {
+	if _, err := BudgetCurve(context.Background(), MethodGA, g1, []int{10}, 0, 1); err == nil {
 		t.Error("zero trials accepted")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := BudgetCurve(ctx, MethodGA, g1, []int{30}, 1, 1); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled curve: err = %v, want context.Canceled", err)
 	}
 }
 
@@ -164,7 +171,7 @@ func TestGAThroughHarness(t *testing.T) {
 	cfg.Budget = 40
 	cfg.Methods = []Method{MethodGA}
 	cfg.Groups = []string{"G-1"}
-	t3, err := Run(cfg)
+	t3, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,20 +205,36 @@ func TestYieldIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestCornersIdenticalAcrossWorkers(t *testing.T) {
+// RunCorners evaluates corners concurrently but must report exactly what
+// a serial loop over runCorner reports: results in corner order and, on
+// failure, the lowest-index failing corner with the results before it.
+func TestCornersMatchSerialLoop(t *testing.T) {
 	g1, _ := spec.Group("G-1")
 	tp := topology.NMC(25e-6, 38e-6, 251e-6, 4e-12, 3e-12)
-	ref, err := RunCornersParallel(tp, g1, nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 2, 5} {
-		got, err := RunCornersParallel(tp, g1, nil, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+	serial := func(corners []Corner) (CornersReport, error) {
+		var out CornersReport
+		for _, cn := range corners {
+			res, err := runCorner(tp, g1, cn)
+			if err != nil {
+				return out, err
+			}
+			out.Results = append(out.Results, res)
 		}
-		if !reflect.DeepEqual(ref, got) {
-			t.Errorf("workers=%d corner results differ from serial", workers)
+		return out, nil
+	}
+	std := StandardCorners()
+	bad := func(name string) Corner { return Corner{Name: name, GmScale: 1, FTScale: 0, A0Scale: 1} }
+	for name, corners := range map[string][]Corner{
+		"standard": std,
+		"failing":  {std[0], std[1], bad("bad1"), std[2], bad("bad2")},
+	} {
+		want, wantErr := serial(corners)
+		got, err := RunCorners(tp, g1, corners)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Errorf("%s: err = %v, want %v", name, err, wantErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: RunCorners = %+v, serial loop = %+v", name, got, want)
 		}
 	}
 }

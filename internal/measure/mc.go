@@ -43,7 +43,6 @@ const mcGBWRelTol = 1e-4
 type MCAnalyzer struct {
 	nl    *netlist.Netlist
 	out   string
-	pm    PowerModel
 	base  *mna.Circuit
 	gbw0  float64
 	seeds []complex128 // nil → every sample uses the full fallback
@@ -57,7 +56,7 @@ func NewMCAnalyzer(nl *netlist.Netlist, out string) (*MCAnalyzer, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &MCAnalyzer{nl: nl, out: out, pm: DefaultPowerModel(), base: base}
+	a := &MCAnalyzer{nl: nl, out: out, base: base}
 	if _, err := base.NodeIndex(out); err != nil {
 		return nil, err
 	}
@@ -137,12 +136,12 @@ func (s *MCSession) Analyze(scale []float64) (Report, error) {
 		}
 	}
 	// Uncertain classification: run the full pipeline on a scaled clone.
-	return AnalyzeWith(s.scaledNetlist(scale), s.a.out, s.a.pm)
+	return Analyze(s.scaledNetlist(scale), s.a.out)
 }
 
 // scaledPower evaluates the power model on the perturbed gm values.
 func (s *MCSession) scaledPower(scale []float64) float64 {
-	pm := s.a.pm
+	pm := DefaultPowerModel()
 	total := pm.BiasOverhead
 	for i, d := range s.a.nl.Devices {
 		if d.Kind != netlist.VCCS {

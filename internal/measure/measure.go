@@ -99,23 +99,13 @@ func (pm PowerModel) Power(nl *netlist.Netlist) float64 {
 // Analyze runs the full metric extraction on a behavioral netlist with the
 // given output node, using the default power model.
 func Analyze(nl *netlist.Netlist, out string) (Report, error) {
-	return AnalyzeWith(nl, out, DefaultPowerModel())
+	return AnalyzeContext(context.Background(), nl, out)
 }
 
 // AnalyzeContext is Analyze with context propagation: the MNA solves it
 // performs (sweep, poles, zeros) emit telemetry spans when the context
 // carries a tracer.
 func AnalyzeContext(ctx context.Context, nl *netlist.Netlist, out string) (Report, error) {
-	return AnalyzeWithContext(ctx, nl, out, DefaultPowerModel())
-}
-
-// AnalyzeWith is Analyze with an explicit power model.
-func AnalyzeWith(nl *netlist.Netlist, out string, pm PowerModel) (Report, error) {
-	return AnalyzeWithContext(context.Background(), nl, out, pm)
-}
-
-// AnalyzeWithContext is AnalyzeContext with an explicit power model.
-func AnalyzeWithContext(ctx context.Context, nl *netlist.Netlist, out string, pm PowerModel) (Report, error) {
 	c, err := mna.Compile(nl)
 	if err != nil {
 		return Report{}, err
@@ -128,7 +118,7 @@ func AnalyzeWithContext(ctx context.Context, nl *netlist.Netlist, out string, pm
 		return Report{}, fmt.Errorf("measure: sweep too short")
 	}
 
-	rep := Report{Power: pm.Power(nl)}
+	rep := Report{Power: DefaultPowerModel().Power(nl)}
 
 	// Magnitudes and unwrapped phase relative to the DC response. The
 	// opamp may be inverting; phase is referenced so φ(DC) = 0.

@@ -32,14 +32,10 @@ func DefaultGAOpts() GAOpts {
 	return GAOpts{Population: 16, Tournament: 3, CrossoverP: 0.6, Elite: 2}
 }
 
-// GA runs the genetic search under a hard simulation budget.
-func GA(sp spec.Spec, budget int, seed int64, opts GAOpts) (*Result, error) {
-	return GAContext(context.Background(), sp, budget, seed, opts)
-}
-
-// GAContext is GA with context propagation ("opt.ga" span, cancellation
-// between generations).
-func GAContext(ctx context.Context, sp spec.Spec, budget int, seed int64, opts GAOpts) (*Result, error) {
+// GA runs the genetic search under a hard simulation budget. The run
+// emits an "opt.ga" span and stops between generations when the context
+// is cancelled.
+func GA(ctx context.Context, sp spec.Spec, budget int, seed int64, opts GAOpts) (*Result, error) {
 	if budget < 20 {
 		return nil, fmt.Errorf("opt: GA budget %d too small", budget)
 	}

@@ -150,15 +150,10 @@ var (
 )
 
 // BOBO runs Bayesian optimization over the topology embedding with the
-// given simulation budget.
-func BOBO(sp spec.Spec, budget int, seed int64) (*Result, error) {
-	return BOBOContext(context.Background(), sp, budget, seed)
-}
-
-// BOBOContext is BOBO with context propagation: the run emits an
-// "opt.bobo" span when the context carries a tracer, and cancellation
-// stops the underlying BO loop at the next iteration boundary.
-func BOBOContext(ctx context.Context, sp spec.Spec, budget int, seed int64) (*Result, error) {
+// given simulation budget. The run emits an "opt.bobo" span when the
+// context carries a tracer, and cancellation stops the underlying BO
+// loop at the next iteration boundary.
+func BOBO(ctx context.Context, sp spec.Spec, budget int, seed int64) (*Result, error) {
 	if budget < 20 {
 		return nil, fmt.Errorf("opt: BOBO budget %d too small", budget)
 	}
@@ -181,7 +176,7 @@ func BOBOContext(ctx context.Context, sp spec.Spec, budget int, seed int64) (*Re
 		}
 		return ev.eval(ctx, tp)
 	}}
-	_, err := sizing.OptimizeContext(ctx, prob, sizing.Options{
+	_, err := sizing.Optimize(ctx, prob, sizing.Options{
 		InitSamples: init, Iterations: budget - init, Candidates: 256, Seed: seed})
 	if err != nil {
 		return nil, err
@@ -194,14 +189,9 @@ func BOBOContext(ctx context.Context, sp spec.Spec, budget int, seed int64) (*Re
 // RLBO runs REINFORCE over structural mutation operators: episodes of
 // mutations from a seeded skeleton, a softmax policy over move kinds
 // updated by the episode advantage, and a short Nelder–Mead parameter
-// refinement of the per-episode best.
-func RLBO(sp spec.Spec, budget int, seed int64) (*Result, error) {
-	return RLBOContext(context.Background(), sp, budget, seed)
-}
-
-// RLBOContext is RLBO with context propagation ("opt.rlbo" span,
-// cancellation between episodes).
-func RLBOContext(ctx context.Context, sp spec.Spec, budget int, seed int64) (*Result, error) {
+// refinement of the per-episode best. The run emits an "opt.rlbo" span
+// and stops between episodes when the context is cancelled.
+func RLBO(ctx context.Context, sp spec.Spec, budget int, seed int64) (*Result, error) {
 	if budget < 20 {
 		return nil, fmt.Errorf("opt: RLBO budget %d too small", budget)
 	}

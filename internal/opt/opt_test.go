@@ -1,6 +1,8 @@
 package opt
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,7 +13,7 @@ import (
 
 func TestBOBORunsWithinBudget(t *testing.T) {
 	g1, _ := spec.Group("G-1")
-	res, err := BOBO(g1, 60, 1)
+	res, err := BOBO(context.Background(), g1, 60, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +39,7 @@ func TestBOBORunsWithinBudget(t *testing.T) {
 
 func TestRLBORunsWithinBudget(t *testing.T) {
 	g1, _ := spec.Group("G-1")
-	res, err := RLBO(g1, 60, 2)
+	res, err := RLBO(context.Background(), g1, 60, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,11 +56,29 @@ func TestRLBORunsWithinBudget(t *testing.T) {
 
 func TestBudgetValidation(t *testing.T) {
 	g1, _ := spec.Group("G-1")
-	if _, err := BOBO(g1, 5, 1); err == nil {
+	if _, err := BOBO(context.Background(), g1, 5, 1); err == nil {
 		t.Error("tiny BOBO budget accepted")
 	}
-	if _, err := RLBO(g1, 5, 1); err == nil {
+	if _, err := RLBO(context.Background(), g1, 5, 1); err == nil {
 		t.Error("tiny RLBO budget accepted")
+	}
+}
+
+func TestOptimizersHonourCancelledContext(t *testing.T) {
+	g1, _ := spec.Group("G-1")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name string
+		run  func() (*Result, error)
+	}{
+		{"BOBO", func() (*Result, error) { return BOBO(ctx, g1, 60, 1) }},
+		{"RLBO", func() (*Result, error) { return RLBO(ctx, g1, 60, 1) }},
+		{"GA", func() (*Result, error) { return GA(ctx, g1, 60, 1, DefaultGAOpts()) }},
+	} {
+		if _, err := tc.run(); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", tc.name, err)
+		}
 	}
 }
 
@@ -76,10 +96,10 @@ func TestBaselinesAreWeak(t *testing.T) {
 	succBO, succRL := 0, 0
 	const seeds = 4
 	for s := int64(0); s < seeds; s++ {
-		if r, err := BOBO(g1, 120, s); err == nil && r.Success {
+		if r, err := BOBO(context.Background(), g1, 120, s); err == nil && r.Success {
 			succBO++
 		}
-		if r, err := RLBO(g1, 120, s); err == nil && r.Success {
+		if r, err := RLBO(context.Background(), g1, 120, s); err == nil && r.Success {
 			succRL++
 		}
 	}
@@ -146,7 +166,7 @@ func TestSign(t *testing.T) {
 
 func TestGARunsWithinBudget(t *testing.T) {
 	g1, _ := spec.Group("G-1")
-	res, err := GA(g1, 80, 3, DefaultGAOpts())
+	res, err := GA(context.Background(), g1, 80, 3, DefaultGAOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,11 +185,11 @@ func TestGARunsWithinBudget(t *testing.T) {
 
 func TestGAValidation(t *testing.T) {
 	g1, _ := spec.Group("G-1")
-	if _, err := GA(g1, 5, 1, DefaultGAOpts()); err == nil {
+	if _, err := GA(context.Background(), g1, 5, 1, DefaultGAOpts()); err == nil {
 		t.Error("tiny budget accepted")
 	}
 	// Degenerate options are clamped, not fatal.
-	if _, err := GA(g1, 40, 1, GAOpts{Population: 1, Tournament: 1, Elite: 99}); err != nil {
+	if _, err := GA(context.Background(), g1, 40, 1, GAOpts{Population: 1, Tournament: 1, Elite: 99}); err != nil {
 		t.Errorf("clamping failed: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package sizing
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -433,7 +434,7 @@ func TestOptimizeMatchesScalarLoop(t *testing.T) {
 			}
 		}
 		p := Problem{Lo: lo, Hi: hi, Eval: eval}
-		got, err := Optimize(p, o)
+		got, err := Optimize(context.Background(), p, o)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

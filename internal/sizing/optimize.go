@@ -68,17 +68,12 @@ func (p Problem) denorm(x, u []float64) {
 	}
 }
 
-// Optimize runs GP-based Bayesian optimization (maximization).
-func Optimize(p Problem, o Options) (*Result, error) {
-	return OptimizeContext(context.Background(), p, o)
-}
-
-// OptimizeContext is Optimize with context propagation: the run emits
-// telemetry spans ("sizing.optimize" with "sizing.init" and "sizing.bo"
-// children) when the context carries a tracer, and a cancelled context
-// stops the BO loop at the next iteration boundary, returning the best
-// point found so far alongside the context's error.
-func OptimizeContext(ctx context.Context, p Problem, o Options) (*Result, error) {
+// Optimize runs GP-based Bayesian optimization (maximization). The run
+// emits telemetry spans ("sizing.optimize" with "sizing.init" and
+// "sizing.bo" children) when the context carries a tracer, and a
+// cancelled context stops the BO loop at the next iteration boundary,
+// returning the best point found so far alongside the context's error.
+func Optimize(ctx context.Context, p Problem, o Options) (*Result, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}

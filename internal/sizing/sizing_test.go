@@ -1,6 +1,7 @@
 package sizing
 
 import (
+	"context"
 	"encoding/binary"
 	"hash/fnv"
 	"math"
@@ -29,7 +30,7 @@ func TestOptimizeSphere2D(t *testing.T) {
 		Hi:   []float64{5, 5},
 		Eval: sphere([]float64{1.2, -2.3}),
 	}
-	res, err := Optimize(p, DefaultOptions(1))
+	res, err := Optimize(context.Background(), p, DefaultOptions(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestOptimizeInitIncumbent(t *testing.T) {
 	}
 	o := DefaultOptions(1)
 	o.Init = []float64{1.2, -2.3} // exact optimum as incumbent
-	res, err := Optimize(p, o)
+	res, err := Optimize(context.Background(), p, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,20 +76,20 @@ func TestOptimizeInitValidation(t *testing.T) {
 	p := Problem{Lo: []float64{-5, -5}, Hi: []float64{5, 5}, Eval: sphere([]float64{0, 0})}
 	o := DefaultOptions(1)
 	o.Init = []float64{1}
-	if _, err := Optimize(p, o); err == nil {
+	if _, err := Optimize(context.Background(), p, o); err == nil {
 		t.Error("dimension mismatch accepted")
 	}
 	o.Init = []float64{0, 7}
-	if _, err := Optimize(p, o); err == nil {
+	if _, err := Optimize(context.Background(), p, o); err == nil {
 		t.Error("out-of-bounds incumbent accepted")
 	}
 	o.Init = []float64{-5, 5} // boundary points are valid
-	if _, err := Optimize(p, o); err != nil {
+	if _, err := Optimize(context.Background(), p, o); err != nil {
 		t.Errorf("boundary incumbent rejected: %v", err)
 	}
 	for _, bad := range [][]float64{{math.NaN(), 0}, {0, math.NaN()}, {math.Inf(1), 0}, {0, math.Inf(-1)}} {
 		o.Init = bad
-		if _, err := Optimize(p, o); err == nil {
+		if _, err := Optimize(context.Background(), p, o); err == nil {
 			t.Errorf("non-finite incumbent %v accepted", bad)
 		}
 	}
@@ -98,13 +99,13 @@ func TestOptimizeNilInitUnchanged(t *testing.T) {
 	// A nil incumbent must reproduce the historical run byte for byte —
 	// goldens and benchmarks depend on it.
 	p := Problem{Lo: []float64{-5, -5}, Hi: []float64{5, 5}, Eval: sphere([]float64{1.2, -2.3})}
-	a, err := Optimize(p, DefaultOptions(7))
+	a, err := Optimize(context.Background(), p, DefaultOptions(7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := DefaultOptions(7)
 	o.Init = nil
-	b, err := Optimize(p, o)
+	b, err := Optimize(context.Background(), p, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestOptimizeBeatsRandomSearch(t *testing.T) {
 	boWins := 0
 	const seeds = 5
 	for s := int64(0); s < seeds; s++ {
-		res, err := Optimize(p, Options{InitSamples: 10, Iterations: 30, Candidates: 256, Seed: s})
+		res, err := Optimize(context.Background(), p, Options{InitSamples: 10, Iterations: 30, Candidates: 256, Seed: s})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +149,7 @@ func TestOptimizeBeatsRandomSearch(t *testing.T) {
 func TestHistoryMonotone(t *testing.T) {
 	p := Problem{Lo: []float64{-2}, Hi: []float64{2},
 		Eval: func(x []float64) float64 { return math.Sin(3*x[0]) - x[0]*x[0]/4 }}
-	res, err := Optimize(p, DefaultOptions(3))
+	res, err := Optimize(context.Background(), p, DefaultOptions(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestResultWithinBounds(t *testing.T) {
 	f := func(seed int64) bool {
 		p := Problem{Lo: []float64{0, -1}, Hi: []float64{1, 1},
 			Eval: func(x []float64) float64 { return x[0] - x[1]*x[1] }}
-		res, err := Optimize(p, Options{InitSamples: 5, Iterations: 8, Candidates: 64, Seed: seed})
+		res, err := Optimize(context.Background(), p, Options{InitSamples: 5, Iterations: 8, Candidates: 64, Seed: seed})
 		if err != nil {
 			return false
 		}
@@ -183,20 +184,20 @@ func TestResultWithinBounds(t *testing.T) {
 }
 
 func TestOptimizeValidation(t *testing.T) {
-	if _, err := Optimize(Problem{}, DefaultOptions(1)); err == nil {
+	if _, err := Optimize(context.Background(), Problem{}, DefaultOptions(1)); err == nil {
 		t.Error("empty problem accepted")
 	}
-	if _, err := Optimize(Problem{Lo: []float64{1}, Hi: []float64{0},
+	if _, err := Optimize(context.Background(), Problem{Lo: []float64{1}, Hi: []float64{0},
 		Eval: func([]float64) float64 { return 0 }}, DefaultOptions(1)); err == nil {
 		t.Error("inverted bounds accepted")
 	}
-	if _, err := Optimize(Problem{Lo: []float64{0}, Hi: []float64{1}}, DefaultOptions(1)); err == nil {
+	if _, err := Optimize(context.Background(), Problem{Lo: []float64{0}, Hi: []float64{1}}, DefaultOptions(1)); err == nil {
 		t.Error("nil objective accepted")
 	}
 	inf := math.Inf(1)
 	for _, b := range [][2]float64{{-inf, inf}, {0, inf}, {-inf, 0}, {math.NaN(), 1}, {0, math.NaN()}} {
 		p := Problem{Lo: []float64{0, b[0]}, Hi: []float64{1, b[1]}, Eval: func([]float64) float64 { return 0 }}
-		if _, err := Optimize(p, DefaultOptions(1)); err == nil {
+		if _, err := Optimize(context.Background(), p, DefaultOptions(1)); err == nil {
 			t.Errorf("bounds [%g, %g] accepted", b[0], b[1])
 		}
 		if _, err := NelderMead(p, []float64{0.5, 0}, 10); err == nil {
@@ -208,7 +209,7 @@ func TestOptimizeValidation(t *testing.T) {
 func TestConstantObjectiveSurvives(t *testing.T) {
 	p := Problem{Lo: []float64{0}, Hi: []float64{1},
 		Eval: func([]float64) float64 { return 7 }}
-	res, err := Optimize(p, Options{InitSamples: 4, Iterations: 6, Candidates: 32, Seed: 2})
+	res, err := Optimize(context.Background(), p, Options{InitSamples: 4, Iterations: 6, Candidates: 32, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +395,7 @@ func TestOptimizeNaNObjective(t *testing.T) {
 			p := Problem{Lo: []float64{-1, -1}, Hi: []float64{1, 1}, Eval: eval}
 			o := DefaultOptions(7)
 			o.InitSamples, o.Iterations, o.Candidates = 6, 10, 64
-			res, err := Optimize(p, o)
+			res, err := Optimize(context.Background(), p, o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -427,7 +428,7 @@ func TestOptimizeMixedNaNStillImproves(t *testing.T) {
 		dx, dy := x[0]-target[0], x[1]-target[1]
 		return -(dx*dx + dy*dy)
 	}}
-	res, err := Optimize(p, DefaultOptions(3))
+	res, err := Optimize(context.Background(), p, DefaultOptions(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,7 +499,7 @@ func TestOptimizeHistoryPinned(t *testing.T) {
 			DefaultOptions(5), 52, 0x1dba999b10fa092e},
 		{"incumbent", Problem{Lo: lo, Hi: hi, Eval: wavy}, incumbent, 60, 0x4153d34b049dcfc8},
 	} {
-		res, err := Optimize(tc.p, tc.o)
+		res, err := Optimize(context.Background(), tc.p, tc.o)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -534,7 +535,7 @@ func TestOptimizeAllocsIndependentOfCandidates(t *testing.T) {
 		o := sizeRecoverOptions(4)
 		o.Candidates = c
 		return testing.AllocsPerRun(3, func() {
-			if _, err := Optimize(p, o); err != nil {
+			if _, err := Optimize(context.Background(), p, o); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -552,7 +553,7 @@ func BenchmarkOptimize(b *testing.B) {
 	p := Problem{Lo: lo, Hi: hi, Eval: wavy}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Optimize(p, sizeRecoverOptions(int64(i))); err != nil {
+		if _, err := Optimize(context.Background(), p, sizeRecoverOptions(int64(i))); err != nil {
 			b.Fatal(err)
 		}
 	}

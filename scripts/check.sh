@@ -11,13 +11,14 @@ test -z "$(gofmt -l $(git ls-files '*.go'))"
 go vet ./...
 go build ./...
 go test ./...
-# The benchmark is its own module, so ./... above does not reach its
-# tests; -short skips the workload smoke runs.
-(cd perfbench && go test -short ./...)
+# The benchmark is its own module, so ./... above does not reach it:
+# vet it and run its tests; -short skips the workload smoke runs.
+(cd perfbench && go vet ./... && go test -short ./...)
 # The experiment package's race pass also exercises the sharded
-# Monte-Carlo yield and parallel corner sweeps (worker-identity tests);
-# llm's covers the knowledge index every model shares. Keep this list in
-# step with the Makefile race target.
+# Monte-Carlo yield (worker-identity tests) and the jobs.Map sweeps,
+# whose genbench cells share each generated task across workers; llm's
+# covers the knowledge index every model shares. Keep this list in step
+# with the Makefile race target.
 go test -race ./internal/jobs ./internal/server ./internal/experiment \
     ./internal/resilience ./internal/agents ./internal/telemetry \
     ./internal/mna ./internal/measure ./internal/sizing ./internal/cluster \
