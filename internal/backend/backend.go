@@ -1,13 +1,15 @@
-// Package backend defines the pluggable sizing subsystem: a common
-// SizingBackend interface over the repository's parameter optimizers —
-// the GP/BO loop (internal/sizing), a real-coded GA (internal/opt), an
-// analytic white-box gm/Id engine, and a hybrid that seeds BO with the
-// white-box operating point. The White-Box Reasoning line of work
-// (PAPERS.md) motivates the split: an analytic first guess plus local
-// refinement reaches spec-satisfying designs in a fraction of the
-// simulator evaluations a pure black-box search needs, and a shared
-// interface is what lets the agent loop, the server, and the evaluation
-// harness compare them head to head.
+// Package backend is the pluggable sizing subsystem: a name→run table
+// over the repository's parameter optimizers — the GP/BO loop
+// (internal/sizing), a real-coded GA (internal/opt), an analytic
+// white-box gm/Id engine seeded from the CoT design recipes of
+// internal/design, and a hybrid that seeds BO with the white-box
+// operating point. Every run searches the same parameter Space through
+// one loop, so the backends differ only in the optimizer they drive. The
+// White-Box Reasoning line of work (PAPERS.md) motivates the split: an
+// analytic first guess plus local refinement reaches spec-satisfying
+// designs in a fraction of the simulator evaluations a pure black-box
+// search needs, and the shared table is what lets the agent loop, the
+// server, and the evaluation harness compare them head to head.
 package backend
 
 import (
@@ -15,9 +17,9 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"artisan/internal/measure"
+	"artisan/internal/sizing"
 	"artisan/internal/spec"
 	"artisan/internal/topology"
 )
@@ -64,58 +66,34 @@ type Result struct {
 	Seeded bool
 }
 
-// Capabilities describes what a backend can promise.
-type Capabilities struct {
-	Analytic      bool // derives an operating point without simulating
-	Global        bool // searches beyond a local neighborhood
-	Deterministic bool // same seed ⇒ same result
-}
-
-// SizingBackend sizes a fixed topology against a spec. Implementations
-// must be deterministic in (Problem, seed) and must respect ctx
-// cancellation between evaluations.
-type SizingBackend interface {
-	Name() string
-	Capabilities() Capabilities
-	Size(ctx context.Context, p Problem, seed int64) (*Result, error)
-}
-
 // DefaultName is the backend used when the caller does not choose.
 const DefaultName = "bo"
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]SizingBackend{}
-)
-
-// Register installs a backend under its name. Duplicate registration is
-// a programming error.
-func Register(b SizingBackend) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[b.Name()]; dup {
-		panic("backend: duplicate registration of " + b.Name())
-	}
-	registry[b.Name()] = b
+// runs is the backend table: each name maps to a run that sizes a fixed
+// topology against a spec, deterministic in (Problem, seed) and
+// respecting ctx cancellation between evaluations.
+var runs = map[string]func(ctx context.Context, p Problem, seed int64) (*Result, error){
+	"bo": func(ctx context.Context, p Problem, seed int64) (*Result, error) {
+		return sizeBO(ctx, p, seed, nil)
+	},
+	"ga":       sizeGA,
+	"hybrid":   sizeHybrid,
+	"whitebox": sizeWhitebox,
 }
 
-// Get returns the named backend.
-func Get(name string) (SizingBackend, error) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	b, ok := registry[name]
+// Get returns the named backend's run.
+func Get(name string) (func(ctx context.Context, p Problem, seed int64) (*Result, error), error) {
+	run, ok := runs[name]
 	if !ok {
 		return nil, fmt.Errorf("backend: unknown sizing backend %q (have %v)", name, Names())
 	}
-	return b, nil
+	return run, nil
 }
 
-// Names lists the registered backends, sorted.
+// Names lists the backends, sorted.
 func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
+	names := make([]string, 0, len(runs))
+	for n := range runs {
 		names = append(names, n)
 	}
 	sort.Strings(names)
@@ -123,22 +101,17 @@ func Names() []string {
 }
 
 // Ladder returns the degradation chain for a preferred backend: the
-// backend itself followed by its fallbacks, ending at plain BO — the
-// mirror of the resilience fallback-model ladder. The analytic backends
-// degrade to BO because their seed derivation can legitimately fail
-// (unsupported topology family, unrealizable device sizes at a process
-// corner), while BO only needs a valid parameter space.
+// backend itself, then plain BO — the mirror of the resilience
+// fallback-model ladder. The analytic backends degrade to BO because
+// their seed derivation can legitimately fail (unsupported topology
+// family, unrealizable device sizes at a process corner), while BO only
+// needs a valid parameter space. An unknown name fails on its first
+// rung.
 func Ladder(name string) []string {
-	switch name {
-	case "hybrid":
-		return []string{"hybrid", "bo"}
-	case "whitebox":
-		return []string{"whitebox", "bo"}
-	case "ga":
-		return []string{"ga", "bo"}
-	default:
-		return []string{name}
+	if name == "bo" {
+		return []string{"bo"}
 	}
+	return []string{name, "bo"}
 }
 
 // SizeLadder runs the preferred backend, degrading down its ladder on
@@ -150,11 +123,11 @@ func SizeLadder(ctx context.Context, name string, p Problem, seed int64, onDegra
 	chain := Ladder(name)
 	var lastErr error
 	for i, n := range chain {
-		b, err := Get(n)
+		run, err := Get(n)
 		if err != nil {
 			return nil, err
 		}
-		res, err := b.Size(ctx, p, seed)
+		res, err := run(ctx, p, seed)
 		if err == nil {
 			res.Backend = n
 			return res, nil
@@ -179,8 +152,6 @@ type tracker struct {
 	firstOK int
 	best    *Result
 }
-
-func newTracker(p Problem) *tracker { return &tracker{p: p} }
 
 func (t *tracker) eval(ctx context.Context, tp *topology.Topology) float64 {
 	if t.evals >= t.p.Budget {
@@ -211,4 +182,37 @@ func (t *tracker) result() (*Result, error) {
 	t.best.Evals = t.evals
 	t.best.EvalsToSuccess = t.firstOK
 	return t.best, nil
+}
+
+// search is the loop every backend shares: it builds the Space around
+// p.Topo and a budgeted tracker, hands run the objective over that space
+// (-1e4 for a candidate that is not a valid topology), and returns the
+// best candidate, marked seeded or not. When run fails after ctx is
+// done, the best point found so far comes back alongside the error, as
+// sizing.Optimize does; any other failure returns only the error.
+func search(ctx context.Context, p Problem, seeded bool, run func(obj sizing.Problem) error) (*Result, error) {
+	space, err := NewSpace(p.Topo)
+	if err != nil {
+		return nil, err
+	}
+	tr := &tracker{p: p}
+	err = run(sizing.Problem{Lo: space.Lo, Hi: space.Hi, Eval: func(x []float64) float64 {
+		tp := space.Build(x)
+		if tp.Validate() != nil {
+			return -1e4
+		}
+		return tr.eval(ctx, tp)
+	}})
+	res, rerr := tr.result()
+	if res != nil {
+		res.Seeded = seeded
+	}
+	switch {
+	case err == nil:
+		return res, rerr
+	case rerr == nil && ctx.Err() != nil:
+		return res, err
+	default:
+		return nil, err
+	}
 }

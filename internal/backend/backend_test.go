@@ -97,8 +97,7 @@ func TestRegistry(t *testing.T) {
 	if got := Names(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Names() = %v, want %v", got, want)
 	}
-	b, err := Get(DefaultName)
-	if err != nil || b.Name() != DefaultName {
+	if _, err := Get(DefaultName); err != nil {
 		t.Fatalf("default backend: %v", err)
 	}
 	if _, err := Get("annealing"); err == nil {
@@ -120,33 +119,16 @@ func TestLadder(t *testing.T) {
 	}
 }
 
-func TestCapabilities(t *testing.T) {
-	for _, name := range Names() {
-		b, err := Get(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		caps := b.Capabilities()
-		if !caps.Deterministic {
-			t.Errorf("%s must be deterministic", name)
-		}
-		analytic := name == "whitebox" || name == "hybrid"
-		if caps.Analytic != analytic {
-			t.Errorf("%s Analytic = %v", name, caps.Analytic)
-		}
-	}
-}
-
 func TestBackendsRunAndAreDeterministic(t *testing.T) {
 	for _, name := range Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			b, err := Get(name)
+			run, err := Get(name)
 			if err != nil {
 				t.Fatal(err)
 			}
 			p, _ := problemFor(t, "G-1", 7, 60)
-			r1, err := b.Size(context.Background(), p, 42)
+			r1, err := run(context.Background(), p, 42)
 			if err != nil {
 				t.Fatalf("Size: %v", err)
 			}
@@ -159,7 +141,7 @@ func TestBackendsRunAndAreDeterministic(t *testing.T) {
 			if r1.Success && (r1.EvalsToSuccess < 1 || r1.EvalsToSuccess > r1.Evals) {
 				t.Errorf("EvalsToSuccess = %d out of range", r1.EvalsToSuccess)
 			}
-			r2, err := b.Size(context.Background(), p, 42)
+			r2, err := run(context.Background(), p, 42)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,8 +155,8 @@ func TestBackendsRunAndAreDeterministic(t *testing.T) {
 
 func TestWhiteboxRecoversDetunedNMC(t *testing.T) {
 	p, g := problemFor(t, "G-1", 3, 40)
-	b, _ := Get("whitebox")
-	res, err := b.Size(context.Background(), p, 1)
+	run, _ := Get("whitebox")
+	res, err := run(context.Background(), p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,8 +179,8 @@ func TestWhiteboxRecoversDetunedNMC(t *testing.T) {
 
 func TestHybridSeedsIncumbent(t *testing.T) {
 	p, _ := problemFor(t, "G-1", 3, 60)
-	b, _ := Get("hybrid")
-	res, err := b.Size(context.Background(), p, 1)
+	run, _ := Get("hybrid")
+	res, err := run(context.Background(), p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,18 +249,18 @@ func TestSizeLadderContextErrorIsTerminal(t *testing.T) {
 
 func TestProblemValidation(t *testing.T) {
 	g, _ := spec.Group("G-1")
-	b, _ := Get("bo")
-	_, err := b.Size(context.Background(), Problem{Spec: g}, 1)
+	run, _ := Get("bo")
+	_, err := run(context.Background(), Problem{Spec: g}, 1)
 	if err == nil || !strings.Contains(err.Error(), "topology") {
 		t.Errorf("nil topology accepted: %v", err)
 	}
 	des, _ := design.Design("NMC", g, nil)
-	_, err = b.Size(context.Background(), Problem{Spec: g, Topo: des.Topo, Budget: 40}, 1)
+	_, err = run(context.Background(), Problem{Spec: g, Topo: des.Topo, Budget: 40}, 1)
 	if err == nil || !strings.Contains(err.Error(), "evaluator") {
 		t.Errorf("nil evaluator accepted: %v", err)
 	}
 	p, _ := problemFor(t, "G-1", 1, 5)
-	if _, err := b.Size(context.Background(), p, 1); err == nil {
+	if _, err := run(context.Background(), p, 1); err == nil {
 		t.Error("tiny budget accepted")
 	}
 }

@@ -7,22 +7,6 @@ import (
 	"artisan/internal/telemetry"
 )
 
-// boBackend wraps the GP/BO optimizer of internal/sizing — the
-// incumbent black-box sizer the agent tuner has always used.
-type boBackend struct{}
-
-func init() { Register(boBackend{}) }
-
-func (boBackend) Name() string { return "bo" }
-
-func (boBackend) Capabilities() Capabilities {
-	return Capabilities{Global: true, Deterministic: true}
-}
-
-func (boBackend) Size(ctx context.Context, p Problem, seed int64) (*Result, error) {
-	return sizeBO(ctx, p, seed, nil)
-}
-
 // boOptions allocates the BO budget: a quarter on Latin-hypercube
 // exploration (clamped to [6, 16]), the rest on acquisition iterations.
 func boOptions(budget int, seed int64) sizing.Options {
@@ -38,9 +22,11 @@ func boOptions(budget int, seed int64) sizing.Options {
 	}
 }
 
-// sizeBO is the shared BO run: plain when incumbent is nil, seeded when
-// the hybrid backend supplies the white-box point. The span name keeps
-// the two distinguishable in traces.
+// sizeBO runs the GP/BO optimizer of internal/sizing — the incumbent
+// black-box sizer the agent tuner has always used. It is plain when
+// incumbent is nil and seeded when the hybrid backend supplies the
+// white-box point; the span name keeps the two distinguishable in
+// traces.
 func sizeBO(ctx context.Context, p Problem, seed int64, incumbent []float64) (*Result, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
@@ -51,31 +37,28 @@ func sizeBO(ctx context.Context, p Problem, seed int64, incumbent []float64) (*R
 	}
 	ctx, span := telemetry.StartSpan(ctx, name)
 	defer span.End()
-	space, err := NewSpace(p.Topo)
-	if err != nil {
+	return search(ctx, p, incumbent != nil, func(obj sizing.Problem) error {
+		opts := boOptions(p.Budget, seed)
+		opts.Init = incumbent
+		if incumbent != nil {
+			// The incumbent consumes one evaluation up front.
+			opts.Iterations--
+		}
+		_, err := sizing.Optimize(ctx, obj, opts)
+		return err
+	})
+}
+
+// sizeHybrid feeds the white-box analytic seed into the BO loop as its
+// incumbent: the GP starts from the knowledge-card operating point (one
+// evaluation) and spends the rest of the budget exploring around it —
+// analytic insight plus global search. When the seed derivation fails
+// the run degrades to plain BO in place (Seeded=false) rather than
+// erroring, since BO needs nothing from the seed.
+func sizeHybrid(ctx context.Context, p Problem, seed int64) (*Result, error) {
+	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	tr := newTracker(p)
-	opts := boOptions(p.Budget, seed)
-	opts.Init = incumbent
-	if incumbent != nil {
-		// The incumbent consumes one evaluation up front.
-		opts.Iterations--
-	}
-	prob := sizing.Problem{Lo: space.Lo, Hi: space.Hi, Eval: func(x []float64) float64 {
-		tp := space.Build(x)
-		if tp.Validate() != nil {
-			return -1e4
-		}
-		return tr.eval(ctx, tp)
-	}}
-	if _, err := sizing.Optimize(ctx, prob, opts); err != nil {
-		if res, rerr := tr.result(); rerr == nil && ctx.Err() != nil {
-			// Cancellation: surface the best point found so far alongside
-			// the context error, like sizing.Optimize does.
-			return res, err
-		}
-		return nil, err
-	}
-	return tr.result()
+	x0, _ := seedPoint(p) // a failed seed leaves x0 nil: plain BO
+	return sizeBO(ctx, p, seed, x0)
 }

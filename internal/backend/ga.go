@@ -8,42 +8,17 @@ import (
 	"artisan/internal/telemetry"
 )
 
-// gaBackend wraps the real-coded genetic sizer of internal/opt: same
+// sizeGA runs the real-coded genetic sizer of internal/opt: same
 // parameter space and objective as BO, population-based search dynamics
 // instead of a surrogate model.
-type gaBackend struct{}
-
-func init() { Register(gaBackend{}) }
-
-func (gaBackend) Name() string { return "ga" }
-
-func (gaBackend) Capabilities() Capabilities {
-	return Capabilities{Global: true, Deterministic: true}
-}
-
-func (gaBackend) Size(ctx context.Context, p Problem, seed int64) (*Result, error) {
+func sizeGA(ctx context.Context, p Problem, seed int64) (*Result, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
 	ctx, span := telemetry.StartSpan(ctx, "sizing.ga")
 	defer span.End()
-	space, err := NewSpace(p.Topo)
-	if err != nil {
-		return nil, err
-	}
-	tr := newTracker(p)
-	prob := sizing.Problem{Lo: space.Lo, Hi: space.Hi, Eval: func(x []float64) float64 {
-		tp := space.Build(x)
-		if tp.Validate() != nil {
-			return -1e4
-		}
-		return tr.eval(ctx, tp)
-	}}
-	if _, err := opt.SizeGA(ctx, prob, p.Budget, seed, opt.DefaultSizeGAOpts()); err != nil {
-		if res, rerr := tr.result(); rerr == nil && ctx.Err() != nil {
-			return res, err
-		}
-		return nil, err
-	}
-	return tr.result()
+	return search(ctx, p, false, func(obj sizing.Problem) error {
+		_, err := opt.SizeGA(ctx, obj, p.Budget, seed, opt.DefaultGAOpts())
+		return err
+	})
 }

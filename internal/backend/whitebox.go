@@ -3,7 +3,6 @@ package backend
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"artisan/internal/design"
 	"artisan/internal/gmid"
@@ -15,9 +14,9 @@ import (
 
 // The white-box engine re-derives a topology's operating point from the
 // knowledge cards instead of searching for it: it classifies the
-// compensation family from the structure, applies that family's
-// closed-form pole-allocation rules (the same cards the CoT design flow
-// executes), back-solves every device through the gm/Id tables —
+// compensation family from the structure, runs that family's CoT design
+// recipe (internal/design) and copies the designed values into the
+// topology, back-solves every device through the gm/Id tables —
 // gm target → inversion coefficient → ID/W → W, with realizability
 // checked against the technology card — and backs the bias off when the
 // summed device currents bust the power budget. The result is an
@@ -25,27 +24,38 @@ import (
 // where a black-box search spends its whole init phase just finding the
 // right decade.
 
-// whiteboxBackend is the analytic gm/Id engine plus bounded Nelder-Mead
+// sizeWhitebox is the analytic gm/Id engine plus bounded Nelder-Mead
 // local refinement.
-type whiteboxBackend struct{}
-
-func init() { Register(whiteboxBackend{}) }
-
-func (whiteboxBackend) Name() string { return "whitebox" }
-
-func (whiteboxBackend) Capabilities() Capabilities {
-	return Capabilities{Analytic: true, Deterministic: true}
-}
-
-func (whiteboxBackend) Size(ctx context.Context, p Problem, seed int64) (*Result, error) {
+func sizeWhitebox(ctx context.Context, p Problem, _ int64) (*Result, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
 	ctx, span := telemetry.StartSpan(ctx, "sizing.whitebox")
 	defer span.End()
-	seeded, err := Seed(p.Spec, p.Topo, gmid.Default180nm(), gmid.DefaultStagePlan())
+	x0, err := seedPoint(p)
 	if err != nil {
 		span.SetAttr("seed", "failed")
+		return nil, err
+	}
+	return search(ctx, p, true, func(obj sizing.Problem) error {
+		// Nelder-Mead spends d+1 evaluations on the simplex, then roughly two
+		// per iteration; size the iteration count to the remaining budget.
+		iters := max((p.Budget-(len(x0)+1))/2, 1)
+		if _, err := sizing.NelderMead(obj, x0, iters); err != nil {
+			return err
+		}
+		// Nelder-Mead does not watch ctx; a cancelled run ends here.
+		return ctx.Err()
+	})
+}
+
+// seedPoint is the white-box seed of p as a point of its search space.
+// The analytic point may fall outside the ±4× window around the
+// (possibly badly detuned) starting values; the boundary point is still
+// the closest representable seed, so the point is clamped.
+func seedPoint(p Problem) ([]float64, error) {
+	seeded, err := Seed(p.Spec, p.Topo, gmid.Default180nm(), gmid.DefaultStagePlan())
+	if err != nil {
 		return nil, err
 	}
 	space, err := NewSpace(p.Topo)
@@ -56,68 +66,54 @@ func (whiteboxBackend) Size(ctx context.Context, p Problem, seed int64) (*Result
 	if err != nil {
 		return nil, err
 	}
-	// The analytic point may fall outside the ±4× window around the
-	// (possibly badly detuned) starting values; the boundary point is
-	// still the closest representable seed.
 	space.Clamp(x0)
-	tr := newTracker(p)
-	prob := sizing.Problem{Lo: space.Lo, Hi: space.Hi, Eval: func(x []float64) float64 {
-		tp := space.Build(x)
-		if tp.Validate() != nil {
-			return -1e4
-		}
-		return tr.eval(ctx, tp)
-	}}
-	// Nelder-Mead spends d+1 evaluations on the simplex, then roughly two
-	// per iteration; size the iteration count to the remaining budget.
-	iters := (p.Budget - (space.Dim() + 1)) / 2
-	if iters < 1 {
-		iters = 1
-	}
-	if _, err := sizing.NelderMead(prob, x0, iters); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		if res, rerr := tr.result(); rerr == nil {
-			return res, err
-		}
-		return nil, err
-	}
-	res, err := tr.result()
-	if err != nil {
-		return nil, err
-	}
-	res.Seeded = true
-	return res, nil
+	return x0, nil
 }
 
-// Seed derives the analytic operating point for a topology under a spec:
-// family classification, card formulas, gm/Id device back-solve, power
-// backoff. It returns a copy of the topology with every stage and
-// connection value replaced by the derived point. An unsupported family
-// or an unrealizable device (W beyond the technology's maximum at the
-// chosen efficiency) is an error — the degradation ladder then falls
-// back to black-box search.
+// Seed derives the analytic operating point for a topology under a spec.
+// It classifies the compensation family, runs that family's CoT design
+// recipe (design.Design, default knobs) and copies the designed values
+// into a copy of the topology: every stage gm, the recipe's cascode
+// upgrade of a stage's A0, and each element the topology's connection
+// types carry at the positions the recipe places them. It then sizes the
+// devices through the gm/Id tables and backs the bias off when they bust
+// the power budget. An unsupported family, a connection the family needs
+// but the topology lacks, or an unrealizable device (W beyond the
+// technology's maximum at the chosen efficiency) is an error — the
+// degradation ladder then falls back to black-box search.
 func Seed(sp spec.Spec, topo *topology.Topology, tech gmid.Tech, plan gmid.StagePlan) (*topology.Topology, error) {
 	arch, err := classify(topo)
 	if err != nil {
 		return nil, err
 	}
-	knobs, err := design.DefaultKnobs(arch, sp)
-	if err != nil {
-		return nil, err
-	}
-	vals, err := solveCards(arch, sp, knobs)
+	des, err := design.Design(arch, sp, nil)
 	if err != nil {
 		return nil, err
 	}
 	out := topo.Clone()
-	if err := applySeed(out, arch, vals); err != nil {
-		return nil, err
+	for i, s := range des.Topo.Stages {
+		out.Stages[i].Gm = s.Gm
+		if s.A0 > out.Stages[i].A0 {
+			out.Stages[i].A0 = s.A0
+		}
 	}
-	// Gain budget: same cascode-upgrade move as the design flow.
-	if !out.TwoStage && projectedGainDB(out, sp) < sp.MinGainDB+1 {
-		out.Stages[1].A0 = 160
+	for _, d := range des.Topo.Conns {
+		c := out.ConnAt(d.Pos)
+		if d.Type.ShuntOnly() {
+			c = dfcBlock(out) // classify accepts the block at n1 or n2
+		}
+		if c == nil {
+			return nil, fmt.Errorf("backend: seed: %s family expects a connection at %s", arch, d.Pos)
+		}
+		if c.Type.HasGm() && d.Gm > 0 {
+			c.Gm = d.Gm
+		}
+		if c.Type.HasC() && d.C > 0 {
+			c.C = d.C
+		}
+		if c.Type.HasR() && d.R > 0 {
+			c.R = d.R
+		}
 	}
 	// gm/Id back-solve: size every transconductor, checking realizability
 	// and accumulating the bias current the devices actually draw.
@@ -131,7 +127,7 @@ func Seed(sp spec.Spec, topo *topology.Topology, tech gmid.Tech, plan gmid.Stage
 		// gm1, so never scale below the card's GBW margin cushion — a
 		// seed that trades a small GBW overshoot for meeting power.
 		scale := 0.9 * sp.MaxPower / pow
-		if floor := 1 / knobs["GBWMargin"]; scale < floor {
+		if floor := 1 / des.Knobs["GBWMargin"]; scale < floor {
 			scale = floor
 		}
 		scaleGms(out, scale)
@@ -151,7 +147,7 @@ func classify(t *topology.Topology) (string, error) {
 		return t.ConnAt(topology.Position{From: from, To: to})
 	}
 	outer := at("n1", "out")
-	if t.TwoStage {
+	if t.NumStages() == 2 {
 		if outer == nil || !outer.Type.HasC() {
 			return "", fmt.Errorf("backend: two-stage topology %q has no Miller capacitor", t.Name)
 		}
@@ -160,10 +156,8 @@ func classify(t *topology.Topology) (string, error) {
 		}
 		return "SMC", nil
 	}
-	for _, node := range []string{"n1", "n2"} {
-		if c := at(node, "0"); c != nil && c.Type.ShuntOnly() {
-			return "DFCFC", nil
-		}
+	if dfcBlock(t) != nil {
+		return "DFCFC", nil
 	}
 	if outer != nil && outer.Type == topology.ConnCascodeC {
 		return "TCFC", nil
@@ -190,174 +184,15 @@ func classify(t *topology.Topology) (string, error) {
 	return "NMC", nil
 }
 
-// solveCards evaluates the family's closed-form sizing rules — the same
-// formulas the CoT design procedures run through the calculator tool.
-func solveCards(arch string, sp spec.Spec, k design.Knobs) (map[string]float64, error) {
-	v := map[string]float64{}
-	gbw := k["GBWMargin"] * sp.MinGBW
-	cl := sp.CL
-	switch arch {
-	case "NMC", "NMCNR":
-		cm1 := k["Cm1"]
-		cm2 := k["Cm2Ratio"] * cm1
-		gm3 := 8 * math.Pi * gbw * cl
-		v["Cm1"], v["Cm2"], v["gm3"] = cm1, cm2, gm3
-		v["gm1"] = gm3 * cm1 / (4 * cl)
-		v["gm2"] = gm3 * cm2 / (2 * cl)
-		if arch == "NMCNR" {
-			v["Rz"] = k["RzFactor"] / gm3
+// dfcBlock returns the damping-factor-control block shunting n1 or n2 to
+// ground, or nil.
+func dfcBlock(t *topology.Topology) *topology.Connection {
+	for _, node := range []string{"n1", "n2"} {
+		if c := t.ConnAt(topology.Position{From: node, To: "0"}); c != nil && c.Type.ShuntOnly() {
+			return c
 		}
-	case "NMCF":
-		cm1 := k["Cm1"]
-		v["Cm1"], v["Cm2"] = cm1, k["Cm2Ratio"]*cm1
-		v["gm1"] = 2 * math.Pi * gbw * cm1
-		v["gm2"] = k["Gm2Ratio"] * v["gm1"]
-		v["gm3"] = k["Gm3Factor"] * 2 * math.Pi * gbw * cl
-		v["gmf"] = k["GmfRatio"] * v["gm3"]
-	case "MNMC":
-		cm1 := k["Cm1"]
-		cm2 := k["Cm2Ratio"] * cm1
-		v["Cm1"], v["Cm2"] = cm1, cm2
-		v["gm1"] = 2 * math.Pi * gbw * cm1
-		v["gm2"] = k["Gm2Boost"] * 4 * math.Pi * gbw * cm2
-		v["gm3"] = k["Gm3Boost"] * 8 * math.Pi * gbw * cl
-		v["gmf"] = k["GmfRatio"] * v["gm1"]
-	case "NGCC":
-		cm1 := k["Cm1"]
-		cm2 := k["Cm2Ratio"] * cm1
-		v["Cm1"], v["Cm2"] = cm1, cm2
-		v["gm1"] = 2 * math.Pi * gbw * cm1
-		v["gm2"] = 4 * math.Pi * gbw * cm2
-		v["gm3"] = 8 * math.Pi * gbw * cl
-		v["gmf1"], v["gmf2"] = v["gm1"], v["gm3"]
-	case "DFCFC":
-		cm1 := k["Cm1"]
-		v["Cm1"] = cm1
-		v["gm1"] = 2 * math.Pi * gbw * cm1
-		v["gm2"] = k["Gm2Ratio"] * v["gm1"]
-		v["gm3"] = k["Gm3Factor"] * 2 * math.Pi * gbw * cl
-		v["gm4"] = k["Gm4Ratio"] * v["gm3"]
-		v["Cm3"] = k["Cm3Ratio"] * cm1
-		v["gmf"] = k["GmfRatio"] * v["gm3"]
-	case "TCFC":
-		cmt := k["Cmt"]
-		v["Cmt"], v["Cm2"] = cmt, k["Cm2"]
-		v["gm1"] = 2 * math.Pi * gbw * cmt
-		v["gm2"] = k["Gm2Ratio"] * v["gm1"]
-		v["gmt"] = k["GmtRatio"] * v["gm1"]
-		v["gm3"] = k["Gm3Factor"] * 2 * math.Pi * gbw * cl
-	case "AZC":
-		cm1 := k["Cm1"]
-		v["Cm1"], v["Cm2"] = cm1, k["Cm2"]
-		v["gm1"] = 2 * math.Pi * gbw * cm1
-		v["gm2"] = k["Gm2Ratio"] * v["gm1"]
-		v["gm3"] = k["Gm3Factor"] * 4 * math.Pi * gbw * cl
-		v["gma"] = k["GmaRatio"] * v["gm1"]
-	case "SMC", "SMCNR":
-		cc := k["Cc"]
-		v["Cc"] = cc
-		v["gm1"] = 2 * math.Pi * gbw * cc
-		v["gm2"] = k["Gm2Factor"] * 2 * math.Pi * gbw * cl
-		if arch == "SMCNR" {
-			v["Rz"] = k["RzFactor"] / v["gm2"]
-		}
-	default:
-		return nil, fmt.Errorf("backend: no sizing cards for %q", arch)
 	}
-	return v, nil
-}
-
-// applySeed writes the solved values into the topology's stages and
-// connections, keyed by the same positions the library constructors use.
-func applySeed(t *topology.Topology, arch string, v map[string]float64) error {
-	set := func(from, to string, gm, c, r float64) error {
-		conn := t.ConnAt(topology.Position{From: from, To: to})
-		if conn == nil {
-			return fmt.Errorf("backend: seed: %s family expects a connection at %s>%s", arch, from, to)
-		}
-		if conn.Type.HasGm() && gm > 0 {
-			conn.Gm = gm
-		}
-		if conn.Type.HasC() && c > 0 {
-			conn.C = c
-		}
-		if conn.Type.HasR() && r > 0 {
-			conn.R = r
-		}
-		return nil
-	}
-	t.Stages[0].Gm = v["gm1"]
-	if t.TwoStage {
-		t.Stages[1].Gm = v["gm2"]
-		return set("n1", "out", 0, v["Cc"], v["Rz"])
-	}
-	t.Stages[1].Gm = v["gm2"]
-	t.Stages[2].Gm = v["gm3"]
-	switch arch {
-	case "NMC", "NMCNR":
-		if err := set("n1", "out", 0, v["Cm1"], v["Rz"]); err != nil {
-			return err
-		}
-		return set("n2", "out", 0, v["Cm2"], 0)
-	case "NMCF":
-		if err := set("n1", "out", v["gmf"], v["Cm1"], 0); err != nil {
-			return err
-		}
-		return set("n2", "out", 0, v["Cm2"], 0)
-	case "MNMC":
-		if err := set("n1", "out", 0, v["Cm1"], 0); err != nil {
-			return err
-		}
-		if err := set("n2", "out", 0, v["Cm2"], 0); err != nil {
-			return err
-		}
-		return set("in", "n2", v["gmf"], 0, 0)
-	case "NGCC":
-		if err := set("n1", "out", 0, v["Cm1"], 0); err != nil {
-			return err
-		}
-		if err := set("n2", "out", 0, v["Cm2"], 0); err != nil {
-			return err
-		}
-		if err := set("in", "n2", v["gmf1"], 0, 0); err != nil {
-			return err
-		}
-		return set("in", "out", v["gmf2"], 0, 0)
-	case "DFCFC":
-		if err := set("n1", "out", v["gmf"], v["Cm1"], 0); err != nil {
-			return err
-		}
-		for _, node := range []string{"n1", "n2"} {
-			if c := t.ConnAt(topology.Position{From: node, To: "0"}); c != nil && c.Type.ShuntOnly() {
-				return set(node, "0", v["gm4"], v["Cm3"], 0)
-			}
-		}
-		return fmt.Errorf("backend: seed: DFCFC family lost its DFC block")
-	case "TCFC":
-		if err := set("n1", "out", v["gmt"], v["Cmt"], 0); err != nil {
-			return err
-		}
-		return set("n2", "out", 0, v["Cm2"], 0)
-	case "AZC":
-		if err := set("n1", "out", 0, v["Cm1"], 0); err != nil {
-			return err
-		}
-		return set("out", "n1", v["gma"], v["Cm2"], 0)
-	}
-	return fmt.Errorf("backend: seed: no placement rules for %q", arch)
-}
-
-// projectedGainDB is the gain-budget estimate of the design cards:
-// Av = A1·A2·gm3·(Ro3||RL), Ro3 = A3/gm3.
-func projectedGainDB(t *topology.Topology, sp spec.Spec) float64 {
-	gm3 := t.Stages[2].Gm
-	if gm3 <= 0 {
-		return 0
-	}
-	ro3 := t.Stages[2].A0 / gm3
-	rpar := ro3 * sp.RL / (ro3 + sp.RL)
-	av := t.Stages[0].A0 * t.Stages[1].A0 * gm3 * rpar
-	return 20 * math.Log10(av)
+	return nil
 }
 
 // backSolve sizes every transconductor through the gm/Id tables and
@@ -379,7 +214,7 @@ func backSolve(t *topology.Topology, tech gmid.Tech, plan gmid.StagePlan) (float
 	if err := size("M2", t.Stages[1].Gm, plan.CSGmID, true, 1); err != nil {
 		return 0, err
 	}
-	if !t.TwoStage {
+	if t.NumStages() != 2 {
 		if err := size("M3", t.Stages[2].Gm, plan.CSGmID, false, 1); err != nil {
 			return 0, err
 		}

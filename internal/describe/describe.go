@@ -76,7 +76,7 @@ func invertTypes(m map[topology.ConnType]string) map[string]topology.ConnType {
 // Describe renders the topology as its canonical structural description.
 func Describe(t *topology.Topology) string {
 	var b strings.Builder
-	if t.TwoStage {
+	if t.NumStages() == 2 {
 		fmt.Fprintf(&b,
 			"This is a two-stage operational amplifier. The input stage has transconductance %s and the inverting output stage %s.",
 			val(t.Stages[0].Gm), val(t.Stages[1].Gm))

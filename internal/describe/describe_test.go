@@ -214,3 +214,19 @@ func TestTwoStageRoundTrip(t *testing.T) {
 		t.Errorf("nulling branch lost: %+v", c)
 	}
 }
+
+// A two-stage topology on the wire without its "TwoStage" flag (the field
+// is omitempty, and FromJSON accepts it) must read exactly like the
+// flagged library SMC with the same values.
+func TestDescribeUnflaggedTwoStage(t *testing.T) {
+	unflagged, err := topology.FromJSON([]byte(`{"Name":"SMC",` +
+		`"Stages":[{"Gm":2e-05,"A0":160},{"Gm":0.00019,"A0":45}],` +
+		`"Conns":[{"Pos":{"From":"n1","To":"out"},"Type":"C","C":1e-12}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := Describe(unflagged), Describe(topology.SMC(20e-6, 190e-6, 1e-12))
+	if got != want {
+		t.Errorf("unflagged two-stage reads\n%s\nwant\n%s", got, want)
+	}
+}

@@ -2,12 +2,14 @@ package gmid
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"artisan/internal/design"
 	"artisan/internal/spec"
+	"artisan/internal/topology"
 	"artisan/internal/units"
 )
 
@@ -289,5 +291,28 @@ func TestVovPositiveInStrongInversion(t *testing.T) {
 	}
 	if tech.Vov(0.01) >= 0 {
 		t.Error("weak-inversion Vov should be negative (sub-VT)")
+	}
+}
+
+// A two-stage topology on the wire without its "TwoStage" flag (the field
+// is omitempty, and FromJSON accepts it) must map exactly like the
+// flagged library SMC with the same values.
+func TestMapUnflaggedTwoStage(t *testing.T) {
+	unflagged, err := topology.FromJSON([]byte(`{"Name":"SMC",` +
+		`"Stages":[{"Gm":2e-05,"A0":160},{"Gm":0.00019,"A0":45}],` +
+		`"Conns":[{"Pos":{"From":"n1","To":"out"},"Type":"C","C":1e-12}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Map(Default180nm(), DefaultStagePlan(), topology.SMC(20e-6, 190e-6, 1e-12), 1.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Map(Default180nm(), DefaultStagePlan(), unflagged, 1.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("unflagged two-stage maps to\n%s\nwant\n%s", got, want)
 	}
 }

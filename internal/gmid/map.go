@@ -130,7 +130,7 @@ func Map(t Tech, plan StagePlan, topo *topology.Topology, vdd float64) (*Netlist
 	mt.Id = 0
 	out.Devices = append(out.Devices, mt)
 
-	if topo.TwoStage {
+	if topo.NumStages() == 2 {
 		// Two-stage skeleton: one common-source output stage.
 		gm2 := topo.Stages[1].Gm
 		m3, err := t.Size("M3", gm2, plan.CSGmID, 0, false, "third stage CS (output)")
@@ -174,7 +174,7 @@ func Map(t Tech, plan StagePlan, topo *topology.Topology, vdd float64) (*Netlist
 	// Auxiliary transconductors and passives from the connections.
 	auxIdx := 5
 	for i, c := range topo.Conns {
-		if c.Type == ConnNoneAlias {
+		if c.Type == topology.ConnNone {
 			continue
 		}
 		if c.Type.HasGm() {
@@ -197,10 +197,6 @@ func Map(t Tech, plan StagePlan, topo *topology.Topology, vdd float64) (*Netlist
 	}
 	return out, nil
 }
-
-// ConnNoneAlias re-exports topology.ConnNone locally to keep the switch
-// above readable without a second import alias.
-const ConnNoneAlias = topology.ConnNone
 
 // Power returns the mapped supply power estimate.
 func (n *Netlist) Power() float64 { return n.VDD * n.ITotal }

@@ -16,7 +16,7 @@ import (
 // extension comparator: tournament selection, structural crossover at
 // the connection-position level, and the shared mutation operators.
 
-// GAOpts tunes the search.
+// GAOpts tunes the search of both GA and the real-coded SizeGA.
 type GAOpts struct {
 	Population int
 	Tournament int

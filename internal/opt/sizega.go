@@ -10,28 +10,12 @@ import (
 	"artisan/internal/telemetry"
 )
 
-// SizeGAOpts tunes the continuous (real-coded) genetic sizer.
-type SizeGAOpts struct {
-	Population int
-	Tournament int
-	// CrossoverP is the probability an offspring is produced by blend
-	// crossover (otherwise a mutated copy of one parent).
-	CrossoverP float64
-	// Elite is how many best individuals survive unchanged.
-	Elite int
-}
-
-// DefaultSizeGAOpts mirrors the topology GA's small-population setup.
-func DefaultSizeGAOpts() SizeGAOpts {
-	return SizeGAOpts{Population: 16, Tournament: 3, CrossoverP: 0.6, Elite: 2}
-}
-
 // SizeGA runs a real-coded genetic algorithm over a bounded sizing
 // problem: tournament selection, blend (BLX-α) crossover, Gaussian
 // mutation, and elitism, under a hard evaluation budget. It is the GA
 // family's entry in the sizing-backend comparison — same objective and
 // bounds as the BO sizer, different search dynamics.
-func SizeGA(ctx context.Context, p sizing.Problem, budget int, seed int64, o SizeGAOpts) (*sizing.Result, error) {
+func SizeGA(ctx context.Context, p sizing.Problem, budget int, seed int64, o GAOpts) (*sizing.Result, error) {
 	if len(p.Lo) == 0 || len(p.Lo) != len(p.Hi) {
 		return nil, fmt.Errorf("opt: bad bounds (%d vs %d)", len(p.Lo), len(p.Hi))
 	}

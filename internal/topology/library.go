@@ -141,9 +141,3 @@ func SMCNR(gm1, gm2, cc, rz float64) *Topology {
 	t.SetConn(Connection{Pos: Position{"n1", "out"}, Type: ConnSeriesRC, C: cc, R: rz})
 	return t
 }
-
-// ArchitectureNames lists the named architectures the knowledge base
-// reasons about, in preference order for general use.
-func ArchitectureNames() []string {
-	return []string{"NMC", "NMCNR", "NMCF", "MNMC", "NGCC", "DFCFC", "TCFC", "AZC", "SMC", "SMCNR"}
-}

@@ -42,8 +42,9 @@ go test ./internal/resilience/... -race -count=2
 go test ./internal/chaos -race -count=2
 
 # Fuzz smoke: 10 s of coverage-guided input generation per target over
-# the parsers that face raw bytes (SPICE netlists, spec JSON, and the
-# journal replay path), seeded from the checked-in corpus under
+# the parsers that face raw bytes (SPICE netlists, spec JSON, the journal
+# replay path and topology JSON) and the white-box seed and gm/Id mapping
+# that consume decoded topologies, seeded from the checked-in corpus under
 # testdata/fuzz/. Crashers land in testdata/fuzz/<Target>/ and fail this
 # gate until fixed.
 for target in \
@@ -51,7 +52,8 @@ for target in \
     'FuzzDeviceLineRoundTrip ./internal/netlist' \
     'FuzzSpecJSON ./internal/spec' \
     'FuzzJournalReplay ./internal/cluster' \
-    'FuzzFromJSON ./internal/topology'; do
+    'FuzzFromJSON ./internal/topology' \
+    'FuzzSeed ./internal/backend'; do
     set -- $target
     go test -run '^$' -fuzz "^$1\$" -fuzztime 10s "$2"
 done
