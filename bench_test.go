@@ -91,8 +91,7 @@ func BenchmarkTable3Comparison(b *testing.B) {
 // BenchmarkFig1Skeleton elaborates the Fig. 1 behavioral model (skeleton
 // plus small-signal stage models) and runs the full metric extraction.
 func BenchmarkFig1Skeleton(b *testing.B) {
-	topo := topology.NMC(25.13e-6, 37.7e-6, 251.3e-6, 4e-12, 3e-12)
-	env := topology.DefaultEnv()
+	topo, env := nmcRef(), topology.DefaultEnv()
 	for i := 0; i < b.N; i++ {
 		nl, err := topo.Elaborate(env)
 		if err != nil {
@@ -284,11 +283,7 @@ func BenchmarkAblationTuning(b *testing.B) {
 // BenchmarkMNASolve isolates the simulator substrate: one full AC metric
 // extraction of the reference NMC opamp (the unit of the cost model).
 func BenchmarkMNASolve(b *testing.B) {
-	topo := topology.NMC(25.13e-6, 37.7e-6, 251.3e-6, 4e-12, 3e-12)
-	nl, err := topo.Elaborate(topology.DefaultEnv())
-	if err != nil {
-		b.Fatal(err)
-	}
+	nl := nmcRefNetlist(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := measure.Analyze(nl, "out"); err != nil {
@@ -301,16 +296,7 @@ func BenchmarkMNASolve(b *testing.B) {
 // reference NMC system — the innermost unit of every sweep, pole search,
 // and BO evaluation. Steady state must be allocation-free.
 func BenchmarkCircuitSolveAt(b *testing.B) {
-	topo := topology.NMC(25.13e-6, 37.7e-6, 251.3e-6, 4e-12, 3e-12)
-	nl, err := topo.Elaborate(topology.DefaultEnv())
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, err := mna.Compile(nl)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ws := c.NewWorkspace()
+	ws := nmcRefCircuit(b).NewWorkspace()
 	s := mna.Omega(1e6)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -321,17 +307,9 @@ func BenchmarkCircuitSolveAt(b *testing.B) {
 }
 
 // BenchmarkCircuitSweep measures the 289-point AC sweep of measure.Analyze
-// in isolation, on the parallel path.
+// in isolation.
 func BenchmarkCircuitSweep(b *testing.B) {
-	topo := topology.NMC(25.13e-6, 37.7e-6, 251.3e-6, 4e-12, 3e-12)
-	nl, err := topo.Elaborate(topology.DefaultEnv())
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, err := mna.Compile(nl)
-	if err != nil {
-		b.Fatal(err)
-	}
+	c := nmcRefCircuit(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.Sweep(context.Background(), "out", 1e-2, 1e10, 24); err != nil {
@@ -343,11 +321,7 @@ func BenchmarkCircuitSweep(b *testing.B) {
 // BenchmarkPoleZero measures pole plus zero extraction on a freshly
 // compiled NMC circuit (the cold path measure.Analyze takes per report).
 func BenchmarkPoleZero(b *testing.B) {
-	topo := topology.NMC(25.13e-6, 37.7e-6, 251.3e-6, 4e-12, 3e-12)
-	nl, err := topo.Elaborate(topology.DefaultEnv())
-	if err != nil {
-		b.Fatal(err)
-	}
+	nl := nmcRefNetlist(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c, err := mna.Compile(nl)
@@ -390,16 +364,7 @@ func BenchmarkTraining(b *testing.B) {
 // BenchmarkTransientStep measures the large-signal characterization: a
 // slew-limited closed-loop step on the reference NMC buffer.
 func BenchmarkTransientStep(b *testing.B) {
-	g1, _ := spec.Group("G-1")
-	r, err := design.Design("NMC", g1, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	env := topology.DefaultEnv()
-	nl, err := r.Topo.Elaborate(env)
-	if err != nil {
-		b.Fatal(err)
-	}
+	_, nl := g1Design(b)
 	b.ResetTimer()
 	var sr float64
 	for i := 0; i < b.N; i++ {
@@ -414,15 +379,7 @@ func BenchmarkTransientStep(b *testing.B) {
 
 // BenchmarkNoiseSweep measures the thermal-noise analysis over 10 decades.
 func BenchmarkNoiseSweep(b *testing.B) {
-	topo := topology.NMC(25.13e-6, 37.7e-6, 251.3e-6, 4e-12, 3e-12)
-	nl, err := topo.Elaborate(topology.DefaultEnv())
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, err := mna.Compile(nl)
-	if err != nil {
-		b.Fatal(err)
-	}
+	c := nmcRefCircuit(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.NoiseSweep("out", 1, 1e9, 10, mna.NoiseOpts{}); err != nil {
@@ -434,16 +391,7 @@ func BenchmarkNoiseSweep(b *testing.B) {
 // BenchmarkMonteCarloYield measures the mismatch-yield tool on a finished
 // design (120 samples of 5% spread).
 func BenchmarkMonteCarloYield(b *testing.B) {
-	g1, _ := spec.Group("G-1")
-	r, err := design.Design("NMC", g1, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	env := topology.DefaultEnv()
-	nl, err := r.Topo.Elaborate(env)
-	if err != nil {
-		b.Fatal(err)
-	}
+	g1, nl := g1Design(b)
 	b.ResetTimer()
 	var y float64
 	for i := 0; i < b.N; i++ {
@@ -499,8 +447,7 @@ func BenchmarkTwoStageWorkflow(b *testing.B) {
 // on G-1 (all four registered backends recovering the same detuned
 // design) and reports the hybrid backend's evals-to-spec advantage over
 // plain BO — the multiplier behind the backend subsystem's acceptance
-// bar. The name deliberately does not match the bench.sh hot-path
-// regex: it is recorded for cross-PR comparison, never gated on ns/op.
+// bar.
 func BenchmarkBackendComparison(b *testing.B) {
 	cfg := experiment.DefaultBackendConfig(42)
 	cfg.Trials = 2
@@ -562,23 +509,47 @@ func BenchmarkLadderAC(b *testing.B) {
 	}
 }
 
-var calibSink float64
+// --- shared setup: the circuits the simulator benchmarks and the
+// allocation gate (TestHotPathAllocs) measure -------------------------------
 
-// BenchmarkCalibration is a fixed pure-CPU workload that scripts/bench.sh
-// records alongside the real benchmarks: the perf gate normalizes hot-path
-// ns/op by the calibration ratio between the two records, so a shared
-// host that runs 20% slower today than when the baseline was recorded
-// does not read as a code regression (and a throttled host cannot hide
-// one).
-func BenchmarkCalibration(b *testing.B) {
-	x := 1.0001
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < 1000; j++ {
-			x = x*1.0000001 + 1e-12
-			if x > 2 {
-				x -= 1
-			}
-		}
+// nmcRef is the reference NMC opamp of Fig. 1.
+func nmcRef() *topology.Topology {
+	return topology.NMC(25.13e-6, 37.7e-6, 251.3e-6, 4e-12, 3e-12)
+}
+
+// nmcRefNetlist elaborates nmcRef in the default environment.
+func nmcRefNetlist(tb testing.TB) *netlist.Netlist {
+	tb.Helper()
+	nl, err := nmcRef().Elaborate(topology.DefaultEnv())
+	if err != nil {
+		tb.Fatal(err)
 	}
-	calibSink = x
+	return nl
+}
+
+// nmcRefCircuit compiles nmcRefNetlist.
+func nmcRefCircuit(tb testing.TB) *mna.Circuit {
+	tb.Helper()
+	c, err := mna.Compile(nmcRefNetlist(tb))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
+}
+
+// g1Design returns G-1 and the elaborated NMC design the CoT flow
+// produces for it: the finished design the transient and Monte-Carlo
+// benchmarks characterise.
+func g1Design(tb testing.TB) (spec.Spec, *netlist.Netlist) {
+	tb.Helper()
+	g1, _ := spec.Group("G-1")
+	r, err := design.Design("NMC", g1, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	nl, err := r.Topo.Elaborate(topology.DefaultEnv())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g1, nl
 }

@@ -218,8 +218,7 @@ func renderGenBenchReport(table *experiment.GenBenchTable) string {
 }
 
 // genBenchEntry is one BENCH-style JSON record of the generative
-// benchmark. The names deliberately do not match the bench.sh hot-path
-// regex, so merging them into a BENCH file never trips the perf gate.
+// benchmark.
 type genBenchEntry struct {
 	Name       string  `json:"name"`
 	Designer   string  `json:"designer"`
@@ -234,7 +233,7 @@ type genBenchEntry struct {
 }
 
 // writeGenBench records the benchmark rows as a JSON array in the BENCH
-// file layout (mergeable by scripts/bench.sh).
+// file layout.
 func writeGenBench(path string, table *experiment.GenBenchTable) error {
 	entries := make([]genBenchEntry, 0, len(table.Rows))
 	for _, r := range table.Rows {
@@ -253,8 +252,6 @@ func writeGenBench(path string, table *experiment.GenBenchTable) error {
 }
 
 // backendBenchEntry is one BENCH-style JSON record of the comparison.
-// The names deliberately do not match the bench.sh hot-path regex, so
-// merging them into a BENCH file never trips the ns/op perf gate.
 type backendBenchEntry struct {
 	Name           string  `json:"name"`
 	Backend        string  `json:"backend"`
@@ -268,7 +265,7 @@ type backendBenchEntry struct {
 }
 
 // writeBackendBench records the comparison cells as a JSON array in the
-// BENCH file layout (mergeable by scripts/bench.sh).
+// BENCH file layout.
 func writeBackendBench(path string, table *experiment.BackendTable) error {
 	entries := make([]backendBenchEntry, 0, len(table.Cells))
 	for _, c := range table.Cells {

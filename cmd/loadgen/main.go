@@ -10,17 +10,13 @@
 //
 //	loadgen                        # compare mode, built-in server
 //	loadgen -mode batch -n 500 -dup 0.8 -batch 64
-//	loadgen -mode fleet -nodes 2   # 1 node vs N nodes behind the router
-//	loadgen -profile soak          # long duplicate-heavy fleet run
-//	loadgen -profile genbench      # cache-hostile generated-topology sim mix
+//	loadgen -backend hybrid        # tuned designs through a sizing backend
 //	loadgen -url http://host:8080  # drive a running server instead
 //	loadgen -out loadgen.json      # write BENCH-style JSON entries
 //
-// Fleet mode stands up -nodes in-process worker servers (each with
-// -node-workers pool goroutines and -model-latency of modeled remote
-// designer-LLM latency) behind the consistent-hashing router, replays
-// the mix through the router, and reports the speedup over one
-// identically-configured node.
+// The router path is measured by perfbench's design_serve workload;
+// POST /design/batch is sent by no perfbench workload, so compare mode
+// is the batch layer's load measurement.
 //
 // The workload is fully seeded: the same -seed, -n, -dup, and -groups
 // produce the same request sequence, so runs are comparable across PRs.
@@ -44,10 +40,8 @@ import (
 	"time"
 
 	"artisan/internal/backend"
-	"artisan/internal/cluster"
 	"artisan/internal/server"
 	"artisan/internal/spec"
-	"artisan/internal/topology"
 )
 
 type config struct {
@@ -62,17 +56,8 @@ type config struct {
 	out         string
 	workers     int
 	repeat      int
-	// Fleet mode: nodes in-process worker servers behind a cluster.Router,
-	// each with nodeWorkers pool goroutines and modelLatency of modeled
-	// remote-LLM latency per design run (real LLM serving is latency-
-	// bound, so fleet throughput scales with total in-flight workers even
-	// on a small host). Compared against one identically-sized node.
-	nodes        int
-	nodeWorkers  int
-	modelLatency time.Duration
-	profile      string
 	// backend, when set, turns the mix into tuned design requests routed
-	// through the named sizing backend — the load profile of a fleet
+	// through the named sizing backend — the load profile of a service
 	// serving optimization-heavy traffic.
 	backend string
 }
@@ -85,9 +70,7 @@ type workItem struct {
 	Backend string `json:"backend,omitempty"`
 }
 
-// phaseResult is one BENCH-style JSON entry. The names deliberately do
-// not match the bench.sh hot-path regex, so merging these entries into a
-// BENCH file never trips the ns/op perf gate.
+// phaseResult is one BENCH-style JSON entry.
 type phaseResult struct {
 	Name         string  `json:"name"`
 	Mode         string  `json:"mode"`
@@ -95,7 +78,6 @@ type phaseResult struct {
 	UniqueItems  int     `json:"unique_items"`
 	DupRatio     float64 `json:"dup_ratio"`
 	Concurrency  int     `json:"concurrency"`
-	Nodes        int     `json:"nodes,omitempty"`
 	BatchSize    int     `json:"batch_size,omitempty"`
 	Errors       int     `json:"errors"`
 	ElapsedMS    float64 `json:"elapsed_ms"`
@@ -107,9 +89,6 @@ type phaseResult struct {
 	CacheHits    float64 `json:"cache_hits"`
 	// SpeedupVsSingle is set on the batch entry of a compare run.
 	SpeedupVsSingle float64 `json:"speedup_vs_single,omitempty"`
-	// SpeedupVsOneNode is set on the fleet entry of a fleet run: N-node
-	// throughput over the identically-configured single node's.
-	SpeedupVsOneNode float64 `json:"speedup_vs_one_node,omitempty"`
 }
 
 func main() {
@@ -125,10 +104,6 @@ func main() {
 		out         = flag.String("out", "", "write results as a JSON array to this file")
 		workers     = flag.Int("workers", 0, "in-process server pool size (default GOMAXPROCS)")
 		repeat      = flag.Int("repeat", 3, "repetitions per phase; the best-throughput one is reported")
-		nodes       = flag.Int("nodes", 2, "fleet mode: worker nodes behind the router")
-		nodeWorkers = flag.Int("node-workers", 4, "fleet mode: worker pool size per node")
-		modelLat    = flag.Duration("model-latency", 100*time.Millisecond, "fleet mode: modeled remote designer-LLM latency per design run")
-		profile     = flag.String("profile", "", "workload preset: '', 'soak' (long duplicate-heavy fleet run), or 'genbench' (cache-hostile generated-topology simulate mix)")
 		backendFlag = flag.String("backend", "",
 			"route the mix as tuned designs through this sizing backend, one of "+strings.Join(backend.Names(), "|")+" (empty = untuned mix)")
 	)
@@ -136,33 +111,10 @@ func main() {
 	cfg := config{
 		mode: *mode, n: *n, batch: *batch, dup: *dup, concurrency: *concurrency,
 		seed: *seed, url: *url, out: *out, workers: *workers, repeat: *repeat,
-		nodes: *nodes, nodeWorkers: *nodeWorkers, modelLatency: *modelLat,
-		profile: *profile, backend: *backendFlag,
+		backend: *backendFlag,
 	}
 	if *groupsFlag != "" {
 		cfg.groups = strings.Split(*groupsFlag, ",")
-	}
-	if cfg.profile == "genbench" {
-		// Genbench: every request carries a freshly generated topology's
-		// netlist, so the coalescing map and result cache have nothing to
-		// match — the worst-case (cache-hostile) serving profile the
-		// generative benchmark harness produces.
-		cfg.mode = "genbench"
-	}
-	if cfg.profile == "soak" {
-		// Soak: a long, duplicate-heavy fleet run at high client fan-in —
-		// the sustained-traffic profile behind the fleet BENCH entries.
-		cfg.mode = "fleet"
-		if cfg.n < 2000 {
-			cfg.n = 2000
-		}
-		if cfg.dup < 0.9 {
-			cfg.dup = 0.9
-		}
-		if cfg.concurrency < 32 {
-			cfg.concurrency = 32
-		}
-		cfg.repeat = 1
 	}
 	results, err := run(cfg, os.Stdout)
 	if err != nil {
@@ -212,9 +164,6 @@ func run(cfg config, w io.Writer) ([]phaseResult, error) {
 				return nil, err
 			}
 		}
-	}
-	if cfg.mode == "genbench" {
-		return runGenbench(cfg, w)
 	}
 	items, unique := makeWorkload(cfg)
 	fmt.Fprintf(w, "loadgen: %d items (%d unique, dup ratio %.2f) over groups %s, seed %d\n",
@@ -291,246 +240,10 @@ func run(cfg config, w io.Writer) ([]phaseResult, error) {
 		fmt.Fprintf(w, "loadgen: batch throughput %.2fx single (%0.f vs %0.f items/s), coalesce hits %g\n",
 			batch.SpeedupVsSingle, batch.ItemsPerSec, single.ItemsPerSec, batch.CoalesceHits)
 		results = append(results, single, batch)
-	case "fleet":
-		return runFleet(cfg, items, unique, w)
 	default:
-		return nil, fmt.Errorf("unknown -mode %q (want single, batch, compare, or fleet)", cfg.mode)
+		return nil, fmt.Errorf("unknown -mode %q (want single, batch, or compare)", cfg.mode)
 	}
 	return results, nil
-}
-
-// runFleet is the multi-node compare: the same workload replayed
-// item-by-item through (a) one worker node and (b) cfg.nodes identical
-// nodes behind a cluster.Router, each node with its own pool, cache,
-// and coalescing map. Every node gets the same per-node configuration —
-// the comparison measures horizontal scaling plus router overhead, not
-// a bigger box. Design runs carry cfg.modelLatency of modeled remote-
-// LLM latency, the regime real LLM serving is bound by; duplicate
-// requests hash to one node via the router's consistent ring, so
-// fleet-wide coalesce hits stay observable on the per-node /metrics.
-func runFleet(cfg config, items []workItem, unique int, w io.Writer) ([]phaseResult, error) {
-	onePhase := func(name string, nodes int) (phaseResult, error) {
-		base, nodeURLs, shutdown, err := fleetTarget(cfg, nodes)
-		if err != nil {
-			return phaseResult{}, err
-		}
-		defer shutdown()
-		res, err := runSingle(base, items, cfg)
-		if err != nil {
-			return phaseResult{}, err
-		}
-		res.Name = name
-		res.Mode = "fleet"
-		res.Nodes = nodes
-		res.UniqueItems = unique
-		res.DupRatio = cfg.dup
-		for _, nu := range nodeURLs {
-			res.CoalesceHits += scrapeCounter(nu, "artisan_jobs_coalesce_hits_total")
-			res.CacheHits += scrapeCounter(nu, "artisan_jobs_cache_hits_total")
-		}
-		return res, nil
-	}
-	runPhase := func(name string, nodes int) (phaseResult, error) {
-		var best phaseResult
-		for rep := 0; rep < cfg.repeat; rep++ {
-			res, err := onePhase(name, nodes)
-			if err != nil {
-				return phaseResult{}, err
-			}
-			if rep == 0 || res.ItemsPerSec > best.ItemsPerSec {
-				best = res
-			}
-		}
-		fmt.Fprintln(w, best.String())
-		return best, nil
-	}
-	one, err := runPhase("LoadgenFleetNode1", 1)
-	if err != nil {
-		return nil, err
-	}
-	fleet, err := runPhase(fmt.Sprintf("LoadgenFleet%d", cfg.nodes), cfg.nodes)
-	if err != nil {
-		return nil, err
-	}
-	if fleet.ItemsPerSec > 0 && one.ItemsPerSec > 0 {
-		fleet.SpeedupVsOneNode = fleet.ItemsPerSec / one.ItemsPerSec
-	}
-	fmt.Fprintf(w, "loadgen: %d-node fleet throughput %.2fx one node (%0.f vs %0.f items/s), fleet coalesce hits %g\n",
-		cfg.nodes, fleet.SpeedupVsOneNode, fleet.ItemsPerSec, one.ItemsPerSec, fleet.CoalesceHits)
-	return []phaseResult{one, fleet}, nil
-}
-
-// simItem is one /simulate request of the genbench mix.
-type simItem struct {
-	Netlist string `json:"netlist"`
-	Out     string `json:"out,omitempty"`
-}
-
-// makeSimWorkload builds a simulate mix from the constrained random
-// topology generator: round(n*(1-dup)) unique generated netlists, the
-// rest duplicates sampled from them, shuffled — all seeded. At dup 0
-// every request body is distinct, so nothing coalesces and nothing
-// caches.
-func makeSimWorkload(cfg config, dup float64) ([]simItem, int, error) {
-	rng := rand.New(rand.NewSource(cfg.seed))
-	unique := cfg.n - int(float64(cfg.n)*dup)
-	if unique < 1 {
-		unique = 1
-	}
-	items := make([]simItem, 0, cfg.n)
-	for i := 0; i < unique; i++ {
-		_, nl, err := topology.NewGenerator(cfg.seed*1_000_000 + int64(i)).Netlist()
-		if err != nil {
-			return nil, 0, fmt.Errorf("generating topology %d: %w", i, err)
-		}
-		items = append(items, simItem{Netlist: nl.String(), Out: "out"})
-	}
-	for len(items) < cfg.n {
-		items = append(items, items[rng.Intn(unique)])
-	}
-	rng.Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
-	return items, unique, nil
-}
-
-// runGenbench is the cache-hostile compare: the same request count
-// replayed through POST /simulate/batch twice, once as a duplicate-
-// heavy mix (the coalescing layer's home turf) and once as all-unique
-// generated topologies (its worst case). The gap between the two
-// entries' coalesce counters is the profile's point: unique generated
-// work defeats request coalescing by construction.
-func runGenbench(cfg config, w io.Writer) ([]phaseResult, error) {
-	dupRatio := cfg.dup
-	if dupRatio <= 0 {
-		dupRatio = 0.5
-	}
-	onePhase := func(name string, dup float64) (phaseResult, error) {
-		items, unique, err := makeSimWorkload(cfg, dup)
-		if err != nil {
-			return phaseResult{}, err
-		}
-		base, shutdown := cfg.target()
-		defer shutdown()
-		res, err := runSimBatch(base, items, cfg)
-		if err != nil {
-			return phaseResult{}, err
-		}
-		res.Name = name
-		res.UniqueItems = unique
-		res.DupRatio = dup
-		res.CoalesceHits = scrapeCounter(base, "artisan_jobs_coalesce_hits_total")
-		res.CacheHits = scrapeCounter(base, "artisan_jobs_cache_hits_total")
-		return res, nil
-	}
-	runPhase := func(name string, dup float64) (phaseResult, error) {
-		var best phaseResult
-		for rep := 0; rep < cfg.repeat; rep++ {
-			res, err := onePhase(name, dup)
-			if err != nil {
-				return phaseResult{}, err
-			}
-			if rep == 0 || res.ItemsPerSec > best.ItemsPerSec {
-				best = res
-			}
-		}
-		fmt.Fprintln(w, best.String())
-		return best, nil
-	}
-	fmt.Fprintf(w, "loadgen: genbench simulate mix, %d items, seed %d\n", cfg.n, cfg.seed)
-	dup, err := runPhase("LoadgenGenbenchDup", dupRatio)
-	if err != nil {
-		return nil, err
-	}
-	hostile, err := runPhase("LoadgenGenbenchUnique", 0)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(w, "loadgen: cache-hostile mix coalesced %g (duplicate mix %g) at %.0f items/s\n",
-		hostile.CoalesceHits, dup.CoalesceHits, hostile.ItemsPerSec)
-	return []phaseResult{dup, hostile}, nil
-}
-
-// runSimBatch replays a simulate mix chunked into /simulate/batch
-// requests, cfg.concurrency batches in flight.
-func runSimBatch(base string, items []simItem, cfg config) (phaseResult, error) {
-	var chunks [][]simItem
-	for len(items) > 0 {
-		k := cfg.batch
-		if k > len(items) {
-			k = len(items)
-		}
-		chunks = append(chunks, items[:k])
-		items = items[k:]
-	}
-	var (
-		mu        sync.Mutex
-		latencies []time.Duration
-		errs      int
-	)
-	next := make(chan []simItem)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for c := 0; c < cfg.concurrency; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for chunk := range next {
-				lats, bad := postNDJSONBatch(base+"/simulate/batch",
-					map[string]any{"items": chunk}, len(chunk))
-				mu.Lock()
-				latencies = append(latencies, lats...)
-				errs += bad
-				mu.Unlock()
-			}
-		}()
-	}
-	total := 0
-	for _, chunk := range chunks {
-		total += len(chunk)
-		next <- chunk
-	}
-	close(next)
-	wg.Wait()
-	res := summarize("", "simbatch", cfg, make([]workItem, total), latencies, errs, time.Since(start))
-	res.BatchSize = cfg.batch
-	return res, nil
-}
-
-// fleetTarget starts nodes identical in-process worker servers and,
-// when nodes > 1, a router in front of them. It returns the base URL to
-// drive, the per-node URLs (for /metrics scraping), and the teardown.
-func fleetTarget(cfg config, nodes int) (base string, nodeURLs []string, shutdown func(), err error) {
-	var closers []func()
-	shutdown = func() {
-		for i := len(closers) - 1; i >= 0; i-- {
-			closers[i]()
-		}
-	}
-	for i := 0; i < nodes; i++ {
-		svc := server.NewWithOptions(server.Options{
-			Workers:      cfg.nodeWorkers,
-			Queue:        cfg.n + cfg.concurrency,
-			NodeID:       fmt.Sprintf("n%d", i+1),
-			ModelLatency: cfg.modelLatency,
-		})
-		ts := httptest.NewServer(svc)
-		closers = append(closers, ts.Close)
-		nodeURLs = append(nodeURLs, ts.URL)
-	}
-	if nodes == 1 {
-		return nodeURLs[0], nodeURLs, shutdown, nil
-	}
-	rt, err := cluster.NewRouter(cluster.RouterConfig{
-		Nodes:          nodeURLs,
-		HealthInterval: 500 * time.Millisecond,
-	})
-	if err != nil {
-		shutdown()
-		return "", nil, nil, err
-	}
-	closers = append(closers, rt.Close)
-	ts := httptest.NewServer(rt)
-	closers = append(closers, ts.Close)
-	return ts.URL, nodeURLs, shutdown, nil
 }
 
 // target returns the base URL to drive and its teardown. With no -url an
@@ -667,19 +380,15 @@ func runBatch(base string, items []workItem, cfg config) (phaseResult, error) {
 	return res, nil
 }
 
-// postBatch posts one design batch and reads its NDJSON stream.
+// postBatch posts one design batch and reads its NDJSON stream, timing
+// each item line against the batch start. Items whose line reports an
+// error — and items missing entirely when the stream fails — count as
+// errors.
 func postBatch(base string, chunk []workItem) ([]time.Duration, int) {
-	return postNDJSONBatch(base+"/design/batch", map[string]any{"items": chunk}, len(chunk))
-}
-
-// postNDJSONBatch posts one batch payload and reads the NDJSON stream,
-// timing each item line against the batch start. Items whose line
-// reports an error — and items missing entirely when the stream fails —
-// count as errors.
-func postNDJSONBatch(url string, payload any, n int) ([]time.Duration, int) {
 	t0 := time.Now()
-	blob, _ := json.Marshal(payload)
-	resp, err := http.Post(url, "application/json", bytes.NewReader(blob))
+	n := len(chunk)
+	blob, _ := json.Marshal(map[string]any{"items": chunk})
+	resp, err := http.Post(base+"/design/batch", "application/json", bytes.NewReader(blob))
 	if err != nil {
 		return nil, n
 	}

@@ -31,74 +31,6 @@ func TestMakeWorkloadDeterministic(t *testing.T) {
 	}
 }
 
-// The genbench profile end to end: the all-unique generated mix must
-// finish error-free with exactly zero coalesce and cache hits (every
-// request body is distinct by construction), while the duplicate mix
-// against the same server configuration scores hits.
-func TestGenbenchProfileSmoke(t *testing.T) {
-	cfg := config{
-		mode: "genbench", n: 48, batch: 16, dup: 0.5,
-		concurrency: 4, seed: 11, repeat: 1,
-	}
-	var out bytes.Buffer
-	results, err := run(cfg, &out)
-	if err != nil {
-		t.Fatalf("run: %v\n%s", err, out.String())
-	}
-	if len(results) != 2 {
-		t.Fatalf("got %d results, want 2", len(results))
-	}
-	dup, hostile := results[0], results[1]
-	if dup.Name != "LoadgenGenbenchDup" || hostile.Name != "LoadgenGenbenchUnique" {
-		t.Fatalf("names: %q, %q", dup.Name, hostile.Name)
-	}
-	for _, r := range results {
-		if r.Errors != 0 {
-			t.Errorf("%s: %d errors\n%s", r.Name, r.Errors, out.String())
-		}
-		if r.Items != cfg.n || r.ItemsPerSec <= 0 {
-			t.Errorf("%s: bad stats %+v", r.Name, r)
-		}
-	}
-	if hostile.CoalesceHits != 0 || hostile.CacheHits != 0 {
-		t.Errorf("cache-hostile mix scored hits: coalesce %g cache %g",
-			hostile.CoalesceHits, hostile.CacheHits)
-	}
-	if hostile.UniqueItems != cfg.n {
-		t.Errorf("hostile mix has %d unique of %d items; want all unique", hostile.UniqueItems, cfg.n)
-	}
-	if dup.CoalesceHits+dup.CacheHits == 0 {
-		t.Errorf("duplicate mix scored no coalesce/cache hits: %+v", dup)
-	}
-}
-
-// The simulate workload is a pure function of the config, and at dup 0
-// every netlist is distinct.
-func TestMakeSimWorkloadDeterministic(t *testing.T) {
-	cfg := config{n: 30, seed: 5}
-	a, ua, err := makeSimWorkload(cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, ub, err := makeSimWorkload(cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ua != ub || len(a) != len(b) || ua != cfg.n {
-		t.Fatalf("sizes: %d/%d vs %d/%d", len(a), ua, len(b), ub)
-	}
-	uniq := map[string]bool{}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("item %d differs", i)
-		}
-		uniq[a[i].Netlist] = true
-	}
-	if len(uniq) != cfg.n {
-		t.Errorf("distinct netlists = %d, want %d", len(uniq), cfg.n)
-	}
-}
-
 // Compare mode end to end against the in-process server: the
 // duplicate-heavy batch phase must score coalesce or cache hits and both
 // phases must finish error-free.

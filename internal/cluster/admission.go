@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"context"
+	"errors"
 	"math"
 	"sort"
 	"sync"
@@ -95,8 +97,9 @@ func (c AdmissionConfig) withDefaults() AdmissionConfig {
 const overflowTenant = "!overflow"
 
 // Admission is the per-tenant admission controller: one token bucket
-// per tenant plus admit/shed counters. It decides only rate admission;
-// queue-capacity shedding stays with the jobs manager's bounded queue.
+// per tenant plus admit/shed counters. AdmitN runs an item through the
+// bucket and then the priority queue in front of the pool, so the
+// counters see each item's final outcome.
 type Admission struct {
 	cfg AdmissionConfig
 
@@ -143,11 +146,18 @@ func (a *Admission) tenant(name string) *tenantState {
 	return t
 }
 
-// AdmitN charges tenant n items against its bucket. A nil *Admission
-// admits everything.
-func (a *Admission) AdmitN(tenantName string, n int) Decision {
+// AdmitN charges tenant n items against its bucket and, when the bucket
+// pays, waits at priority pri for a lease on q. d reports the bucket's
+// decision; err is ErrShed when the wait queue is full and ctx.Err() when
+// the caller gives up while waiting. On success the returned release
+// must be called once the admitted work reaches a terminal state.
+//
+// The items count as admitted only once they hold the lease, and as shed
+// when the bucket or the wait queue refuses them; items whose caller gave
+// up count as neither. A nil *Admission admits everything.
+func (a *Admission) AdmitN(ctx context.Context, q *PQueue, tenantName string, n, pri int) (release func(), d Decision, err error) {
 	if a == nil {
-		return Decision{OK: true}
+		return func() {}, Decision{OK: true}, nil
 	}
 	if n < 1 {
 		n = 1
@@ -155,15 +165,19 @@ func (a *Admission) AdmitN(tenantName string, n int) Decision {
 	a.mu.Lock()
 	t := a.tenant(tenantName)
 	a.mu.Unlock()
-	ok, wait := t.bucket.TakeN(float64(n))
+	d.OK, d.RetryAfter = t.bucket.TakeN(float64(n))
+	if d.OK {
+		release, err = q.Acquire(ctx, tenantName, pri)
+	}
 	a.mu.Lock()
-	if ok {
+	switch {
+	case d.OK && err == nil:
 		t.admitted += int64(n)
-	} else {
+	case !d.OK || errors.Is(err, ErrShed):
 		t.shed += int64(n)
 	}
 	a.mu.Unlock()
-	return Decision{OK: ok, RetryAfter: wait}
+	return release, d, err
 }
 
 // TenantStats is the observable per-tenant admission state.

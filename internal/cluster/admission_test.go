@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -58,7 +59,7 @@ func TestAdmissionDisabled(t *testing.T) {
 		t.Fatal("Rate 0 should disable admission (nil controller)")
 	}
 	var a *Admission // nil = admit-all
-	if d := a.AdmitN("anyone", 100); !d.OK {
+	if _, d, err := a.AdmitN(context.Background(), nil, "anyone", 100, 0); !d.OK || err != nil {
 		t.Fatal("nil admission must admit everything")
 	}
 	if got := a.Snapshot(); got != nil {
@@ -69,23 +70,30 @@ func TestAdmissionDisabled(t *testing.T) {
 	}
 }
 
+// admitN runs one AdmitN against q with a background context.
+func admitN(a *Admission, q *PQueue, tenant string, n int) (Decision, error) {
+	_, d, err := a.AdmitN(context.Background(), q, tenant, n, 0)
+	return d, err
+}
+
 // TestAdmissionTenantIsolation: one tenant exhausting its bucket must
 // not shed another tenant's traffic.
 func TestAdmissionTenantIsolation(t *testing.T) {
 	clk := newFakeClock()
 	a := NewAdmission(AdmissionConfig{Rate: 1, Burst: 2, Now: clk.now})
+	q := NewPQueue(8, 1, nil)
 
-	if d := a.AdmitN("alice", 2); !d.OK {
+	if d, err := admitN(a, q, "alice", 2); !d.OK || err != nil {
 		t.Fatal("alice's burst refused")
 	}
-	d := a.AdmitN("alice", 1)
+	d, _ := admitN(a, q, "alice", 1)
 	if d.OK {
 		t.Fatal("alice admitted over rate")
 	}
 	if d.RetryAfter != time.Second {
 		t.Fatalf("alice RetryAfter = %v, want 1s", d.RetryAfter)
 	}
-	if d := a.AdmitN("bob", 2); !d.OK {
+	if d, err := admitN(a, q, "bob", 2); !d.OK || err != nil {
 		t.Fatal("bob shed because of alice's traffic")
 	}
 
@@ -107,13 +115,14 @@ func TestAdmissionTenantIsolation(t *testing.T) {
 func TestAdmissionOverflowTenant(t *testing.T) {
 	clk := newFakeClock()
 	a := NewAdmission(AdmissionConfig{Rate: 1, Burst: 1, MaxTenants: 2, Now: clk.now})
-	a.AdmitN("t1", 1)
-	a.AdmitN("t2", 1)
+	q := NewPQueue(8, 1, nil)
+	admitN(a, q, "t1", 1)
+	admitN(a, q, "t2", 1)
 	// Table full: t3 and t4 share the overflow bucket (burst 1 total).
-	if d := a.AdmitN("t3", 1); !d.OK {
+	if d, _ := admitN(a, q, "t3", 1); !d.OK {
 		t.Fatal("first overflow take refused")
 	}
-	if d := a.AdmitN("t4", 1); d.OK {
+	if d, _ := admitN(a, q, "t4", 1); d.OK {
 		t.Fatal("overflow bucket should be shared — t4 must be refused after t3 drained it")
 	}
 	snap := a.Snapshot()

@@ -18,8 +18,8 @@ import (
 // margin, while black-box search tends to stop on a constraint boundary,
 // so equal nominal performance can hide very different yields.
 //
-// Samples are embarrassingly parallel, so the run shards across workers
-// the same way mna.SweepParallel shards frequency points. Determinism
+// Samples are embarrassingly parallel, so the run can shard them across
+// workers in contiguous blocks, one Monte-Carlo session each. Determinism
 // contract: each sample derives its own RNG stream from (Seed, index)
 // via a splitmix64 mix and is measured independently, and per-sample
 // outcomes are aggregated in index order — so the result is byte-for-byte

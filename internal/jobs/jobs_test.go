@@ -361,24 +361,37 @@ func TestMapOrderAndDeterminism(t *testing.T) {
 	}
 }
 
+// TestMapFirstErrorAborts pins Map's abort contract: no item starts after
+// the first error is reported. Item 0 fails at once and every other item
+// blocks until its ctx is cancelled, so before the error each worker can
+// have started at most one item, and after it none may start: calls can
+// never exceed workers, whatever the schedule. The rounds repeat the race
+// between the error and the feeder handing out the next item: an item
+// handed out after the error must be skipped, not started.
 func TestMapFirstErrorAborts(t *testing.T) {
 	items := make([]int, 50)
 	for i := range items {
 		items[i] = i
 	}
-	var calls atomic.Int64
-	_, err := Map(context.Background(), 4, items, func(ctx context.Context, x int) (int, error) {
-		calls.Add(1)
-		if x == 3 {
-			return 0, fmt.Errorf("bad item %d", x)
+	for workers := 1; workers <= 4; workers++ {
+		for round := 0; round < 50; round++ {
+			var calls atomic.Int64
+			_, err := Map(context.Background(), workers, items, func(ctx context.Context, x int) (int, error) {
+				calls.Add(1)
+				if x == 0 {
+					return 0, fmt.Errorf("bad item %d", x)
+				}
+				<-ctx.Done()
+				return 0, ctx.Err()
+			})
+			if err == nil || !strings.Contains(err.Error(), "bad item 0") {
+				t.Fatalf("workers %d round %d: err = %v, want the failing item's error", workers, round, err)
+			}
+			if n := calls.Load(); n > int64(workers) {
+				t.Fatalf("workers %d round %d: %d items started, want at most %d (one per worker before the error)",
+					workers, round, n, workers)
+			}
 		}
-		return x, nil
-	})
-	if err == nil || !strings.Contains(err.Error(), "bad item 3") {
-		t.Fatalf("err = %v", err)
-	}
-	if calls.Load() >= 50 {
-		t.Errorf("error did not short-circuit: %d calls", calls.Load())
 	}
 }
 

@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"strconv"
-	"sync"
 
 	"artisan/internal/telemetry"
 )
@@ -17,22 +15,17 @@ type TFPoint struct {
 	H    complex128 // V(out) per unit excitation
 }
 
-// Sweeps shorter than this stay serial: goroutine startup would cost more
-// than the handful of small LU factorizations it saves.
-const parallelSweepMin = 32
-
 // Sweep computes the transfer function V(out) over a logarithmic frequency
 // sweep from fStart to fStop (Hz) with the given points per decade. The
 // excitation is the netlist's independent sources (normally a single 1 V
-// AC source), so H is V(out) directly. Sweeps long enough to amortize the
-// startup are partitioned across GOMAXPROCS workers, each with its own
-// Workspace; the output is byte-identical to the serial path. When ctx
-// carries a tracer the sweep is recorded as an "mna.sweep" span with the
-// matrix size and point count.
+// AC source), so H is V(out) directly. The points are solved in order on
+// one pooled Workspace, and the first failing frequency is the one
+// reported. When ctx carries a tracer the sweep is recorded as an
+// "mna.sweep" span with the matrix size and point count.
 func (c *Circuit) Sweep(ctx context.Context, out string, fStart, fStop float64, perDecade int) ([]TFPoint, error) {
 	_, span := telemetry.StartSpan(ctx, "mna.sweep")
 	defer span.End()
-	pts, err := c.SweepParallel(out, fStart, fStop, perDecade, 0)
+	pts, err := c.sweep(out, fStart, fStop, perDecade)
 	if span != nil { // untraced sweeps skip formatting the attributes
 		span.SetAttr("size", strconv.Itoa(c.Size()))
 		span.SetAttr("points", strconv.Itoa(len(pts)))
@@ -40,10 +33,8 @@ func (c *Circuit) Sweep(ctx context.Context, out string, fStart, fStop float64, 
 	return pts, err
 }
 
-// SweepParallel is Sweep with an explicit worker count: 0 means
-// GOMAXPROCS, 1 forces the serial path. Every point is an independent
-// deterministic solve, so the result does not depend on workers.
-func (c *Circuit) SweepParallel(out string, fStart, fStop float64, perDecade, workers int) ([]TFPoint, error) {
+// sweep is Sweep without the span.
+func (c *Circuit) sweep(out string, fStart, fStop float64, perDecade int) ([]TFPoint, error) {
 	// Negated so NaN fails; the ratio bound rejects +Inf and a range
 	// whose fStop/fStart overflows.
 	if !(fStart > 0 && fStop > fStart && fStop/fStart <= math.MaxFloat64) {
@@ -58,58 +49,14 @@ func (c *Circuit) SweepParallel(out string, fStart, fStop float64, perDecade, wo
 	}
 	freqs := logFreqs(fStart, fStop, perDecade)
 	pts := make([]TFPoint, len(freqs))
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(freqs) {
-		workers = len(freqs)
-	}
-
-	solveRange := func(w *Workspace, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			f := freqs[i]
-			x, err := w.SolveAt(Omega(f))
-			if err != nil {
-				return fmt.Errorf("mna: sweep at %g Hz: %w", f, err)
-			}
-			pts[i] = TFPoint{Freq: f, H: x[j]}
+	w := c.workspace()
+	defer c.release(w)
+	for i, f := range freqs {
+		x, err := w.SolveAt(Omega(f))
+		if err != nil {
+			return nil, fmt.Errorf("mna: sweep at %g Hz: %w", f, err)
 		}
-		return nil
-	}
-
-	if workers == 1 || len(freqs) < parallelSweepMin {
-		w := c.workspace()
-		defer c.release(w)
-		if err := solveRange(w, 0, len(freqs)); err != nil {
-			return nil, err
-		}
-		return pts, nil
-	}
-
-	// Contiguous chunks; per-worker error slots keep the reported error
-	// deterministic (the lowest failing frequency, as in the serial path).
-	errs := make([]error, workers)
-	chunk := (len(freqs) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		lo := wk * chunk
-		hi := min(lo+chunk, len(freqs))
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(wk, lo, hi int) {
-			defer wg.Done()
-			w := c.workspace()
-			defer c.release(w)
-			errs[wk] = solveRange(w, lo, hi)
-		}(wk, lo, hi)
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return nil, e
-		}
+		pts[i] = TFPoint{Freq: f, H: x[j]}
 	}
 	return pts, nil
 }

@@ -85,10 +85,11 @@ func TestWorkspaceAllocFree(t *testing.T) {
 	}
 }
 
-// TestSweepParallelMatchesSerial is the byte-identity property: across
-// random circuits and worker counts, the parallel sweep must reproduce
-// the serial sweep bit for bit.
-func TestSweepParallelMatchesSerial(t *testing.T) {
+// TestSweepMatchesVoltageAt is the byte-identity property of the sweep:
+// across random ladders, every swept point must equal a lone VoltageAt
+// solve at its frequency bit for bit, so reusing one workspace across the
+// points leaks no state from one solve into the next.
+func TestSweepMatchesVoltageAt(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		nl := netlist.New(fmt.Sprintf("ladder-%d", seed))
@@ -108,25 +109,22 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 			nl.AddG("Gx", "out", "0", "in", "0", 1e-4*(1+rng.Float64()))
 		}
 		c := compileOK(t, nl)
-		serial, err := c.SweepParallel("out", 1e-1, 1e9, 24, 1)
+		pts, err := c.Sweep(context.Background(), "out", 1e-1, 1e9, 24)
 		if err != nil {
-			t.Fatalf("seed %d: serial sweep: %v", seed, err)
+			t.Fatalf("seed %d: sweep: %v", seed, err)
 		}
-		for _, workers := range []int{0, 2, 3, 8} {
-			par, err := c.SweepParallel("out", 1e-1, 1e9, 24, workers)
+		if len(pts) != 241 {
+			t.Fatalf("seed %d: %d points, want 241", seed, len(pts))
+		}
+		for i, p := range pts {
+			h, err := c.VoltageAt("out", Omega(p.Freq))
 			if err != nil {
-				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
+				t.Fatalf("seed %d point %d: %v", seed, i, err)
 			}
-			if len(par) != len(serial) {
-				t.Fatalf("seed %d workers %d: %d points vs %d serial", seed, workers, len(par), len(serial))
-			}
-			for i := range par {
-				if math.Float64bits(par[i].Freq) != math.Float64bits(serial[i].Freq) ||
-					math.Float64bits(real(par[i].H)) != math.Float64bits(real(serial[i].H)) ||
-					math.Float64bits(imag(par[i].H)) != math.Float64bits(imag(serial[i].H)) {
-					t.Fatalf("seed %d workers %d point %d: %v vs serial %v",
-						seed, workers, i, par[i], serial[i])
-				}
+			if math.Float64bits(real(p.H)) != math.Float64bits(real(h)) ||
+				math.Float64bits(imag(p.H)) != math.Float64bits(imag(h)) {
+				t.Fatalf("seed %d point %d at %g Hz: swept %v vs lone solve %v",
+					seed, i, p.Freq, p.H, h)
 			}
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // doJSONHdr is doJSON plus request headers.
@@ -121,6 +122,88 @@ func TestTenantRateLimit(t *testing.T) {
 	} {
 		if !strings.Contains(string(metricsBody), want) {
 			t.Errorf("metrics missing %q", want)
+		}
+	}
+}
+
+// TestQueueShedNotAdmitted: an item counts as admitted only once it holds
+// a lease. With every lease held, one request waits in the single-slot
+// wait queue and the next is shed with 429: the shed must read as shed,
+// not admitted, and the waiter whose client gives up as neither. Once
+// the leases free up, a request is admitted.
+func TestQueueShedNotAdmitted(t *testing.T) {
+	s := NewWithOptions(Options{Workers: 1, Queue: 1, TenantRate: 1000})
+	// Workers 1 + Queue 1 = two leases; hold both so requests must wait.
+	var held []func()
+	for i := 0; i < 2; i++ {
+		release, err := s.pqueue.Acquire(context.Background(), "holder", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, release)
+	}
+	req := map[string]string{"group": "G-1"}
+	alice := map[string]string{"X-Tenant": "alice"}
+
+	ctx, giveUp := context.WithCancel(context.Background())
+	waited := make(chan int)
+	go func() {
+		hr := httptest.NewRequest("POST", "/design", strings.NewReader(`{"group":"G-1"}`)).WithContext(ctx)
+		hr.Header.Set("Content-Type", "application/json")
+		hr.Header.Set("X-Tenant", "alice")
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, hr)
+		waited <- rec.Code
+	}()
+	for s.pqueue.Waiting() != 1 {
+		time.Sleep(time.Millisecond)
+	}
+	rec, _ := doJSONHdr(t, s, "POST", "/design", req, alice)
+	if rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("request past a full wait queue = %d, want 429", rec.Code)
+	}
+	giveUp()
+	if code := <-waited; code != http.StatusServiceUnavailable {
+		t.Fatalf("waiter that gave up = %d, want 503", code)
+	}
+	for _, release := range held {
+		release()
+	}
+	if rec, body := doJSONHdr(t, s, "POST", "/design", req, alice); rec.Code != http.StatusOK {
+		t.Fatalf("request with free leases = %d: %s", rec.Code, body)
+	}
+
+	_, statsBody := doJSON(t, s, "GET", "/stats", nil)
+	var stats struct {
+		Admission struct {
+			Admitted int64 `json:"admitted"`
+			Shed     int64 `json:"shed"`
+			Tenants  []struct {
+				Tenant   string `json:"tenant"`
+				Admitted int64  `json:"admitted"`
+				Shed     int64  `json:"shed"`
+			} `json:"tenants"`
+		} `json:"admission"`
+	}
+	if err := json.Unmarshal(statsBody, &stats); err != nil {
+		t.Fatal(err)
+	}
+	adm := stats.Admission
+	if adm.Admitted != 1 || adm.Shed != 1 {
+		t.Errorf("/stats admission totals = %d admitted / %d shed, want 1/1", adm.Admitted, adm.Shed)
+	}
+	if len(adm.Tenants) != 1 || adm.Tenants[0].Admitted != 1 || adm.Tenants[0].Shed != 1 {
+		t.Errorf("/stats tenants = %+v, want alice with 1 admitted / 1 shed", adm.Tenants)
+	}
+	_, metricsBody := doJSON(t, s, "GET", "/metrics", nil)
+	for _, want := range []string{
+		"artisan_admission_admitted_total 1\n",
+		"artisan_admission_shed_total 1\n",
+		`artisan_admit_total{tenant="alice"} 1` + "\n",
+		`artisan_shed_total{tenant="alice",reason="queue"} 1` + "\n",
+	} {
+		if !strings.Contains(string(metricsBody), want) {
+			t.Errorf("metrics missing %q", strings.TrimSpace(want))
 		}
 	}
 }

@@ -27,11 +27,7 @@ var designDurationBuckets = telemetry.ExpBuckets(0.001, 4, 12)
 // middleware needs the HTTP instruments).
 func (s *Server) initTelemetry(o Options) {
 	s.reg = telemetry.NewRegistry()
-	traceCap := o.TraceCapacity
-	if traceCap < 1 {
-		traceCap = 64
-	}
-	s.tracer = telemetry.NewTracer(traceCap)
+	s.tracer = telemetry.NewTracer(traceCapacity)
 	s.httpm = telemetry.NewHTTPMetrics(s.reg)
 	s.accessLog = o.AccessLog
 

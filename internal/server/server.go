@@ -39,13 +39,19 @@ import (
 	"artisan/internal/telemetry"
 )
 
-// maxBodyBytes bounds every POST body (resource guard).
-const maxBodyBytes = 1 << 20 // 1 MiB
+// Resource guards: every POST body is bounded, and so is the
+// client-requested ToT width.
+const (
+	maxBodyBytes = 1 << 20 // 1 MiB
+	maxTreeWidth = 4
+)
+
+// traceCapacity bounds the ring buffer of recent design traces served by
+// GET /traces.
+const traceCapacity = 64
 
 // Options configures the service.
 type Options struct {
-	// MaxTreeWidth bounds client-requested ToT width (resource guard).
-	MaxTreeWidth int
 	// Workers sizes the design worker pool; default GOMAXPROCS.
 	Workers int
 	// Queue bounds the pending job queue; default 64.
@@ -73,9 +79,6 @@ type Options struct {
 	// AccessLog, when non-nil, receives one structured line per request
 	// (request id, method, route, status, bytes, latency).
 	AccessLog *slog.Logger
-	// TraceCapacity bounds the ring buffer of recent design traces served
-	// by GET /traces; default 64.
-	TraceCapacity int
 	// MaxBatch bounds the item count of one POST /design/batch or
 	// POST /simulate/batch request (oversized batches get 413); default 64.
 	MaxBatch int
@@ -100,8 +103,9 @@ type Options struct {
 	// ModelLatency, when positive, models the remote designer-LLM call
 	// latency inside each non-cached design run (the paper's deployment
 	// calls a remote fine-tuned GPT; the in-process domain model is
-	// instant). Used by loadgen's fleet mode to measure horizontal
-	// scaling under the latency-bound regime real LLM serving lives in.
+	// instant). The chaos fleet uses it to give each design run a
+	// duration that kills and partitions can interrupt, and
+	// artisan-server exposes it as -model-latency.
 	ModelLatency time.Duration
 	// StoreWriteFault, when non-nil, is injected into the persistent
 	// store as a simulated disk failure (see cluster.StoreOptions
@@ -116,11 +120,9 @@ type Options struct {
 
 // Server holds the service configuration.
 type Server struct {
-	mux *http.ServeMux
-	// MaxTreeWidth bounds client-requested ToT width (resource guard).
-	MaxTreeWidth int
-	jobs         *jobs.Manager
-	opts         Options
+	mux  *http.ServeMux
+	jobs *jobs.Manager
+	opts Options
 	// counters aggregates resilience events service-wide; each design
 	// session's per-run counters are merged in when the session ends.
 	counters *resilience.Counters
@@ -190,9 +192,6 @@ func NewWithOptions(o Options) *Server {
 // the distributed-tier wiring (persistent store replay, admission
 // control) when the corresponding options are set.
 func NewServer(o Options) (*Server, error) {
-	if o.MaxTreeWidth < 1 {
-		o.MaxTreeWidth = 4
-	}
 	if o.RetryMax < 1 {
 		o.RetryMax = 3
 	}
@@ -212,8 +211,7 @@ func NewServer(o Options) (*Server, error) {
 	}
 	counters := &resilience.Counters{}
 	s := &Server{
-		mux:          http.NewServeMux(),
-		MaxTreeWidth: o.MaxTreeWidth,
+		mux: http.NewServeMux(),
 		jobs: jobs.NewManager(jobs.Config{
 			Workers: o.Workers, Queue: o.Queue,
 			CacheSize: o.CacheSize, JobTimeout: o.JobTimeout,
@@ -518,15 +516,13 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, items int) (relea
 		return func() {}, true
 	}
 	tenant := tenantOf(r)
-	d := s.admission.AdmitN(tenant, items)
-	if !d.OK {
+	release, d, err := s.admission.AdmitN(r.Context(), s.pqueue, tenant, items, priorityOf(r))
+	switch {
+	case !d.OK:
 		s.sheds.With(tenant, "rate").Add(float64(items))
 		s.writeShed(w, http.StatusTooManyRequests, d.RetryAfter,
 			fmt.Errorf("tenant %q over rate limit", tenant))
 		return nil, false
-	}
-	release, err := s.pqueue.Acquire(r.Context(), tenant, priorityOf(r))
-	switch {
 	case errors.Is(err, cluster.ErrShed):
 		s.sheds.With(tenant, "queue").Add(float64(items))
 		s.writeShed(w, http.StatusTooManyRequests, 0, err)
@@ -669,8 +665,8 @@ func (s *Server) parseDesignRequest(req *DesignRequest) (spec.Spec, error) {
 	if req.TreeWidth < 1 {
 		req.TreeWidth = 1
 	}
-	if req.TreeWidth > s.MaxTreeWidth {
-		return sp, fmt.Errorf("treeWidth %d exceeds limit %d", req.TreeWidth, s.MaxTreeWidth)
+	if req.TreeWidth > maxTreeWidth {
+		return sp, fmt.Errorf("treeWidth %d exceeds limit %d", req.TreeWidth, maxTreeWidth)
 	}
 	if req.Temperature < 0 || req.Temperature > 1 {
 		return sp, fmt.Errorf("temperature %g out of [0,1]", req.Temperature)

@@ -2,10 +2,10 @@ package server
 
 // GET /topology/sample exposes the constrained random topology
 // generator over HTTP: a seeded, reproducible draw from the 2–4 stage
-// design space, returned with its elaborated netlist. The loadgen
-// genbench profile uses the same generator in-process; this endpoint
-// lets external harnesses (and curious humans) pull cache-hostile
-// workloads from a running node.
+// design space, returned with its elaborated netlist. perfbench's
+// circuit_sim workload draws from the same generator in-process; this
+// endpoint lets external harnesses (and curious humans) pull
+// cache-hostile workloads from a running node.
 
 import (
 	"encoding/json"
