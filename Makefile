@@ -22,18 +22,9 @@ test:
 	$(GO) test ./...
 	cd perfbench && $(GO) test -short ./...
 
-# The concurrency-heavy packages must stay race-clean. mna/measure are
-# here for the workspace pool concurrent analyses share; experiment for
-# the jobs.Map sweeps and the sharded Monte-Carlo yield;
-# backend/gmid/opt for the trials those sweeps run concurrently; server
-# for two nodes behind the router; llm for the knowledge index every
-# model shares. Keep in step with scripts/check.sh.
+# Every package must stay race-clean.
 race:
-	$(GO) test -race ./internal/jobs ./internal/server ./internal/experiment \
-		./internal/resilience ./internal/agents ./internal/telemetry \
-		./internal/mna ./internal/measure ./internal/sizing ./internal/cluster \
-		./internal/backend ./internal/gmid ./internal/opt \
-		./internal/topology ./internal/bench ./internal/llm
+	$(GO) test -race ./...
 
 # Chaos: the deterministic fault-injection suite run twice, then the
 # fleet chaos harness's long profile — a bigger fleet under a denser

@@ -145,75 +145,14 @@ func TestTunerRescuesDetunedDesign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Score(g1, tunedRep) < Score(g1, rep) {
-		t.Errorf("tuning made things worse: %g -> %g", Score(g1, rep), score)
+	if spec.Score(g1, tunedRep) < spec.Score(g1, rep) {
+		t.Errorf("tuning made things worse: %g -> %g", spec.Score(g1, rep), score)
 	}
 	if !g1.Satisfied(tunedRep) {
 		t.Logf("note: tuner improved but did not fully close spec: %v", tunedRep)
 	}
 	if tuned == nil {
 		t.Fatal("no tuned topology")
-	}
-}
-
-func TestScoreOrdering(t *testing.T) {
-	g1, _ := spec.Group("G-1")
-	pass := measure.Report{GainDB: 100, GBW: 1e6, PM: 60, Power: 50e-6, Stable: true}
-	closeFail := measure.Report{GainDB: 84, GBW: 1e6, PM: 60, Power: 50e-6, Stable: true}
-	farFail := measure.Report{GainDB: 40, GBW: 0.1e6, PM: 10, Power: 500e-6, Stable: false}
-	if Score(g1, pass) <= 0 {
-		t.Error("passing design should have positive score (FoM)")
-	}
-	if Score(g1, closeFail) <= Score(g1, farFail) {
-		t.Error("closer miss should score higher")
-	}
-}
-
-func TestCalculatorTool(t *testing.T) {
-	c := NewCalculator()
-	c.Env().Set("CL", 10e-12)
-	outStr, err := c.Invoke(context.Background(), "gm3 = 8*pi*1MEG*CL")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(outStr, "251.3") {
-		t.Errorf("calculator output %q", outStr)
-	}
-	if c.Name() != "calculator" || c.Describe() == "" {
-		t.Error("tool metadata broken")
-	}
-}
-
-func TestSimulatorToolOnText(t *testing.T) {
-	sim := NewSimulator()
-	src := `* one pole
-V1 in 0 AC 1
-G1 0 out in 0 1m
-Ro out 0 1MEG
-CL out 0 10p
-.end`
-	outStr, err := sim.Invoke(context.Background(), src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(outStr, "Gain=60.0dB") {
-		t.Errorf("simulator output %q", outStr)
-	}
-	if sim.Invocations != 1 {
-		t.Errorf("invocations = %d", sim.Invocations)
-	}
-	if _, err := sim.Invoke(context.Background(), "garbage"); err == nil {
-		t.Error("bad netlist accepted")
-	}
-}
-
-func TestTunerInvokeIsStructuredOnly(t *testing.T) {
-	tu := NewTuner(NewSimulator(), 1)
-	if _, err := tu.Invoke(context.Background(), "anything"); err == nil {
-		t.Error("text invoke should be refused")
-	}
-	if tu.Name() != "tuner" || tu.Describe() == "" {
-		t.Error("tool metadata broken")
 	}
 }
 

@@ -275,7 +275,7 @@ func (s *Session) Run(ctx context.Context) (*Outcome, error) {
 			return nil, fmt.Errorf("agents: session aborted: %w", err)
 		}
 		if best == nil || (a.ok && !best.ok) ||
-			(a.ok == best.ok && a.rep.GBW > 0 && Score(s.Spec, a.rep) > Score(s.Spec, best.rep)) {
+			(a.ok == best.ok && a.rep.GBW > 0 && spec.Score(s.Spec, a.rep) > spec.Score(s.Spec, best.rep)) {
 			best = a
 		}
 		if a.ok && width == 1 {
@@ -319,7 +319,7 @@ func (s *Session) Run(ctx context.Context) (*Outcome, error) {
 		if err != nil {
 			return nil, fmt.Errorf("agents: session aborted: %w", err)
 		}
-		if a.res != nil && (a.ok || Score(s.Spec, a.rep) > Score(s.Spec, best.rep)) {
+		if a.res != nil && (a.ok || spec.Score(s.Spec, a.rep) > spec.Score(s.Spec, best.rep)) {
 			best = a
 		}
 	}
@@ -343,7 +343,7 @@ func (s *Session) Run(ctx context.Context) (*Outcome, error) {
 		}
 		if err == nil {
 			tr.ToolCall("tuner", "tune "+best.arch, rep.String())
-			if s.Spec.Satisfied(rep) || score > Score(s.Spec, best.rep) {
+			if s.Spec.Satisfied(rep) || score > spec.Score(s.Spec, best.rep) {
 				best.res.Topo = tuned
 				best.rep = rep
 				best.ok = s.Spec.Satisfied(rep)

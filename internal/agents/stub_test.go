@@ -179,16 +179,3 @@ func TestSessionWidthPicksVerifiedBest(t *testing.T) {
 		t.Errorf("width-2 session picked %s (success=%v), want healthy NMC", out.Arch, out.Success)
 	}
 }
-
-func TestToolNames(t *testing.T) {
-	sim := NewSimulator()
-	if sim.Name() != "simulator" || sim.Describe() == "" {
-		t.Error("simulator metadata")
-	}
-	var tools = []Tool{NewCalculator(), sim, NewTuner(sim, 1)}
-	for _, tl := range tools {
-		if tl.Name() == "" || tl.Describe() == "" {
-			t.Errorf("tool %T metadata empty", tl)
-		}
-	}
-}

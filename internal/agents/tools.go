@@ -1,9 +1,9 @@
 // Package agents implements the multi-agent question-answer framework of
 // §3.3 (Fig. 5): an Artisan-Prompter that schedules design questions, a
 // designer agent wrapping an LLM (the Artisan-LLM or an off-the-shelf
-// baseline), and the third-party tools the LLM invokes by prompt
-// instruction — the calculator, the circuit simulator, and the
-// parameter-tuning tool. A Session runs the hierarchical flow: the
+// baseline), and the circuit simulator and parameter-tuning tool the
+// session calls directly (the CoT recipes in internal/design run the
+// calculator themselves). A Session runs the hierarchical flow: the
 // Tree-of-Thoughts architecture decision, the Chain-of-Thoughts design
 // flow, simulation-based verification, and the ToT modification decision.
 package agents
@@ -15,7 +15,6 @@ import (
 	"strings"
 
 	"artisan/internal/backend"
-	"artisan/internal/calc"
 	"artisan/internal/measure"
 	"artisan/internal/netlist"
 	"artisan/internal/resilience"
@@ -25,48 +24,9 @@ import (
 	"artisan/internal/topology"
 )
 
-// Tool is an auxiliary capability an agent can invoke by instruction.
-// Invocations take a context: tool backends are the slow, failure-prone
-// edge of the agent loop, and a cancelled session or an expired
-// per-stage deadline must stop them instead of wedging a worker.
-type Tool interface {
-	Name() string
-	Describe() string
-	Invoke(ctx context.Context, input string) (string, error)
-}
-
-// Calculator wraps a calc session as a tool (the Fig. 7 Q3→A3 helper).
-type Calculator struct {
-	sess *calc.Session
-}
-
-// NewCalculator returns a fresh calculator tool.
-func NewCalculator() *Calculator { return &Calculator{sess: calc.NewSession()} }
-
-// Name implements Tool.
-func (c *Calculator) Name() string { return "calculator" }
-
-// Describe implements Tool.
-func (c *Calculator) Describe() string {
-	return "evaluates engineering expressions and assignments, e.g. gm3 = 8*pi*GBW*CL"
-}
-
-// Invoke evaluates one expression line.
-func (c *Calculator) Invoke(ctx context.Context, input string) (string, error) {
-	if err := ctx.Err(); err != nil {
-		return "", err
-	}
-	_, span := telemetry.StartSpan(ctx, "tool.calculator")
-	defer span.End()
-	return c.sess.Run(input)
-}
-
-// Env exposes the underlying environment for preloading spec values.
-func (c *Calculator) Env() *calc.Env { return c.sess.Env() }
-
-// Simulator wraps the MNA engine as a tool; it parses a netlist, runs the
-// metric extraction and renders the report. It also counts invocations,
-// which drives the evaluation's modeled wall-clock time.
+// Simulator wraps the MNA engine as a tool: it runs the metric
+// extraction on a netlist and counts invocations, which drives the
+// evaluation's modeled wall-clock time.
 type Simulator struct {
 	Invocations int
 	// Faults, when non-nil, is the chaos-mode hook: every measurement
@@ -78,27 +38,6 @@ type Simulator struct {
 
 // NewSimulator returns a fresh simulator tool.
 func NewSimulator() *Simulator { return &Simulator{} }
-
-// Name implements Tool.
-func (s *Simulator) Name() string { return "simulator" }
-
-// Describe implements Tool.
-func (s *Simulator) Describe() string {
-	return "AC-simulates a behavioral netlist (output node 'out') and reports Gain/GBW/PM/Power"
-}
-
-// Invoke parses netlist text and measures it.
-func (s *Simulator) Invoke(ctx context.Context, input string) (string, error) {
-	nl, err := netlist.Parse(input)
-	if err != nil {
-		return "", fmt.Errorf("agents: simulator: %w", err)
-	}
-	rep, err := s.MeasureNetlist(ctx, nl)
-	if err != nil {
-		return "", err
-	}
-	return rep.String(), nil
-}
 
 // MeasureNetlist measures a parsed netlist at node "out".
 func (s *Simulator) MeasureNetlist(ctx context.Context, nl *netlist.Netlist) (measure.Report, error) {
@@ -157,26 +96,6 @@ func NewTuner(sim *Simulator, seed int64) *Tuner {
 	return &Tuner{Sim: sim, Budget: sizing.DefaultOptions(seed)}
 }
 
-// Name implements Tool.
-func (t *Tuner) Name() string { return "tuner" }
-
-// Describe implements Tool.
-func (t *Tuner) Describe() string {
-	return "Bayesian-optimization parameter tuning of a fixed topology against the spec"
-}
-
-// Invoke is informational; real invocations go through Tune.
-func (t *Tuner) Invoke(ctx context.Context, input string) (string, error) {
-	return "", fmt.Errorf("agents: tuner requires a structured topology; use Tune")
-}
-
-// Score is the constrained objective: the FoM when every spec is met,
-// otherwise the negative sum of relative violations. It delegates to
-// spec.Score, the canonical definition shared with the sizing backends.
-func Score(sp spec.Spec, rep measure.Report) float64 {
-	return spec.Score(sp, rep)
-}
-
 // Tune optimizes the topology's continuous parameters in log space within
 // ±4× of their current values. It returns the best topology found, its
 // report, and the achieved score.
@@ -233,7 +152,7 @@ func (t *Tuner) Tune(ctx context.Context, topo *topology.Topology, sp spec.Spec)
 		if err != nil {
 			return -100
 		}
-		return Score(sp, rep)
+		return spec.Score(sp, rep)
 	}}
 	res, err := sizing.Optimize(ctx, prob, t.Budget)
 	if err != nil {

@@ -11,7 +11,7 @@ import (
 
 func evalOK(t *testing.T, src string) float64 {
 	t.Helper()
-	v, err := EvalNew(src)
+	v, err := Eval(src, NewEnv())
 	if err != nil {
 		t.Fatalf("Eval(%q): %v", src, err)
 	}
@@ -105,7 +105,7 @@ func TestErrors(t *testing.T) {
 		"0 || 0", "@", "1..2",
 	}
 	for _, src := range bad {
-		if v, err := EvalNew(src); err == nil {
+		if v, err := Eval(src, NewEnv()); err == nil {
 			t.Errorf("Eval(%q) = %g, want error", src, v)
 		}
 	}
@@ -187,7 +187,7 @@ func TestNumberLiteralRoundTrip(t *testing.T) {
 		if v < 1e-15 || v > 1e12 || math.IsNaN(v) || math.IsInf(v, 0) {
 			return true
 		}
-		got, err := EvalNew(units.Format(v))
+		got, err := Eval(units.Format(v), NewEnv())
 		if err != nil {
 			return false
 		}

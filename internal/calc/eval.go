@@ -51,9 +51,6 @@ func Eval(src string, env *Env) (float64, error) {
 	return n.eval(env)
 }
 
-// EvalNew evaluates src in a fresh environment.
-func EvalNew(src string) (float64, error) { return Eval(src, NewEnv()) }
-
 func (n numNode) eval(env *Env) (float64, error) { return n.v, nil }
 
 func (n varNode) eval(env *Env) (float64, error) {

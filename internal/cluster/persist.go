@@ -130,7 +130,7 @@ func (p *PersistentManager) submit(kind string, payload json.RawMessage, opts jo
 		}
 		return ex.Run(ctx, payload)
 	}
-	j, shared, err := p.m.SubmitCoalesced(fn, opts)
+	j, shared, err := p.m.Submit(fn, opts)
 	if err != nil {
 		return nil, false, err
 	}

@@ -343,10 +343,10 @@ var errNoHealthyNode = errors.New("cluster: no healthy node")
 // attempts still available — spending them would outlive the client.
 var errBudgetExhausted = errors.New("cluster: deadline budget exhausted")
 
-// parseDeadlineMs parses an X-Deadline-Ms value; 0 means absent or
-// malformed (malformed budgets are ignored, not errors — a proxy must
-// not 400 traffic over an advisory header).
-func parseDeadlineMs(v string) time.Duration {
+// ParseDeadlineMs parses an X-Deadline-Ms value; 0 means absent or
+// malformed (malformed budgets are ignored, not errors — neither the
+// router nor a node may 400 traffic over an advisory header).
+func ParseDeadlineMs(v string) time.Duration {
 	ms, err := strconv.ParseInt(strings.TrimSpace(v), 10, 64)
 	if err != nil || ms <= 0 {
 		return 0
@@ -358,7 +358,7 @@ func parseDeadlineMs(v string) time.Duration {
 // X-Deadline-Ms wins, else DefaultDeadline is minted. The zero deadline
 // means unbudgeted.
 func (rt *Router) budgetCtx(r *http.Request) (context.Context, time.Time, context.CancelFunc) {
-	budget := parseDeadlineMs(r.Header.Get(DeadlineHeader))
+	budget := ParseDeadlineMs(r.Header.Get(DeadlineHeader))
 	if budget <= 0 {
 		budget = rt.cfg.DefaultDeadline
 	}
@@ -677,46 +677,81 @@ func (rt *Router) hedgedJobRead(w http.ResponseWriter, r *http.Request, owner *r
 	writeCaptured(w, c)
 }
 
+// errBadPayload marks a fan-out reply that is not JSON; /stats reports
+// it as the node's error.
+var errBadPayload = errors.New("bad stats payload")
+
+// nodeReply is one node's answer to a fan-out GET: a JSON body or the
+// error that stopped it.
+type nodeReply struct {
+	node *routerNode
+	body json.RawMessage
+	err  error
+}
+
+// fanout sends r to every node at once and returns their replies in URL
+// order. Each fetch runs under HealthTimeout, reads at most MaxBody and
+// must return JSON. With hedge set (and a positive HedgeDelay) a second
+// identical fetch races a slow first one.
+func (rt *Router) fanout(r *http.Request, nodes []*routerNode, hedge bool) []nodeReply {
+	out := make([]nodeReply, len(nodes))
+	var wg sync.WaitGroup
+	for i, n := range nodes {
+		out[i].node = n
+		wg.Add(1)
+		go func(rep *nodeReply) {
+			defer wg.Done()
+			fetch := func(ctx context.Context) (json.RawMessage, error) {
+				ctx, cancel := context.WithTimeout(ctx, rt.cfg.HealthTimeout)
+				defer cancel()
+				resp, err := rt.send(ctx, rep.node, r, nil, time.Time{})
+				if err != nil {
+					return nil, err
+				}
+				defer resp.Body.Close()
+				blob, err := io.ReadAll(io.LimitReader(resp.Body, rt.cfg.MaxBody))
+				if err != nil {
+					return nil, err
+				}
+				if !json.Valid(blob) {
+					return nil, errBadPayload
+				}
+				return blob, nil
+			}
+			if hedge && rt.cfg.HedgeDelay > 0 {
+				rep.body, rep.err = resilience.Hedge(r.Context(), rt.cfg.HedgeDelay, rt.cfg.Counters, fetch, fetch)
+			} else {
+				rep.body, rep.err = fetch(r.Context())
+			}
+		}(&out[i])
+	}
+	wg.Wait()
+	sort.Slice(out, func(i, j int) bool { return out[i].node.url < out[j].node.url })
+	return out
+}
+
 // handleJobsFanout merges GET /jobs from every healthy node, tagging
-// each job with its node.
+// each job with its node; a node that fails is left out.
 func (rt *Router) handleJobsFanout(w http.ResponseWriter, r *http.Request) {
 	type nodeJobs struct {
 		Node string          `json:"node"`
 		URL  string          `json:"url"`
 		Body json.RawMessage `json:"jobs"`
 	}
-	var (
-		mu  sync.Mutex
-		out []nodeJobs
-		wg  sync.WaitGroup
-	)
-	for _, n := range rt.healthyNodes() {
-		wg.Add(1)
-		go func(n *routerNode) {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.HealthTimeout)
-			defer cancel()
-			resp, err := rt.send(ctx, n, r, nil, time.Time{})
-			if err != nil {
-				return
-			}
-			defer resp.Body.Close()
-			blob, err := io.ReadAll(io.LimitReader(resp.Body, rt.cfg.MaxBody))
-			if err != nil || !json.Valid(blob) {
-				return
-			}
-			mu.Lock()
-			out = append(out, nodeJobs{Node: n.id(), URL: n.url, Body: blob})
-			mu.Unlock()
-		}(n)
+	var out []nodeJobs
+	for _, rep := range rt.fanout(r, rt.healthyNodes(), false) {
+		if rep.err == nil {
+			out = append(out, nodeJobs{Node: rep.node.id(), URL: rep.node.url, Body: rep.body})
+		}
 	}
-	wg.Wait()
-	sort.Slice(out, func(i, j int) bool { return out[i].URL < out[j].URL })
 	writeRouterJSON(w, http.StatusOK, map[string]any{"nodes": out})
 }
 
 // handleStatsFanout merges GET /stats from every node (down nodes are
-// reported with an error string).
+// reported with an error string). The per-node fetch is hedged: stats
+// are node-local so no other node can answer for it, but a second
+// identical probe papers over a dropped packet or a brownout pause on
+// the first.
 func (rt *Router) handleStatsFanout(w http.ResponseWriter, r *http.Request) {
 	type nodeStats struct {
 		Node    string          `json:"node,omitempty"`
@@ -725,55 +760,20 @@ func (rt *Router) handleStatsFanout(w http.ResponseWriter, r *http.Request) {
 		Stats   json.RawMessage `json:"stats,omitempty"`
 		Error   string          `json:"error,omitempty"`
 	}
-	var (
-		mu  sync.Mutex
-		out []nodeStats
-		wg  sync.WaitGroup
-	)
+	nodes := make([]*routerNode, 0, len(rt.nodes))
 	for _, n := range rt.nodes {
-		wg.Add(1)
-		go func(n *routerNode) {
-			defer wg.Done()
-			st := nodeStats{Node: n.id(), URL: n.url, Healthy: n.isHealthy()}
-			// The per-node fetch is hedged: stats are node-local so no other
-			// node can answer for it, but a second identical probe papers over
-			// a dropped packet or a brownout pause on the first.
-			fetch := func(ctx context.Context) (json.RawMessage, error) {
-				nctx, cancel := context.WithTimeout(ctx, rt.cfg.HealthTimeout)
-				defer cancel()
-				resp, err := rt.send(nctx, n, r, nil, time.Time{})
-				if err != nil {
-					return nil, err
-				}
-				defer resp.Body.Close()
-				blob, rerr := io.ReadAll(io.LimitReader(resp.Body, rt.cfg.MaxBody))
-				if rerr != nil {
-					return nil, rerr
-				}
-				if !json.Valid(blob) {
-					return nil, errors.New("bad stats payload")
-				}
-				return blob, nil
-			}
-			var blob json.RawMessage
-			var err error
-			if rt.cfg.HedgeDelay > 0 {
-				blob, err = resilience.Hedge(r.Context(), rt.cfg.HedgeDelay, rt.cfg.Counters, fetch, fetch)
-			} else {
-				blob, err = fetch(r.Context())
-			}
-			if err == nil {
-				st.Stats = blob
-			} else {
-				st.Error = err.Error()
-			}
-			mu.Lock()
-			out = append(out, st)
-			mu.Unlock()
-		}(n)
+		nodes = append(nodes, n)
 	}
-	wg.Wait()
-	sort.Slice(out, func(i, j int) bool { return out[i].URL < out[j].URL })
+	var out []nodeStats
+	for _, rep := range rt.fanout(r, nodes, true) {
+		st := nodeStats{Node: rep.node.id(), URL: rep.node.url, Healthy: rep.node.isHealthy()}
+		if rep.err == nil {
+			st.Stats = rep.body
+		} else {
+			st.Error = rep.err.Error()
+		}
+		out = append(out, st)
+	}
 	writeRouterJSON(w, http.StatusOK, map[string]any{"nodes": out})
 }
 

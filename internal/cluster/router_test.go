@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -362,6 +363,74 @@ func TestRouterStatsFanout(t *testing.T) {
 	for _, n := range out.Nodes {
 		if !n.Healthy || len(n.Stats) == 0 {
 			t.Fatalf("node %+v missing stats", n)
+		}
+	}
+}
+
+// TestRouterJobsFanout: GET /jobs merges every node's listing in URL
+// order and leaves out a node that is down or answers with invalid JSON.
+func TestRouterJobsFanout(t *testing.T) {
+	stub := func(id, jobs string) *fakeWorker {
+		w := &fakeWorker{id: id}
+		mux := http.NewServeMux()
+		mux.HandleFunc("GET /healthz", func(rw http.ResponseWriter, r *http.Request) {
+			_ = json.NewEncoder(rw).Encode(map[string]string{"node": id})
+		})
+		mux.HandleFunc("GET /jobs", func(rw http.ResponseWriter, r *http.Request) {
+			_, _ = io.WriteString(rw, jobs)
+		})
+		w.srv = httptest.NewServer(mux)
+		t.Cleanup(w.srv.Close)
+		return w
+	}
+	bodies := map[string]string{
+		"n1": `{"jobs":[{"id":"n1-j-1"}]}`,
+		"n2": `{"jobs":[{"id":"n2-j-1"},{"id":"n2-j-2"}]}`,
+	}
+	good := []*fakeWorker{stub("n1", bodies["n1"]), stub("n2", bodies["n2"])}
+	sort.Slice(good, func(i, j int) bool { return good[i].srv.URL < good[j].srv.URL })
+	garbled := stub("n3", `{"jobs":[`)
+	down := stub("n4", `{"jobs":[]}`)
+	down.srv.Close()
+	rt := newTestRouter(t, good[0], good[1], garbled, down)
+	// Node ids arrive with the first health probe.
+	for _, w := range good {
+		for deadline := time.Now().Add(5 * time.Second); rt.nodes[w.srv.URL].id() == ""; {
+			if time.Now().After(deadline) {
+				t.Fatalf("router never learned node %s's id", w.id)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	front := httptest.NewServer(rt)
+	defer front.Close()
+
+	resp, err := http.Get(front.URL + "/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out struct {
+		Nodes []struct {
+			Node string          `json:"node"`
+			URL  string          `json:"url"`
+			Jobs json.RawMessage `json:"jobs"`
+		} `json:"nodes"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Nodes) != len(good) {
+		var got []string
+		for _, n := range out.Nodes {
+			got = append(got, n.Node)
+		}
+		t.Fatalf("jobs fanout merged nodes %v, want n1 and n2", got)
+	}
+	for i, n := range out.Nodes {
+		w := good[i]
+		if n.Node != w.id || n.URL != w.srv.URL || string(n.Jobs) != bodies[w.id] {
+			t.Errorf("entry %d = {%s %s %s}, want {%s %s %s}", i, n.Node, n.URL, n.Jobs, w.id, w.srv.URL, bodies[w.id])
 		}
 	}
 }

@@ -48,16 +48,6 @@ type CornersReport struct {
 	Results []CornerResult
 }
 
-// AllPass reports whether every corner met the spec.
-func (r CornersReport) AllPass() bool {
-	for _, c := range r.Results {
-		if !c.Pass {
-			return false
-		}
-	}
-	return len(r.Results) > 0
-}
-
 // String renders a compact corner table.
 func (r CornersReport) String() string {
 	var b strings.Builder

@@ -58,14 +58,6 @@ type GenBenchRow struct {
 // PassRate renders "k/n".
 func (r GenBenchRow) PassRate() string { return fmt.Sprintf("%d/%d", r.GroundPass, r.Trials) }
 
-// GroundedFrac is the fraction of citations that checked out.
-func (r GenBenchRow) GroundedFrac() float64 {
-	if r.Citations == 0 {
-		return 0
-	}
-	return float64(r.Grounded) / float64(r.Citations)
-}
-
 // GenBenchTable is the full sweep result.
 type GenBenchTable struct {
 	Rows []GenBenchRow

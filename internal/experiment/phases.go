@@ -25,7 +25,6 @@ var spanPhase = map[string]string{
 	"llm.propose_knobs":         "llm-qa",
 	"llm.propose_modification":  "llm-qa",
 	"cot.design":                "design-flow",
-	"tool.calculator":           "calculation",
 	"tool.simulator":            "simulation",
 	"tool.tuner":                "tuning",
 	"gmid.map":                  "mapping",

@@ -24,28 +24,66 @@ func newTestManager(t *testing.T, cfg Config) *Manager {
 	return m
 }
 
+// batchItem is one unit of a test batch.
+type batchItem struct {
+	fn  Func
+	key string
+}
+
+// batchEntry is one item's submission outcome.
+type batchEntry struct {
+	job       *Job
+	coalesced bool
+	err       error
+}
+
+// submitBatch submits every item in order with coalescing on, the way
+// the server's batch endpoints submit theirs.
+func submitBatch(m *Manager, items []batchItem) []batchEntry {
+	out := make([]batchEntry, len(items))
+	for i, it := range items {
+		out[i].job, out[i].coalesced, out[i].err = m.Submit(it.fn, SubmitOpts{Key: it.key, Coalesce: true})
+	}
+	return out
+}
+
+// waitBatch waits for every entry in order; a rejected entry keeps its
+// submission error.
+func waitBatch(entries []batchEntry) ([]any, []error) {
+	results := make([]any, len(entries))
+	errs := make([]error, len(entries))
+	for i, e := range entries {
+		if e.err != nil {
+			errs[i] = e.err
+			continue
+		}
+		results[i], errs[i] = e.job.Wait(context.Background())
+	}
+	return results, errs
+}
+
 // A batch of duplicated keys runs each unique key's fn exactly once;
 // every duplicate either coalesces onto the in-flight run or hits the
 // result cache, and all of them observe the same result.
 func TestSubmitBatchCoalescesDuplicates(t *testing.T) {
 	m := newTestManager(t, Config{Workers: 4, Queue: 256, CacheSize: 64})
 	var runs atomic.Int64
-	mk := func(key string) BatchItem {
-		return BatchItem{
-			Fn: func(ctx context.Context) (any, error) {
+	mk := func(key string) batchItem {
+		return batchItem{
+			fn: func(ctx context.Context) (any, error) {
 				runs.Add(1)
 				time.Sleep(5 * time.Millisecond)
 				return key, nil
 			},
-			Opts: SubmitOpts{Key: key},
+			key: key,
 		}
 	}
-	var items []BatchItem
+	var items []batchItem
 	for i := 0; i < 24; i++ {
 		items = append(items, mk(fmt.Sprintf("k-%d", i%3)))
 	}
-	entries := m.SubmitBatch(items)
-	results, errs := WaitBatch(context.Background(), entries)
+	entries := submitBatch(m, items)
+	results, errs := waitBatch(entries)
 	for i := range entries {
 		if errs[i] != nil {
 			t.Fatalf("item %d: %v", i, errs[i])
@@ -81,20 +119,20 @@ func TestConcurrentBatchesRunOncePerKey(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
 			order := rng.Perm(uniqueKeys)
-			items := make([]BatchItem, uniqueKeys)
+			items := make([]batchItem, uniqueKeys)
 			for i, k := range order {
 				k := k
-				items[i] = BatchItem{
-					Fn: func(ctx context.Context) (any, error) {
+				items[i] = batchItem{
+					fn: func(ctx context.Context) (any, error) {
 						runs[k].Add(1)
 						time.Sleep(3 * time.Millisecond)
 						return k, nil
 					},
-					Opts: SubmitOpts{Key: fmt.Sprintf("spec-%d", k)},
+					key: fmt.Sprintf("spec-%d", k),
 				}
 			}
-			entries := m.SubmitBatch(items)
-			results, errs := WaitBatch(context.Background(), entries)
+			entries := submitBatch(m, items)
+			results, errs := waitBatch(entries)
 			for i := range entries {
 				if errs[i] != nil {
 					t.Errorf("submitter %d item %d: %v", g, i, errs[i])
@@ -118,76 +156,28 @@ func TestConcurrentBatchesRunOncePerKey(t *testing.T) {
 	}
 }
 
-// A full queue rejects per item; the rest of the batch still runs.
-func TestSubmitBatchQueueFullIsPerItem(t *testing.T) {
-	m := newTestManager(t, Config{Workers: 1, Queue: 1, CacheSize: 4})
-	release := make(chan struct{})
-	blocker, err := m.Submit(func(ctx context.Context) (any, error) {
-		<-release
-		return nil, nil
-	}, SubmitOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for blocker.Status() != StatusRunning {
-		time.Sleep(time.Millisecond)
-	}
-	// Worker is busy; queue holds one. Three distinct items: one queues,
-	// the rest are rejected individually.
-	var items []BatchItem
-	for i := 0; i < 3; i++ {
-		i := i
-		items = append(items, BatchItem{
-			Fn:   func(ctx context.Context) (any, error) { return i, nil },
-			Opts: SubmitOpts{Key: fmt.Sprintf("q-%d", i)},
-		})
-	}
-	entries := m.SubmitBatch(items)
-	close(release)
-	if _, err := blocker.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	accepted, rejected := 0, 0
-	for i, e := range entries {
-		switch {
-		case e.Err == nil:
-			accepted++
-			if _, err := e.Job.Wait(context.Background()); err != nil {
-				t.Errorf("accepted item %d failed: %v", i, err)
-			}
-		case errors.Is(e.Err, ErrQueueFull):
-			rejected++
-		default:
-			t.Errorf("item %d: unexpected error %v", i, e.Err)
-		}
-	}
-	if accepted != 1 || rejected != 2 {
-		t.Errorf("accepted %d rejected %d, want 1 and 2", accepted, rejected)
-	}
-}
-
 // A failed leader is dropped from the coalescing map, so a later
 // same-key submission retries instead of inheriting the stale failure.
 func TestCoalesceClearsFailedLeader(t *testing.T) {
 	m := newTestManager(t, Config{Workers: 1, Queue: 8, CacheSize: 4})
 	boom := errors.New("boom")
-	fail := BatchItem{
-		Fn:   func(ctx context.Context) (any, error) { return nil, boom },
-		Opts: SubmitOpts{Key: "flaky"},
+	fail := batchItem{
+		fn:  func(ctx context.Context) (any, error) { return nil, boom },
+		key: "flaky",
 	}
-	entries := m.SubmitBatch([]BatchItem{fail})
-	if _, err := entries[0].Job.Wait(context.Background()); !errors.Is(err, boom) {
+	entries := submitBatch(m, []batchItem{fail})
+	if _, err := entries[0].job.Wait(context.Background()); !errors.Is(err, boom) {
 		t.Fatalf("leader err = %v, want boom", err)
 	}
-	ok := BatchItem{
-		Fn:   func(ctx context.Context) (any, error) { return "fine", nil },
-		Opts: SubmitOpts{Key: "flaky"},
+	ok := batchItem{
+		fn:  func(ctx context.Context) (any, error) { return "fine", nil },
+		key: "flaky",
 	}
-	entries = m.SubmitBatch([]BatchItem{ok})
-	if entries[0].Coalesced {
+	entries = submitBatch(m, []batchItem{ok})
+	if entries[0].coalesced {
 		t.Error("retry coalesced onto the failed leader")
 	}
-	if v, err := entries[0].Job.Wait(context.Background()); err != nil || v != "fine" {
+	if v, err := entries[0].job.Wait(context.Background()); err != nil || v != "fine" {
 		t.Fatalf("retry: %v, %v", v, err)
 	}
 }
@@ -197,23 +187,21 @@ func TestCoalesceClearsFailedLeader(t *testing.T) {
 func TestCoalescedWaiterCancelDoesNotCancelJob(t *testing.T) {
 	m := newTestManager(t, Config{Workers: 1, Queue: 8, CacheSize: 4})
 	release := make(chan struct{})
-	items := []BatchItem{
-		{Fn: func(ctx context.Context) (any, error) { <-release; return 42, nil },
-			Opts: SubmitOpts{Key: "shared"}},
-		{Fn: func(ctx context.Context) (any, error) { return nil, errors.New("must not run") },
-			Opts: SubmitOpts{Key: "shared"}},
+	items := []batchItem{
+		{fn: func(ctx context.Context) (any, error) { <-release; return 42, nil }, key: "shared"},
+		{fn: func(ctx context.Context) (any, error) { return nil, errors.New("must not run") }, key: "shared"},
 	}
-	entries := m.SubmitBatch(items)
-	if !entries[1].Coalesced {
+	entries := submitBatch(m, items)
+	if !entries[1].coalesced {
 		t.Fatal("second item did not coalesce")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := entries[1].Job.Wait(ctx); !errors.Is(err, context.Canceled) {
+	if _, err := entries[1].job.Wait(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled waiter err = %v", err)
 	}
 	close(release)
-	if v, err := entries[0].Job.Wait(context.Background()); err != nil || v != 42 {
+	if v, err := entries[0].job.Wait(context.Background()); err != nil || v != 42 {
 		t.Fatalf("leader: %v, %v", v, err)
 	}
 }

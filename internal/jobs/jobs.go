@@ -65,8 +65,6 @@ type Job struct {
 	result   any
 	err      error
 	cached   bool
-	attempts int
-	lastErr  string
 	created  time.Time
 	started  time.Time
 	finished time.Time
@@ -92,11 +90,6 @@ type Snapshot struct {
 	Cached bool
 	Result any
 	Err    string
-	// Attempts counts how many times the job's fn was invoked (0 for a
-	// cache hit); LastErr keeps the most recent attempt's error even
-	// after a later attempt succeeds, so flaky runs stay diagnosable.
-	Attempts int
-	LastErr  string
 	// RequestID correlates the job with the HTTP request that submitted
 	// it (the X-Request-ID header); empty for jobs submitted outside a
 	// request context.
@@ -115,9 +108,8 @@ func (j *Job) Snapshot() Snapshot {
 	defer j.mu.Unlock()
 	s := Snapshot{
 		ID: j.id, Status: j.status, Cached: j.cached, Result: j.result,
-		Attempts: j.attempts, LastErr: j.lastErr, RequestID: j.requestID,
-		Created: j.created, Started: j.started, Finished: j.finished,
-		Deadline: j.deadline,
+		RequestID: j.requestID, Created: j.created, Started: j.started,
+		Finished: j.finished, Deadline: j.deadline,
 	}
 	if j.err != nil {
 		s.Err = j.err.Error()
@@ -169,10 +161,6 @@ type Config struct {
 	// Retain bounds how many terminal jobs are kept for GET /jobs
 	// introspection before the oldest are pruned. Default 1024.
 	Retain int
-	// MaxAttempts re-invokes a failing job fn up to this many times
-	// before the job is marked failed. Cancellation is never retried.
-	// Default 1 (fail on first error).
-	MaxAttempts int
 	// IDPrefix, when set, prefixes job ids as "<prefix>-j-<n>". In a
 	// multi-node fleet the prefix is the node id, which makes job ids
 	// unique fleet-wide and lets the router map an id back to its owner.
@@ -191,9 +179,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Retain < 1 {
 		c.Retain = 1024
-	}
-	if c.MaxAttempts < 1 {
-		c.MaxAttempts = 1
 	}
 	return c
 }
@@ -307,17 +292,11 @@ type SubmitOpts struct {
 }
 
 // Submit enqueues fn. It never blocks: when the pending queue is full it
-// returns ErrQueueFull so the caller can shed load.
-func (m *Manager) Submit(fn Func, opts SubmitOpts) (*Job, error) {
-	j, _, err := m.SubmitCoalesced(fn, opts)
-	return j, err
-}
-
-// SubmitCoalesced is Submit plus a report of whether the returned job is
-// a shared in-flight job another submission already started (only
-// possible with opts.Coalesce). Cancelling a shared job cancels it for
-// every waiter attached to it.
-func (m *Manager) SubmitCoalesced(fn Func, opts SubmitOpts) (*Job, bool, error) {
+// returns ErrQueueFull so the caller can shed load. The bool reports
+// whether the returned job is a shared in-flight job another submission
+// already started (only possible with opts.Coalesce). Cancelling a
+// shared job cancels it for every waiter attached to it.
+func (m *Manager) Submit(fn Func, opts SubmitOpts) (*Job, bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
@@ -526,24 +505,7 @@ func (m *Manager) run(j *Job) {
 	j.mu.Unlock()
 	defer cancel()
 
-	var (
-		result any
-		err    error
-	)
-	for attempt := 1; attempt <= m.cfg.MaxAttempts; attempt++ {
-		j.mu.Lock()
-		j.attempts = attempt
-		j.mu.Unlock()
-		result, err = m.invoke(ctx, j)
-		if err != nil {
-			j.mu.Lock()
-			j.lastErr = err.Error()
-			j.mu.Unlock()
-		}
-		if err == nil || ctx.Err() != nil || errors.Is(err, context.Canceled) {
-			break
-		}
-	}
+	result, err := m.invoke(ctx, j)
 	switch {
 	case err == nil:
 		if j.key != "" {

@@ -26,7 +26,7 @@ func TestSubmitPollDone(t *testing.T) {
 	m := NewManager(Config{Workers: 2, Queue: 8})
 	defer m.Shutdown(context.Background())
 
-	j, err := m.Submit(func(ctx context.Context) (any, error) { return 41 + 1, nil }, SubmitOpts{})
+	j, _, err := m.Submit(func(ctx context.Context) (any, error) { return 41 + 1, nil }, SubmitOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestFailedJob(t *testing.T) {
 	defer m.Shutdown(context.Background())
 
 	boom := errors.New("boom")
-	j, _ := m.Submit(func(ctx context.Context) (any, error) { return nil, boom }, SubmitOpts{})
+	j, _, _ := m.Submit(func(ctx context.Context) (any, error) { return nil, boom }, SubmitOpts{})
 	if _, err := j.Wait(context.Background()); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
@@ -58,7 +58,7 @@ func TestPanicRecovery(t *testing.T) {
 	m := NewManager(Config{Workers: 1})
 	defer m.Shutdown(context.Background())
 
-	j, _ := m.Submit(func(ctx context.Context) (any, error) { panic("kaboom") }, SubmitOpts{})
+	j, _, _ := m.Submit(func(ctx context.Context) (any, error) { panic("kaboom") }, SubmitOpts{})
 	_, err := j.Wait(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "kaboom") {
 		t.Fatalf("err = %v", err)
@@ -67,7 +67,7 @@ func TestPanicRecovery(t *testing.T) {
 		t.Errorf("status = %s", j.Status())
 	}
 	// The worker must survive the panic and run the next job.
-	j2, _ := m.Submit(func(ctx context.Context) (any, error) { return "ok", nil }, SubmitOpts{})
+	j2, _, _ := m.Submit(func(ctx context.Context) (any, error) { return "ok", nil }, SubmitOpts{})
 	if res, err := j2.Wait(context.Background()); err != nil || res != "ok" {
 		t.Fatalf("post-panic job: %v, %v", res, err)
 	}
@@ -78,7 +78,7 @@ func TestCancelMidRun(t *testing.T) {
 	defer m.Shutdown(context.Background())
 
 	started := make(chan struct{})
-	j, _ := m.Submit(func(ctx context.Context) (any, error) {
+	j, _, _ := m.Submit(func(ctx context.Context) (any, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
@@ -103,14 +103,14 @@ func TestCancelQueued(t *testing.T) {
 	defer m.Shutdown(context.Background())
 
 	release := make(chan struct{})
-	blocker, _ := m.Submit(func(ctx context.Context) (any, error) {
+	blocker, _, _ := m.Submit(func(ctx context.Context) (any, error) {
 		<-release
 		return nil, nil
 	}, SubmitOpts{})
 	waitStatus(t, blocker, StatusRunning)
 
 	var ran atomic.Bool
-	queued, _ := m.Submit(func(ctx context.Context) (any, error) {
+	queued, _, _ := m.Submit(func(ctx context.Context) (any, error) {
 		ran.Store(true)
 		return nil, nil
 	}, SubmitOpts{})
@@ -140,12 +140,12 @@ func TestQueueFullBackpressure(t *testing.T) {
 
 	release := make(chan struct{})
 	block := func(ctx context.Context) (any, error) { <-release; return nil, nil }
-	running, _ := m.Submit(block, SubmitOpts{})
+	running, _, _ := m.Submit(block, SubmitOpts{})
 	waitStatus(t, running, StatusRunning)
-	if _, err := m.Submit(block, SubmitOpts{}); err != nil { // fills the queue
+	if _, _, err := m.Submit(block, SubmitOpts{}); err != nil { // fills the queue
 		t.Fatal(err)
 	}
-	if _, err := m.Submit(block, SubmitOpts{}); !errors.Is(err, ErrQueueFull) {
+	if _, _, err := m.Submit(block, SubmitOpts{}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("err = %v, want ErrQueueFull", err)
 	}
 	close(release)
@@ -160,11 +160,11 @@ func TestCacheHitSkipsRun(t *testing.T) {
 		runs.Add(1)
 		return "result", nil
 	}
-	j1, _ := m.Submit(fn, SubmitOpts{Key: "k1"})
+	j1, _, _ := m.Submit(fn, SubmitOpts{Key: "k1"})
 	if res, err := j1.Wait(context.Background()); err != nil || res != "result" {
 		t.Fatal(res, err)
 	}
-	j2, err := m.Submit(fn, SubmitOpts{Key: "k1"})
+	j2, _, err := m.Submit(fn, SubmitOpts{Key: "k1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,9 +190,9 @@ func TestFailedResultNotCached(t *testing.T) {
 		runs.Add(1)
 		return nil, errors.New("transient")
 	}
-	j1, _ := m.Submit(fn, SubmitOpts{Key: "k"})
+	j1, _, _ := m.Submit(fn, SubmitOpts{Key: "k"})
 	j1.Wait(context.Background())
-	j2, _ := m.Submit(fn, SubmitOpts{Key: "k"})
+	j2, _, _ := m.Submit(fn, SubmitOpts{Key: "k"})
 	j2.Wait(context.Background())
 	if runs.Load() != 2 {
 		t.Errorf("fn ran %d times, want 2 (failures must not be cached)", runs.Load())
@@ -203,7 +203,7 @@ func TestJobTimeout(t *testing.T) {
 	m := NewManager(Config{Workers: 1, JobTimeout: 20 * time.Millisecond})
 	defer m.Shutdown(context.Background())
 
-	j, _ := m.Submit(func(ctx context.Context) (any, error) {
+	j, _, _ := m.Submit(func(ctx context.Context) (any, error) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}, SubmitOpts{})
@@ -220,7 +220,7 @@ func TestListAndCounts(t *testing.T) {
 	defer m.Shutdown(context.Background())
 
 	for i := 0; i < 3; i++ {
-		j, err := m.Submit(func(ctx context.Context) (any, error) { return nil, nil }, SubmitOpts{})
+		j, _, err := m.Submit(func(ctx context.Context) (any, error) { return nil, nil }, SubmitOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,7 +252,7 @@ func TestRetentionPruning(t *testing.T) {
 	defer m.Shutdown(context.Background())
 
 	for i := 0; i < 10; i++ {
-		j, err := m.Submit(func(ctx context.Context) (any, error) { return nil, nil }, SubmitOpts{})
+		j, _, err := m.Submit(func(ctx context.Context) (any, error) { return nil, nil }, SubmitOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,7 +268,7 @@ func TestShutdownDrains(t *testing.T) {
 	var done atomic.Int64
 	var js []*Job
 	for i := 0; i < 6; i++ {
-		j, err := m.Submit(func(ctx context.Context) (any, error) {
+		j, _, err := m.Submit(func(ctx context.Context) (any, error) {
 			time.Sleep(5 * time.Millisecond)
 			done.Add(1)
 			return nil, nil
@@ -284,7 +284,7 @@ func TestShutdownDrains(t *testing.T) {
 	if done.Load() != 6 {
 		t.Errorf("drained %d/6 jobs", done.Load())
 	}
-	if _, err := m.Submit(func(ctx context.Context) (any, error) { return nil, nil }, SubmitOpts{}); !errors.Is(err, ErrShutdown) {
+	if _, _, err := m.Submit(func(ctx context.Context) (any, error) { return nil, nil }, SubmitOpts{}); !errors.Is(err, ErrShutdown) {
 		t.Errorf("submit after shutdown = %v", err)
 	}
 	if err := m.Shutdown(context.Background()); err != nil {
@@ -300,7 +300,7 @@ func TestShutdownDrains(t *testing.T) {
 func TestShutdownDeadlineCancelsRunning(t *testing.T) {
 	m := NewManager(Config{Workers: 1})
 	started := make(chan struct{})
-	j, _ := m.Submit(func(ctx context.Context) (any, error) {
+	j, _, _ := m.Submit(func(ctx context.Context) (any, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
@@ -417,79 +417,5 @@ func TestMapEmptyAndContext(t *testing.T) {
 		return x, ctx.Err()
 	}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled map: %v", err)
-	}
-}
-
-func TestMaxAttemptsRetriesUntilSuccess(t *testing.T) {
-	m := NewManager(Config{Workers: 1, MaxAttempts: 3})
-	defer m.Shutdown(context.Background())
-	calls := 0
-	j, err := m.Submit(func(context.Context) (any, error) {
-		calls++
-		if calls < 3 {
-			return nil, errors.New("flaky")
-		}
-		return "ok", nil
-	}, SubmitOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := j.Wait(context.Background())
-	if err != nil || v != "ok" {
-		t.Fatalf("wait: %v, %v", v, err)
-	}
-	s := j.Snapshot()
-	if s.Attempts != 3 {
-		t.Errorf("attempts = %d, want 3", s.Attempts)
-	}
-	if s.LastErr != "flaky" {
-		t.Errorf("lastErr = %q, want the last failed attempt kept", s.LastErr)
-	}
-	if s.Status != StatusDone {
-		t.Errorf("status = %s", s.Status)
-	}
-}
-
-func TestMaxAttemptsExhausted(t *testing.T) {
-	m := NewManager(Config{Workers: 1, MaxAttempts: 2})
-	defer m.Shutdown(context.Background())
-	calls := 0
-	j, _ := m.Submit(func(context.Context) (any, error) {
-		calls++
-		return nil, errors.New("always down")
-	}, SubmitOpts{})
-	if _, err := j.Wait(context.Background()); err == nil {
-		t.Fatal("want error")
-	}
-	if calls != 2 {
-		t.Errorf("calls = %d, want 2", calls)
-	}
-	s := j.Snapshot()
-	if s.Status != StatusFailed || s.Attempts != 2 || s.LastErr != "always down" {
-		t.Errorf("snapshot = %+v", s)
-	}
-}
-
-func TestMaxAttemptsNeverRetriesCancellation(t *testing.T) {
-	m := NewManager(Config{Workers: 1, MaxAttempts: 5})
-	defer m.Shutdown(context.Background())
-	calls := 0
-	started := make(chan struct{})
-	j, _ := m.Submit(func(ctx context.Context) (any, error) {
-		calls++
-		close(started)
-		<-ctx.Done()
-		return nil, ctx.Err()
-	}, SubmitOpts{})
-	<-started
-	if err := m.Cancel(j.ID()); err != nil {
-		t.Fatal(err)
-	}
-	_, _ = j.Wait(context.Background())
-	if calls != 1 {
-		t.Errorf("cancelled job retried: calls = %d", calls)
-	}
-	if j.Status() != StatusCancelled {
-		t.Errorf("status = %s", j.Status())
 	}
 }

@@ -304,29 +304,3 @@ func (n *Netlist) Validate() error {
 	}
 	return nil
 }
-
-// Degree returns, for each node, the number of device terminals attached
-// (control terminals included).
-func (n *Netlist) Degree() map[string]int {
-	deg := map[string]int{}
-	for _, d := range n.Devices {
-		for _, nd := range d.Nodes {
-			deg[nd]++
-		}
-	}
-	return deg
-}
-
-// DevicesAt returns the names of devices with any terminal on the node.
-func (n *Netlist) DevicesAt(node string) []string {
-	var out []string
-	for _, d := range n.Devices {
-		for _, nd := range d.Nodes {
-			if nd == node {
-				out = append(out, d.Name)
-				break
-			}
-		}
-	}
-	return out
-}

@@ -234,27 +234,6 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestDegreeAndDevicesAt(t *testing.T) {
-	n := buildNMC()
-	deg := n.Degree()
-	if deg["out"] < 5 {
-		t.Errorf("out degree = %d, want >= 5", deg["out"])
-	}
-	at := n.DevicesAt("out")
-	found := false
-	for _, name := range at {
-		if name == "CL" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("DevicesAt(out) = %v, missing CL", at)
-	}
-	if len(n.DevicesAt("nonexistent")) != 0 {
-		t.Error("DevicesAt on unknown node should be empty")
-	}
-}
-
 // Property: random RC ladder netlists round-trip through text.
 func TestRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {

@@ -83,8 +83,7 @@ func (s *Server) handleDesignBatch(w http.ResponseWriter, r *http.Request) {
 	requestID := telemetry.RequestIDOf(r.Context())
 	var (
 		invalid []BatchItemResult
-		entries []jobs.BatchEntry
-		idxOf   []int // submitted position → original item index
+		entries []batchEntry
 	)
 	for i := range req.Items {
 		sp, err := s.parseDesignRequest(&req.Items[i])
@@ -92,15 +91,14 @@ func (s *Server) handleDesignBatch(w http.ResponseWriter, r *http.Request) {
 			invalid = append(invalid, BatchItemResult{Index: i, Error: err.Error()})
 			continue
 		}
-		// Coalescing forced on, exactly like jobs.SubmitBatch; routing
-		// through submitDesignJob keeps batch items journaled when the
-		// persistent store is enabled. The whole batch shares the
-		// request's X-Deadline-Ms budget.
-		j, shared, err := s.submitDesignJob(sp, req.Items[i], requestID, true, deadlineOf(r))
-		entries = append(entries, jobs.BatchEntry{Job: j, Coalesced: shared, Err: err})
-		idxOf = append(idxOf, i)
+		// Coalescing on; routing through submitDesignJob keeps batch items
+		// journaled when the persistent store is enabled. The whole batch
+		// shares the request's X-Deadline-Ms budget.
+		e := batchEntry{idx: i}
+		e.job, e.coalesced, e.err = s.submitDesignJob(sp, req.Items[i], requestID, true, deadlineOf(r))
+		entries = append(entries, e)
 	}
-	s.streamBatch(w, r, "design", len(req.Items), invalid, idxOf, entries,
+	s.streamBatch(w, r, "design", len(req.Items), invalid, entries,
 		func(line *BatchItemResult, v any) {
 			line.Design = v.(*DesignResponse)
 		})
@@ -124,33 +122,33 @@ func (s *Server) handleSimulateBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	requestID := telemetry.RequestIDOf(r.Context())
-	items := make([]jobs.BatchItem, len(req.Items))
-	idxOf := make([]int, len(req.Items))
+	entries := make([]batchEntry, len(req.Items))
 	for i := range req.Items {
 		if req.Items[i].Out == "" {
 			req.Items[i].Out = "out"
 		}
 		item := req.Items[i]
-		items[i] = jobs.BatchItem{
-			Fn: func(ctx context.Context) (any, error) {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				nl, err := netlist.Parse(item.Netlist)
-				if err != nil {
-					return nil, err
-				}
-				rep, err := measure.Analyze(nl, item.Out)
-				if err != nil {
-					return nil, err
-				}
-				return toMetricsJSON(rep), nil
-			},
-			Opts: jobs.SubmitOpts{Key: simulateKey(item), RequestID: requestID},
+		fn := func(ctx context.Context) (any, error) {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			nl, err := netlist.Parse(item.Netlist)
+			if err != nil {
+				return nil, err
+			}
+			rep, err := measure.Analyze(nl, item.Out)
+			if err != nil {
+				return nil, err
+			}
+			return toMetricsJSON(rep), nil
 		}
-		idxOf[i] = i
+		e := &entries[i]
+		e.idx = i
+		e.job, e.coalesced, e.err = s.jobs.Submit(fn, jobs.SubmitOpts{
+			Key: simulateKey(item), RequestID: requestID, Coalesce: true,
+		})
 	}
-	s.streamBatch(w, r, "simulate", len(req.Items), nil, idxOf, s.jobs.SubmitBatch(items),
+	s.streamBatch(w, r, "simulate", len(req.Items), nil, entries,
 		func(line *BatchItemResult, v any) {
 			line.Metrics = v.(*metricsJSON)
 		})
@@ -163,6 +161,18 @@ func simulateKey(req SimulateRequest) string {
 	return fmt.Sprintf("sim|%x|out=%s", sum[:16], req.Out)
 }
 
+// batchEntry is one submitted batch item. Exactly one of job and err is
+// set: a rejected item (queue full, shutdown) fails alone without
+// affecting its neighbours.
+type batchEntry struct {
+	idx int // the item's index in the request
+	job *jobs.Job
+	// coalesced reports that the item attached to an identical in-flight
+	// job submitted earlier (possibly by this same batch).
+	coalesced bool
+	err       error
+}
+
 // streamBatch drives the NDJSON response: invalid items are emitted
 // first, then submitted entries stream back in completion order, then
 // the summary line. fill stores a completed job's payload on its line.
@@ -171,7 +181,7 @@ func simulateKey(req SimulateRequest) string {
 // waiters and the cache), and the buffered channel lets any stragglers
 // finish their sends, so a mid-batch disconnect leaks nothing.
 func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, endpoint string,
-	total int, invalid []BatchItemResult, idxOf []int, entries []jobs.BatchEntry,
+	total int, invalid []BatchItemResult, entries []batchEntry,
 	fill func(line *BatchItemResult, v any)) {
 
 	ctx := r.Context()
@@ -215,28 +225,27 @@ func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, endpoint st
 	start := time.Now()
 	ch := make(chan BatchItemResult, len(entries))
 	waiting := 0
-	for k, e := range entries {
-		idx := idxOf[k]
-		if e.Err != nil { // rejected at submit (queue full, shutdown)
-			line := BatchItemResult{Index: idx, Error: e.Err.Error()}
+	for _, e := range entries {
+		if e.err != nil { // rejected at submit (queue full, shutdown)
+			line := BatchItemResult{Index: e.idx, Error: e.err.Error()}
 			count(line)
 			emit(line)
 			continue
 		}
 		waiting++
-		go func(idx int, e jobs.BatchEntry) {
-			v, err := e.Job.Wait(ctx)
+		go func(e batchEntry) {
+			v, err := e.job.Wait(ctx)
 			itemSeconds.ObserveSince(start)
-			line := BatchItemResult{Index: idx, Coalesced: e.Coalesced}
+			line := BatchItemResult{Index: e.idx, Coalesced: e.coalesced}
 			if err != nil {
 				line.Error = err.Error()
 			} else {
 				line.OK = true
-				line.Cached = e.Job.Snapshot().Cached
+				line.Cached = e.job.Snapshot().Cached
 				fill(&line, v)
 			}
 			ch <- line
-		}(idx, e)
+		}(e)
 	}
 	for received := 0; received < waiting; received++ {
 		select {

@@ -105,7 +105,7 @@ func TestDesignBatchCoalescesDuplicates(t *testing.T) {
 	srv := NewWithOptions(Options{Workers: 1})
 	defer srv.Shutdown(context.Background())
 	release := make(chan struct{})
-	blocker, err := srv.jobs.Submit(func(ctx context.Context) (any, error) {
+	blocker, _, err := srv.jobs.Submit(func(ctx context.Context) (any, error) {
 		select {
 		case <-release:
 		case <-ctx.Done():
@@ -286,5 +286,85 @@ func TestDesignBatchClientCancel(t *testing.T) {
 				runtime.NumGoroutine(), baseline, buf[:n])
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// A full queue rejects batch items one by one at both batch endpoints.
+// Behind a pinned worker and a one-slot queue the first of three
+// distinct items queues, the other two get error lines at once, and
+// once the worker is released the queued item gets an ok line and the
+// summary counts both outcomes.
+func TestBatchQueueFullIsPerItem(t *testing.T) {
+	srv := NewWithOptions(Options{Workers: 1, Queue: 1})
+	defer srv.Shutdown(context.Background())
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	// A stream that never sends a line it owes fails the test instead of
+	// hanging it.
+	client := &http.Client{Timeout: 10 * time.Second}
+
+	const rc = "* rc\nV1 in 0 AC 1\nR1 in out %dk\nC1 out 0 4p\n.end\n"
+	for _, tc := range []struct {
+		name  string
+		items any
+	}{
+		{"design", []DesignRequest{{Group: "G-1", Seed: 1}, {Group: "G-1", Seed: 2}, {Group: "G-1", Seed: 3}}},
+		{"simulate", []SimulateRequest{{Netlist: fmt.Sprintf(rc, 1)}, {Netlist: fmt.Sprintf(rc, 2)}, {Netlist: fmt.Sprintf(rc, 3)}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			release := make(chan struct{})
+			defer close(release)
+			blocker, _, err := srv.jobs.Submit(func(ctx context.Context) (any, error) {
+				select {
+				case <-release:
+				case <-ctx.Done():
+				}
+				return nil, nil
+			}, jobs.SubmitOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for blocker.Status() != jobs.StatusRunning {
+				time.Sleep(time.Millisecond)
+			}
+			body, err := json.Marshal(map[string]any{"items": tc.items})
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := client.Post(ts.URL+"/"+tc.name+"/batch", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d, want 200 with one line per item", resp.StatusCode)
+			}
+			dec := json.NewDecoder(resp.Body)
+			next := func(v any) {
+				t.Helper()
+				if err := dec.Decode(v); err != nil {
+					t.Fatalf("reading NDJSON line: %v", err)
+				}
+			}
+			// The rejected items are answered while the worker is still pinned.
+			for _, idx := range []int{1, 2} {
+				var line BatchItemResult
+				next(&line)
+				if line.Index != idx || line.OK || !strings.Contains(line.Error, jobs.ErrQueueFull.Error()) {
+					t.Fatalf("want a queue-full error line for item %d, got %+v", idx, line)
+				}
+			}
+			release <- struct{}{}
+			var line BatchItemResult
+			next(&line)
+			if line.Index != 0 || !line.OK {
+				t.Fatalf("want an ok line for item 0, got %+v", line)
+			}
+			var sum BatchSummary
+			next(&sum)
+			if !sum.Summary || sum.Items != 3 || sum.OK != 1 || sum.Failed != 2 {
+				t.Errorf("summary %+v, want 3 items: 1 ok and 2 failed", sum)
+			}
+		})
 	}
 }

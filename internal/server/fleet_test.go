@@ -143,3 +143,71 @@ func waitForNodeIDs(t *testing.T, rt http.Handler, n int) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// TestDeadlineHeaderAtBothHops: X-Deadline-Ms sets a job's budget only
+// when it holds a positive whole number of milliseconds, whether the
+// router or the node parses it. The header is advisory, so garbage is
+// ignored at either hop and never turned into a 400.
+func TestDeadlineHeaderAtBothHops(t *testing.T) {
+	node, err := NewServer(Options{Workers: 2, NodeID: "n1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(node)
+	t.Cleanup(func() {
+		ts.Close()
+		_ = node.Shutdown(context.Background())
+	})
+	rt, err := cluster.NewRouter(cluster.RouterConfig{Nodes: []string{ts.URL}, HedgeDelay: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+
+	hops := []struct {
+		name string
+		h    http.Handler
+	}{{"router", rt}, {"node", node}}
+	seed := int64(0)
+	for _, tc := range []struct {
+		header string // empty: no header
+		budget time.Duration
+	}{
+		{"", 0}, {"abc", 0}, {"-5", 0}, {"0", 0}, {"1e3", 0},
+		{"250", 250 * time.Millisecond}, {" 250 ", 250 * time.Millisecond},
+	} {
+		for _, hop := range hops {
+			hdr := map[string]string{}
+			if tc.header != "" {
+				hdr[cluster.DeadlineHeader] = tc.header
+			}
+			seed++ // a fresh body each time: a cache hit carries no deadline
+			rec, body := doJSONHdr(t, hop.h, "POST", "/jobs", DesignRequest{Group: "G-1", Seed: seed}, hdr)
+			if rec.Code != http.StatusAccepted {
+				t.Errorf("%s, header %q: status %d: %s", hop.name, tc.header, rec.Code, body)
+				continue
+			}
+			var j jobJSON
+			if err := json.Unmarshal(body, &j); err != nil {
+				t.Fatal(err)
+			}
+			if tc.budget == 0 {
+				if j.Deadline != "" {
+					t.Errorf("%s, header %q: deadline %s, want none", hop.name, tc.header, j.Deadline)
+				}
+				continue
+			}
+			created, err1 := time.Parse(time.RFC3339Nano, j.Created)
+			deadline, err2 := time.Parse(time.RFC3339Nano, j.Deadline)
+			if err1 != nil || err2 != nil {
+				t.Errorf("%s, header %q: created %q, deadline %q, want a %v budget", hop.name, tc.header, j.Created, j.Deadline, tc.budget)
+				continue
+			}
+			// The budget is stamped before the job is created, and the
+			// router forwards only what is left of it.
+			if d := deadline.Sub(created); d > tc.budget || d < tc.budget-100*time.Millisecond {
+				t.Errorf("%s, header %q: budget %v, want %v", hop.name, tc.header, d, tc.budget)
+			}
+		}
+	}
+}

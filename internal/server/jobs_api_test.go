@@ -156,7 +156,7 @@ func TestJobCancelQueued(t *testing.T) {
 
 	release := make(chan struct{})
 	defer close(release)
-	blocker, err := srv.jobs.Submit(func(ctx context.Context) (any, error) {
+	blocker, _, err := srv.jobs.Submit(func(ctx context.Context) (any, error) {
 		select {
 		case <-release:
 		case <-ctx.Done():
@@ -205,7 +205,7 @@ func TestQueueFullBackpressureHTTP(t *testing.T) {
 
 	release := make(chan struct{})
 	defer close(release)
-	blocker, err := srv.jobs.Submit(func(ctx context.Context) (any, error) {
+	blocker, _, err := srv.jobs.Submit(func(ctx context.Context) (any, error) {
 		select {
 		case <-release:
 		case <-ctx.Done():

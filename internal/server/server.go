@@ -858,14 +858,13 @@ func decodePersistedDesign(raw json.RawMessage) (any, error) {
 }
 
 // deadlineOf resolves a request's X-Deadline-Ms end-to-end budget into
-// a wall-clock deadline; zero when absent or malformed (the header is
-// advisory — garbage must not 400 a proxied request).
+// a wall-clock deadline; zero when absent or malformed.
 func deadlineOf(r *http.Request) time.Time {
-	ms, err := strconv.ParseInt(strings.TrimSpace(r.Header.Get(cluster.DeadlineHeader)), 10, 64)
-	if err != nil || ms <= 0 {
+	budget := cluster.ParseDeadlineMs(r.Header.Get(cluster.DeadlineHeader))
+	if budget <= 0 {
 		return time.Time{}
 	}
-	return time.Now().Add(time.Duration(ms) * time.Millisecond)
+	return time.Now().Add(budget)
 }
 
 // submitDesignJob enqueues one parsed design request, through the
@@ -886,7 +885,7 @@ func (s *Server) submitDesignJob(sp spec.Spec, req DesignRequest, requestID stri
 		}
 		return s.persist.Submit("design", payload, opts)
 	}
-	return s.jobs.SubmitCoalesced(s.designFunc(sp, req, requestID), opts)
+	return s.jobs.Submit(s.designFunc(sp, req, requestID), opts)
 }
 
 // submitDesign validates, canonicalizes, admits, and enqueues a design
@@ -968,12 +967,10 @@ func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
 
 // jobJSON is the wire form of a job snapshot.
 type jobJSON struct {
-	ID       string `json:"id"`
-	Status   string `json:"status"`
-	Cached   bool   `json:"cached,omitempty"`
-	Error    string `json:"error,omitempty"`
-	Attempts int    `json:"attempts,omitempty"`
-	LastErr  string `json:"lastError,omitempty"`
+	ID     string `json:"id"`
+	Status string `json:"status"`
+	Cached bool   `json:"cached,omitempty"`
+	Error  string `json:"error,omitempty"`
 	// RequestID is the X-Request-ID of the submitting request, so a
 	// queued job can be correlated with its access-log line and trace.
 	RequestID string `json:"requestID,omitempty"`
@@ -989,8 +986,7 @@ type jobJSON struct {
 func toJobJSON(s jobs.Snapshot, includeResult bool) jobJSON {
 	out := jobJSON{
 		ID: s.ID, Status: string(s.Status), Cached: s.Cached, Error: s.Err,
-		Attempts: s.Attempts, LastErr: s.LastErr, RequestID: s.RequestID,
-		Created: s.Created.UTC().Format(time.RFC3339Nano),
+		RequestID: s.RequestID, Created: s.Created.UTC().Format(time.RFC3339Nano),
 	}
 	if !s.Deadline.IsZero() {
 		out.Deadline = s.Deadline.UTC().Format(time.RFC3339Nano)

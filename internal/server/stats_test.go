@@ -85,31 +85,3 @@ func TestChaosModeServerDesigns(t *testing.T) {
 		t.Errorf("service-wide counters not rolled up: %s", body)
 	}
 }
-
-// Job snapshots surface attempt counts over the wire.
-func TestJobJSONCarriesAttempts(t *testing.T) {
-	srv := New()
-	rec, body := doJSON(t, srv, "POST", "/jobs", DesignRequest{Group: "G-1", Seed: 4})
-	if rec.Code != http.StatusAccepted {
-		t.Fatalf("submit: %d %s", rec.Code, body)
-	}
-	var sub jobJSON
-	if err := json.Unmarshal(body, &sub); err != nil {
-		t.Fatal(err)
-	}
-	j, ok := srv.jobs.Get(sub.ID)
-	if !ok {
-		t.Fatal("job vanished")
-	}
-	if _, err := j.Wait(t.Context()); err != nil {
-		t.Fatal(err)
-	}
-	_, body = doJSON(t, srv, "GET", "/jobs/"+sub.ID, nil)
-	var got jobJSON
-	if err := json.Unmarshal(body, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Attempts != 1 {
-		t.Errorf("attempts = %d, want 1 for a healthy run", got.Attempts)
-	}
-}

@@ -97,6 +97,19 @@ func TestBoundaries(t *testing.T) {
 	}
 }
 
+func TestScoreOrdering(t *testing.T) {
+	g1, _ := Group("G-1")
+	pass := measure.Report{GainDB: 100, GBW: 1e6, PM: 60, Power: 50e-6, Stable: true}
+	closeFail := measure.Report{GainDB: 84, GBW: 1e6, PM: 60, Power: 50e-6, Stable: true}
+	farFail := measure.Report{GainDB: 40, GBW: 0.1e6, PM: 10, Power: 500e-6, Stable: false}
+	if Score(g1, pass) <= 0 {
+		t.Error("passing design should have positive score (FoM)")
+	}
+	if Score(g1, closeFail) <= Score(g1, farFail) {
+		t.Error("closer miss should score higher")
+	}
+}
+
 func TestPromptAndString(t *testing.T) {
 	g5, _ := Group("G-5")
 	p := g5.Prompt()

@@ -197,12 +197,6 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	f.get(nil, func() *series { return &series{fn: fn} })
 }
 
-// LabeledGaugeFunc is GaugeFunc with one fixed label setting.
-func (r *Registry) LabeledGaugeFunc(name, help string, labels, values []string, fn func() float64) {
-	f := r.lookup(name, help, kindGauge, labels, nil)
-	f.get(values, func() *series { return &series{fn: fn} })
-}
-
 // Histogram registers (or finds) an unlabeled histogram. Nil buckets
 // take DefBuckets.
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {

@@ -1,7 +1,7 @@
 #!/bin/sh
 # CI gate: gofmt, vet, build, full test suite (which includes the exact
 # hot-path allocation gate, TestHotPathAllocs), the benchmark module's
-# tests, a race pass over the concurrency-heavy packages, a chaos smoke
+# tests, a race pass over every package, a chaos smoke
 # over the resilience layer and the fleet, fuzz smokes, and an
 # errcheck-style grep gate. Mirrors `make check`. Timing is not gated
 # here: it is judged by interleaved perfbench runs.
@@ -15,18 +15,8 @@ go test ./...
 # The benchmark is its own module, so ./... above does not reach it:
 # vet it and run its tests; -short skips the workload smoke runs.
 (cd perfbench && go vet ./... && go test -short ./...)
-# The experiment package's race pass also exercises the sharded
-# Monte-Carlo yield (worker-identity tests) and the jobs.Map sweeps,
-# whose genbench cells share each generated task across workers; mna's
-# and measure's cover the workspace pool concurrent analyses share;
-# server's covers two nodes behind the router; llm's covers the
-# knowledge index every model shares. Keep this list in step with the
-# Makefile race target.
-go test -race ./internal/jobs ./internal/server ./internal/experiment \
-    ./internal/resilience ./internal/agents ./internal/telemetry \
-    ./internal/mna ./internal/measure ./internal/sizing ./internal/cluster \
-    ./internal/backend ./internal/gmid ./internal/opt \
-    ./internal/topology ./internal/bench ./internal/llm
+# Every package must stay race-clean.
+go test -race ./...
 
 # Chaos smoke: the seeded fault injector, retry, and breaker tests must
 # be deterministic — -count=2 re-runs them to catch order dependence.
