@@ -8,7 +8,7 @@
 //	artisan -group G-1                      # design for a Table 2 group
 //	artisan -prompt "gain >85dB, PM >55°, GBW >0.7MHz, Power <250uW, CL=10pF"
 //	artisan -group G-5 -transcript          # show the full chat log
-//	artisan -group G-3 -width 3 -tune       # wide ToT + BO tuning
+//	artisan -group G-3 -width 3 -tune       # wide ToT + sizing-backend tuning (hybrid)
 //	artisan -group G-1 -trace               # print the span tree of the run
 package main
 
@@ -20,6 +20,7 @@ import (
 	"os/signal"
 	"syscall"
 
+	"artisan/internal/backend"
 	"artisan/internal/core"
 	"artisan/internal/experiment"
 	"artisan/internal/llm"
@@ -35,7 +36,7 @@ func main() {
 		temp       = flag.Float64("temp", 0, "LLM temperature (0 = deterministic expert)")
 		width      = flag.Int("width", 1, "ToT tree width (architecture candidates verified)")
 		mods       = flag.Int("mods", 1, "maximum modification rounds")
-		tune       = flag.Bool("tune", false, "enable BO parameter tuning on failure")
+		tune       = flag.Bool("tune", false, "enable parameter tuning on failure, through the default sizing backend ("+backend.DefaultName+")")
 		transcript = flag.Bool("transcript", false, "print the full chat log")
 		transistor = flag.Bool("transistor", false, "print the transistor-level netlist")
 		model      = flag.String("model", "artisan", "designer model: artisan | gpt4 | llama2")

@@ -141,17 +141,17 @@ func TestTunerRescuesDetunedDesign(t *testing.T) {
 		t.Fatal("test premise broken: detuned design already passes")
 	}
 	tuner := NewTuner(sim, 7)
-	tuned, tunedRep, score, err := tuner.Tune(context.Background(), topo, g1)
+	res, err := tuner.Tune(context.Background(), topo, g1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.Score(g1, tunedRep) < spec.Score(g1, rep) {
-		t.Errorf("tuning made things worse: %g -> %g", spec.Score(g1, rep), score)
+	if spec.Score(g1, res.Report) < spec.Score(g1, rep) {
+		t.Errorf("tuning made things worse: %g -> %g", spec.Score(g1, rep), res.Score)
 	}
-	if !g1.Satisfied(tunedRep) {
-		t.Logf("note: tuner improved but did not fully close spec: %v", tunedRep)
+	if !g1.Satisfied(res.Report) {
+		t.Logf("note: tuner improved but did not fully close spec: %v", res.Report)
 	}
-	if tuned == nil {
+	if res.Topo == nil {
 		t.Fatal("no tuned topology")
 	}
 }

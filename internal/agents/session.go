@@ -24,11 +24,12 @@ type Options struct {
 	// MaxModifications bounds the second ToT decision point (redesign
 	// after failed verification).
 	MaxModifications int
-	// Tune enables the BO parameter-tuning tool as a last resort.
+	// Tune enables the parameter-tuning tool (the sizing backend named
+	// by SizingBackend) as a last resort.
 	Tune bool
 	// SizingBackend selects the sizing backend used when Tune fires
-	// ("bo", "ga", "whitebox", "hybrid"). Empty keeps the legacy direct
-	// BO path.
+	// ("bo", "ga", "whitebox", "hybrid"). Empty means
+	// backend.DefaultName.
 	SizingBackend string
 }
 
@@ -77,9 +78,9 @@ type Outcome struct {
 	// Resilience snapshots the session's fault-tolerance counters
 	// (zero-valued when no ladder was configured).
 	Resilience resilience.Snapshot
-	// SizingBackend names the sizing backend that actually ran when the
-	// tuner fired (after any ladder degradation); empty when the tuner
-	// was not invoked or used the legacy path.
+	// SizingBackend names the sizing backend that produced the tuner's
+	// result (after any ladder degradation); empty when the tuner did not
+	// run or no backend returned a result.
 	SizingBackend string
 	// SizingEvals counts the simulator evaluations the sizing backend
 	// consumed.
@@ -111,7 +112,9 @@ type Session struct {
 func NewSession(m llm.DesignerModel, sp spec.Spec, opts Options) *Session {
 	sim := NewSimulator()
 	t := NewTuner(sim, 1)
-	t.Backend = opts.SizingBackend
+	if opts.SizingBackend != "" {
+		t.Backend = opts.SizingBackend
+	}
 	return &Session{Designer: m, Prompter: NewPrompter(1, 0), Spec: sp, Opts: opts,
 		Sim: sim, Tuner: t}
 }
@@ -326,30 +329,26 @@ func (s *Session) Run(ctx context.Context) (*Outcome, error) {
 
 	// --- Last resort: the parameter-tuning tool ---
 	if !best.ok && s.Opts.Tune && best.res != nil && ctx.Err() == nil {
-		if s.Tuner.Backend != "" {
-			tr.Add(RoleTool, fmt.Sprintf("[tuner] invoking %s sizing backend", s.Tuner.Backend))
-		} else {
-			tr.Add(RoleTool, "[tuner] invoking Bayesian-optimization parameter tuning")
-		}
+		tr.Add(RoleTool, fmt.Sprintf("[tuner] invoking %s sizing backend", s.Tuner.Backend))
 		// Record ladder degradation in the transcript, mirroring the
 		// fallback-model resilience pattern.
 		s.Tuner.OnDegrade = func(from, to string, err error) {
 			tr.Add(RoleTool, fmt.Sprintf("[resilience] sizing backend %s degraded to fallback %s: %v", from, to, err))
 		}
-		tuned, rep, score, bres, err := s.tune(ctx, best.res.Topo)
-		if bres != nil {
-			out.SizingBackend = bres.Backend
-			out.SizingEvals = bres.Evals
+		res, err := s.tune(ctx, best.res.Topo)
+		if res != nil {
+			out.SizingBackend = res.Backend
+			out.SizingEvals = res.Evals
 		}
 		if err == nil {
-			tr.ToolCall("tuner", "tune "+best.arch, rep.String())
-			if s.Spec.Satisfied(rep) || score > spec.Score(s.Spec, best.rep) {
-				best.res.Topo = tuned
-				best.rep = rep
-				best.ok = s.Spec.Satisfied(rep)
+			tr.ToolCall("tuner", "tune "+best.arch, res.Report.String())
+			if res.Success || res.Score > spec.Score(s.Spec, best.rep) {
+				best.res.Topo = res.Topo
+				best.rep = res.Report
+				best.ok = res.Success
 				env := topology.DefaultEnv()
 				env.CL, env.RL = s.Spec.CL, s.Spec.RL
-				if nl, err := tuned.Elaborate(env); err == nil {
+				if nl, err := res.Topo.Elaborate(env); err == nil {
 					best.nl = nl
 				}
 			}
@@ -451,34 +450,20 @@ func (s *Session) proposeModification(ctx context.Context, failure string) (llm.
 	return mod, err
 }
 
-// tune runs the sizer through the breaker so a broken simulator backend
-// opens the circuit instead of burning the tuning budget. With a
-// configured sizing backend the run routes through the backend registry
-// (TuneWith) and reports which backend produced the result; the legacy
-// direct-BO path is preserved bit-for-bit when no backend is set.
-func (s *Session) tune(ctx context.Context, topo *topology.Topology) (*topology.Topology, measure.Report, float64, *backend.Result, error) {
-	run := func(ctx context.Context) (*topology.Topology, measure.Report, float64, *backend.Result, error) {
-		if s.Tuner.Backend == "" {
-			tuned, rep, score, err := s.Tuner.Tune(ctx, topo, s.Spec)
-			return tuned, rep, score, nil, err
-		}
-		return s.Tuner.TuneWith(ctx, topo, s.Spec)
+// tune runs the tuner through the breaker so a broken simulator backend
+// opens the circuit instead of burning the tuning budget.
+func (s *Session) tune(ctx context.Context, topo *topology.Topology) (*backend.Result, error) {
+	var breaker *resilience.Breaker
+	if s.Res != nil {
+		breaker = s.Res.Breaker
 	}
-	if s.Res == nil || s.Res.Breaker == nil {
-		return run(ctx)
-	}
-	var (
-		tuned *topology.Topology
-		rep   measure.Report
-		score float64
-		bres  *backend.Result
-	)
-	err := s.Res.Breaker.Do(ctx, "sizer", func(ctx context.Context) error {
+	var res *backend.Result
+	err := breaker.Do(ctx, "sizer", func(ctx context.Context) error {
 		var err error
-		tuned, rep, score, bres, err = run(ctx)
+		res, err = s.Tuner.Tune(ctx, topo, s.Spec)
 		return err
 	})
-	return tuned, rep, score, bres, err
+	return res, err
 }
 
 func knownArch(name string) bool {

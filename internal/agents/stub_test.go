@@ -132,6 +132,9 @@ func TestSessionTuneRescue(t *testing.T) {
 	if out.SimCount < 20 {
 		t.Errorf("tuner should burn simulations, got %d", out.SimCount)
 	}
+	if out.SizingBackend != "hybrid" || out.SizingEvals != 53 {
+		t.Errorf("tuner ran %q for %d evals, want hybrid for 53", out.SizingBackend, out.SizingEvals)
+	}
 }
 
 func TestSessionDesignProcedureError(t *testing.T) {

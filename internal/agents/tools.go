@@ -11,14 +11,12 @@ package agents
 import (
 	"context"
 	"fmt"
-	"math"
 	"strings"
 
 	"artisan/internal/backend"
 	"artisan/internal/measure"
 	"artisan/internal/netlist"
 	"artisan/internal/resilience"
-	"artisan/internal/sizing"
 	"artisan/internal/spec"
 	"artisan/internal/telemetry"
 	"artisan/internal/topology"
@@ -73,123 +71,45 @@ func (s *Simulator) MeasureTopology(ctx context.Context, topo *topology.Topology
 	return s.MeasureNetlist(ctx, nl)
 }
 
-// Tuner wraps the Bayesian-optimization sizing tool [14]: it tunes the
-// continuous parameters (stage and connection gm/R/C values) of a fixed
-// topology to maximize the spec-constrained figure of merit.
+// tuneBudget caps the tuner's simulator evaluations. 53 is 12
+// Latin-hypercube samples, 40 BO iterations and one re-measure: the
+// spend the agent-tuning table's success bar was set against.
+const tuneBudget = 53
+
+// Tuner is the parameter-tuning tool [14]: it tunes the continuous
+// parameters (stage and connection gm/R/C values) of a fixed topology to
+// maximize the spec-constrained figure of merit, through one sizing
+// backend and its degradation ladder.
 type Tuner struct {
-	Sim    *Simulator
-	Budget sizing.Options
-	// Backend selects the sizing backend by registry name ("bo", "ga",
-	// "whitebox", "hybrid"). Empty means the legacy direct BO path of
-	// Tune; any other value routes TuneWith through the backend registry
-	// with its degradation ladder.
+	Sim *Simulator
+	// Backend names the sizing backend ("bo", "ga", "whitebox",
+	// "hybrid"); NewTuner sets backend.DefaultName.
 	Backend string
 	// OnDegrade, when non-nil, observes each degradation hop of the
 	// backend ladder (sessions record it in the transcript, mirroring
 	// the fallback-model resilience pattern).
 	OnDegrade func(from, to string, err error)
+	seed      int64
 }
 
 // NewTuner returns the tuning tool sharing the session simulator (so its
 // evaluations are counted).
 func NewTuner(sim *Simulator, seed int64) *Tuner {
-	return &Tuner{Sim: sim, Budget: sizing.DefaultOptions(seed)}
+	return &Tuner{Sim: sim, Backend: backend.DefaultName, seed: seed}
 }
 
-// Tune optimizes the topology's continuous parameters in log space within
-// ±4× of their current values. It returns the best topology found, its
-// report, and the achieved score.
-func (t *Tuner) Tune(ctx context.Context, topo *topology.Topology, sp spec.Spec) (*topology.Topology, measure.Report, float64, error) {
+// Tune runs the tuner's sizing backend over the topology's ±4× log
+// parameter space, degrading down the backend ladder on failure. The
+// result names the backend that won and the evaluations it spent.
+func (t *Tuner) Tune(ctx context.Context, topo *topology.Topology, sp spec.Spec) (*backend.Result, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, measure.Report{}, 0, err
+		return nil, err
 	}
 	ctx, span := telemetry.StartSpan(ctx, "tool.tuner")
 	defer span.End()
-	type slot struct {
-		set func(tp *topology.Topology, v float64)
-		cur float64
-	}
-	var slots []slot
-	for i := range topo.Stages {
-		i := i
-		slots = append(slots, slot{func(tp *topology.Topology, v float64) { tp.Stages[i].Gm = v }, topo.Stages[i].Gm})
-	}
-	for i := range topo.Conns {
-		i := i
-		c := topo.Conns[i]
-		if c.Type.HasGm() {
-			slots = append(slots, slot{func(tp *topology.Topology, v float64) { tp.Conns[i].Gm = v }, c.Gm})
-		}
-		if c.Type.HasC() {
-			slots = append(slots, slot{func(tp *topology.Topology, v float64) { tp.Conns[i].C = v }, c.C})
-		}
-		if c.Type.HasR() {
-			slots = append(slots, slot{func(tp *topology.Topology, v float64) { tp.Conns[i].R = v }, c.R})
-		}
-	}
-	if len(slots) == 0 {
-		return nil, measure.Report{}, 0, fmt.Errorf("agents: nothing to tune")
-	}
-	d := len(slots)
-	lo := make([]float64, d)
-	hi := make([]float64, d)
-	for i, s := range slots {
-		l := math.Log(s.cur)
-		lo[i] = l - math.Log(4)
-		hi[i] = l + math.Log(4)
-	}
-	build := func(x []float64) *topology.Topology {
-		tp := topo.Clone()
-		for i, s := range slots {
-			s.set(tp, math.Exp(x[i]))
-		}
-		return tp
-	}
-	prob := sizing.Problem{Lo: lo, Hi: hi, Eval: func(x []float64) float64 {
-		// A dead context poisons every remaining evaluation so the BO
-		// loop drains quickly instead of burning its full budget.
-		rep, err := t.Sim.MeasureTopology(ctx, build(x), sp)
-		if err != nil {
-			return -100
-		}
-		return spec.Score(sp, rep)
-	}}
-	res, err := sizing.Optimize(ctx, prob, t.Budget)
-	if err != nil {
-		return nil, measure.Report{}, 0, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, measure.Report{}, 0, err
-	}
-	best := build(res.BestX)
-	rep, err := t.Sim.MeasureTopology(ctx, best, sp)
-	if err != nil {
-		return nil, measure.Report{}, 0, err
-	}
-	return best, rep, res.BestY, nil
-}
-
-// TuneWith runs the configured sizing backend (Backend, defaulting to
-// plain BO) over the topology's parameter space, degrading down the
-// backend ladder on failure. It returns the backend result alongside
-// the tuned topology so callers can record which backend won and how
-// many evaluations it spent.
-func (t *Tuner) TuneWith(ctx context.Context, topo *topology.Topology, sp spec.Spec) (*topology.Topology, measure.Report, float64, *backend.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, measure.Report{}, 0, nil, err
-	}
-	ctx, span := telemetry.StartSpan(ctx, "tool.tuner")
-	defer span.End()
-	name := t.Backend
-	if name == "" {
-		name = backend.DefaultName
-	}
-	span.SetAttr("backend", name)
+	span.SetAttr("backend", t.Backend)
 	p := backend.Problem{
-		Spec: sp, Topo: topo,
-		// The backend budget matches the legacy BO spend: init samples
-		// plus iterations plus the final re-measure.
-		Budget: t.Budget.InitSamples + t.Budget.Iterations + 2,
+		Spec: sp, Topo: topo, Budget: tuneBudget,
 		Eval: func(ctx context.Context, tp *topology.Topology) (measure.Report, error) {
 			// Routing through the session simulator keeps the evaluations
 			// counted (and fault-injected) exactly like every other
@@ -197,11 +117,7 @@ func (t *Tuner) TuneWith(ctx context.Context, topo *topology.Topology, sp spec.S
 			return t.Sim.MeasureTopology(ctx, tp, sp)
 		},
 	}
-	res, err := backend.SizeLadder(ctx, name, p, t.Budget.Seed, t.OnDegrade)
-	if err != nil {
-		return nil, measure.Report{}, 0, res, err
-	}
-	return res.Topo, res.Report, res.Score, res, nil
+	return backend.SizeLadder(ctx, t.Backend, p, t.seed, t.OnDegrade)
 }
 
 // describeFailure renders spec violations as the natural-language failure

@@ -66,8 +66,9 @@ type Result struct {
 	Seeded bool
 }
 
-// DefaultName is the backend used when the caller does not choose.
-const DefaultName = "bo"
+// DefaultName is the backend used when the caller does not choose: the
+// server, a request and the agent tuner all resolve an empty name to it.
+const DefaultName = "hybrid"
 
 // runs is the backend table: each name maps to a run that sizes a fixed
 // topology against a spec, deterministic in (Problem, seed) and

@@ -88,6 +88,51 @@ func TestDesignBackendDefault(t *testing.T) {
 	}
 }
 
+// TestDesignBackendUntunedAndDefault: an untuned request's backend is
+// validated but does not split the design cache, and a tuned request
+// that names no backend, on a server without a configured default, runs
+// backend.DefaultName (hybrid).
+func TestDesignBackendUntunedAndDefault(t *testing.T) {
+	srv := New()
+	req := DesignRequest{Group: "G-1", Seed: 1}
+	if rec, body := doJSON(t, srv, "POST", "/design", req); rec.Code != http.StatusOK {
+		t.Fatalf("design: %d %s", rec.Code, body)
+	}
+	req.Backend = "ga"
+	rec, body := doJSON(t, srv, "POST", "/design", req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("design: %d %s", rec.Code, body)
+	}
+	var resp DesignResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if !resp.Cached {
+		t.Error("untuned request with a backend missed the cache entry of the same request without one")
+	}
+	req.Backend = "nope"
+	if rec, body := doJSON(t, srv, "POST", "/design", req); rec.Code != http.StatusBadRequest {
+		t.Errorf("unknown backend on an untuned request: code %d %s", rec.Code, body)
+	}
+
+	rec, body = doJSON(t, srv, "POST", "/design",
+		DesignRequest{Group: "G-1", Seed: 1, Temperature: 0.9, Tune: true, Transcript: true})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("tuned design: %d %s", rec.Code, body)
+	}
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(resp.Transcript, "[tuner] invoking hybrid sizing backend") {
+		t.Error("transcript does not name the default backend hybrid")
+	}
+	mrec := httptest.NewRecorder()
+	srv.ServeHTTP(mrec, httptest.NewRequest("GET", "/metrics", nil))
+	if !strings.Contains(mrec.Body.String(), `artisan_sizing_backend_total{backend="hybrid"`) {
+		t.Errorf("default backend not routed to hybrid:\n%s", grepLines(mrec.Body.String(), "artisan_sizing"))
+	}
+}
+
 // grepLines filters a metrics dump to lines containing sub (test
 // diagnostics only).
 func grepLines(s, sub string) string {

@@ -592,7 +592,7 @@ type DesignRequest struct {
 	Verify bool `json:"verify,omitempty"`
 	// Backend selects the sizing backend for tuned requests ("bo", "ga",
 	// "whitebox", "hybrid"). Empty falls back to the server's configured
-	// default. Ignored unless Tune is set.
+	// default. Validated on every request, ignored unless Tune is set.
 	Backend string `json:"backend,omitempty"`
 }
 
@@ -681,6 +681,11 @@ func (s *Server) parseDesignRequest(req *DesignRequest) (spec.Spec, error) {
 	}
 	if _, err := backend.Get(req.Backend); err != nil {
 		return sp, err
+	}
+	if !req.Tune {
+		// An untuned session never runs a backend, so the name must not
+		// split the cache.
+		req.Backend = ""
 	}
 	return sp, nil
 }
