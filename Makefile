@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all fmt build vet test race chaos check bench
+.PHONY: all fmt build vet test allocs race chaos check bench
 
 all: check
 
@@ -22,6 +22,11 @@ test:
 	$(GO) test ./...
 	cd perfbench && $(GO) test -short ./...
 
+# The exact allocation gate once more at several GOMAXPROCS: its counts
+# must not depend on the CPU count.
+allocs:
+	$(GO) test -count=1 -run '^TestHotPathAllocs$$' -cpu 1,2,4 .
+
 # Every package must stay race-clean.
 race:
 	$(GO) test -race ./...
@@ -34,7 +39,7 @@ chaos:
 	$(GO) test ./internal/resilience/... -race -count=2
 	ARTISAN_CHAOS_LONG=1 $(GO) test ./internal/chaos -race -count=1
 
-check: fmt vet build test race chaos
+check: fmt vet build test allocs race chaos
 
 # bench prints every root benchmark with its allocations. Nothing gates
 # on it: allocation counts are gated exactly by TestHotPathAllocs, and

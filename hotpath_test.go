@@ -3,26 +3,36 @@ package artisan
 import (
 	"context"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"runtime"
 	"runtime/debug"
+	"strings"
 	"testing"
 
 	"artisan/internal/backend"
+	"artisan/internal/core"
 	"artisan/internal/experiment"
 	"artisan/internal/measure"
 	"artisan/internal/mna"
+	"artisan/internal/server"
 	"artisan/internal/spec"
+	"artisan/internal/telemetry"
 	"artisan/internal/topology"
 )
 
-// TestHotPathAllocs is the allocation gate over the simulator hot path
-// and the sizing layer above it: each simulator operation below, built
-// from the setup of the benchmark of the same name, and each sizing run
-// must allocate exactly the committed count per call; a sizing run must
-// also spend exactly its committed simulator evaluations. Allocation
-// counts do not depend on the host's speed, load or CPU count, so the
-// gate compares the same quantity on every machine; timing is judged by
-// interleaved perfbench runs instead. A change that moves a count on
-// purpose updates its row.
+// TestHotPathAllocs is the allocation gate over every layer a /design
+// request crosses on one node: each simulator operation below, built
+// from the setup of the benchmark of the same name, an untuned design
+// run through core, a cached POST /design through the server's handler,
+// and each sizing run must allocate exactly the committed count per
+// call; a sizing run must also spend exactly its committed simulator
+// evaluations, and a traced design run must open exactly its committed
+// spans. These counts do not depend on the host's speed, load or CPU
+// count, so the gate compares the same quantity on every machine; timing
+// is judged by interleaved perfbench runs instead. A change that moves a
+// count on purpose updates its row.
 func TestHotPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector defeats sync.Pool caching; allocation counts are meaningless")
@@ -37,6 +47,28 @@ func TestHotPathAllocs(t *testing.T) {
 	c := nmcRefCircuit(t)
 	ws := c.NewWorkspace()
 	g1, g1nl := g1Design(t)
+	g5, _ := spec.Group("G-5")
+	// A node with a journal, as deployed; the gate's warm-up call runs the
+	// design and every counted call is served from the cache. Each call
+	// yields once so the goroutine the handler starts per request exits
+	// inside the call: the runtime then reuses its descriptor for the next
+	// one instead of allocating a new descriptor, as it must whenever
+	// scheduling lets several pile up.
+	srv := server.NewWithOptions(server.Options{Workers: 1, DataDir: t.TempDir()})
+	defer func() {
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Error(err)
+		}
+	}()
+	postDesign := func() error {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest("POST", "/design", strings.NewReader(`{"group":"G-1","seed":1}`)))
+		runtime.Gosched()
+		if rec.Code != http.StatusOK {
+			return fmt.Errorf("POST /design: %d %s", rec.Code, rec.Body)
+		}
+		return nil
+	}
 	ops := []struct {
 		name string
 		want float64
@@ -87,6 +119,17 @@ func TestHotPathAllocs(t *testing.T) {
 				experiment.YieldOpts{Samples: 120, Sigma: 0.05, Seed: 1, Workers: 1})
 			return err
 		}},
+		// One untuned run of the whole workflow; G-5's design fails, so
+		// it skips the gm/Id mapping.
+		{"CoreDesign/G-1", 1810, func() error {
+			_, err := core.New(7).Design(ctx, g1)
+			return err
+		}},
+		{"CoreDesign/G-5", 1855, func() error {
+			_, err := core.New(7).Design(ctx, g5)
+			return err
+		}},
+		{"DesignHandler/cached", 65, postDesign},
 	}
 	// One trial per sizing backend on the reference NMC under G-1's load
 	// (budget 60, seed 3), and one tuned session: BenchmarkAblationTuning's
@@ -117,12 +160,12 @@ func TestHotPathAllocs(t *testing.T) {
 		evals int // simulator evaluations per call
 		op    func() (int, error)
 	}{
-		{"SizeLadder/bo", 8981, 60, size("bo")},
-		{"SizeLadder/ga", 8661, 58, size("ga")},
-		{"SizeLadder/hybrid", 9485, 60, size("hybrid")},
-		{"SizeLadder/whitebox", 8531, 53, size("whitebox")},
+		{"SizeLadder/bo", 8978, 60, size("bo")},
+		{"SizeLadder/ga", 8649, 58, size("ga")},
+		{"SizeLadder/hybrid", 9482, 60, size("hybrid")},
+		{"SizeLadder/whitebox", 8510, 53, size("whitebox")},
 		// The design's verification plus the tuner's budget.
-		{"TunedSession", 9511, 54, func() (int, error) {
+		{"TunedSession", 9508, 54, func() (int, error) {
 			out, err := tuningSession(g4, 2, true)
 			if err != nil {
 				return 0, err
@@ -163,6 +206,36 @@ func TestHotPathAllocs(t *testing.T) {
 		})
 		if evals != o.evals {
 			t.Errorf("%s: %d simulator evaluations, want %d", o.name, evals, o.evals)
+		}
+	}
+
+	// The spans of one traced CoreDesign run: each agent step, tool call
+	// and MNA analysis opens exactly one.
+	g1Spans := map[string]int{"core.design": 1, "agents.session": 1,
+		"llm.propose_architectures": 1, "llm.propose_knobs": 2, "cot.design": 2,
+		"tool.simulator": 2, "mna.sweep": 2, "mna.poles": 2, "mna.zeros": 2,
+		"llm.propose_modification": 1, "gmid.map": 1}
+	g5Spans := map[string]int{}
+	for name, n := range g1Spans {
+		if name != "gmid.map" {
+			g5Spans[name] = n
+		}
+	}
+	for _, row := range []struct {
+		name string
+		sp   spec.Spec
+		want map[string]int
+	}{{"Spans/G-1", g1, g1Spans}, {"Spans/G-5", g5, g5Spans}} {
+		tracer := telemetry.NewTracer(1)
+		if _, err := core.New(7).Design(telemetry.WithTracer(ctx, tracer), row.sp); err != nil {
+			t.Fatalf("%s: %v", row.name, err)
+		}
+		got := map[string]int{}
+		for name, st := range telemetry.SumByName(tracer.Traces()) {
+			got[name] = st.Count
+		}
+		if !reflect.DeepEqual(got, row.want) {
+			t.Errorf("%s: spans %v, want %v", row.name, got, row.want)
 		}
 	}
 }

@@ -61,9 +61,6 @@ type Result struct {
 	// EvalsToSuccess is the evaluation index (1-based) at which the
 	// first spec-satisfying candidate appeared; 0 if none did.
 	EvalsToSuccess int
-	// Seeded reports whether an analytic white-box seed was installed
-	// (always true for whitebox; true for hybrid unless seeding failed).
-	Seeded bool
 }
 
 // DefaultName is the backend used when the caller does not choose: the
@@ -188,10 +185,10 @@ func (t *tracker) result() (*Result, error) {
 // search is the loop every backend shares: it builds the Space around
 // p.Topo and a budgeted tracker, hands run the objective over that space
 // (-1e4 for a candidate that is not a valid topology), and returns the
-// best candidate, marked seeded or not. When run fails after ctx is
-// done, the best point found so far comes back alongside the error, as
-// sizing.Optimize does; any other failure returns only the error.
-func search(ctx context.Context, p Problem, seeded bool, run func(obj sizing.Problem) error) (*Result, error) {
+// tracker's best candidate. When run fails after ctx is done, the best
+// point found so far comes back alongside the error; any other failure
+// returns only the error.
+func search(ctx context.Context, p Problem, run func(obj sizing.Problem) error) (*Result, error) {
 	space, err := NewSpace(p.Topo)
 	if err != nil {
 		return nil, err
@@ -205,9 +202,6 @@ func search(ctx context.Context, p Problem, seeded bool, run func(obj sizing.Pro
 		return tr.eval(ctx, tp)
 	}})
 	res, rerr := tr.result()
-	if res != nil {
-		res.Seeded = seeded
-	}
 	switch {
 	case err == nil:
 		return res, rerr

@@ -37,15 +37,14 @@ func sizeBO(ctx context.Context, p Problem, seed int64, incumbent []float64) (*R
 	}
 	ctx, span := telemetry.StartSpan(ctx, name)
 	defer span.End()
-	return search(ctx, p, incumbent != nil, func(obj sizing.Problem) error {
+	return search(ctx, p, func(obj sizing.Problem) error {
 		opts := boOptions(p.Budget, seed)
 		opts.Init = incumbent
 		if incumbent != nil {
 			// The incumbent consumes one evaluation up front.
 			opts.Iterations--
 		}
-		_, err := sizing.Optimize(ctx, obj, opts)
-		return err
+		return sizing.Optimize(ctx, obj, opts)
 	})
 }
 
@@ -53,8 +52,9 @@ func sizeBO(ctx context.Context, p Problem, seed int64, incumbent []float64) (*R
 // incumbent: the GP starts from the knowledge-card operating point (one
 // evaluation) and spends the rest of the budget exploring around it —
 // analytic insight plus global search. When the seed derivation fails
-// the run degrades to plain BO in place (Seeded=false) rather than
-// erroring, since BO needs nothing from the seed.
+// the run degrades to plain BO in place (its span is "sizing.bo", not
+// "sizing.hybrid") rather than erroring, since BO needs nothing from the
+// seed.
 func sizeHybrid(ctx context.Context, p Problem, seed int64) (*Result, error) {
 	if err := p.validate(); err != nil {
 		return nil, err

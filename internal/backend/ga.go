@@ -17,8 +17,7 @@ func sizeGA(ctx context.Context, p Problem, seed int64) (*Result, error) {
 	}
 	ctx, span := telemetry.StartSpan(ctx, "sizing.ga")
 	defer span.End()
-	return search(ctx, p, false, func(obj sizing.Problem) error {
-		_, err := opt.SizeGA(ctx, obj, p.Budget, seed, opt.DefaultGAOpts())
-		return err
+	return search(ctx, p, func(obj sizing.Problem) error {
+		return opt.SizeGA(ctx, obj, p.Budget, seed)
 	})
 }

@@ -75,9 +75,6 @@ func NewSpace(topo *topology.Topology) (*Space, error) {
 	return s, nil
 }
 
-// Dim returns the number of coordinates.
-func (s *Space) Dim() int { return len(s.slots) }
-
 // Build instantiates a topology at a point of the space.
 func (s *Space) Build(x []float64) *topology.Topology {
 	tp := s.base.Clone()

@@ -37,11 +37,11 @@ func sizeWhitebox(ctx context.Context, p Problem, _ int64) (*Result, error) {
 		span.SetAttr("seed", "failed")
 		return nil, err
 	}
-	return search(ctx, p, true, func(obj sizing.Problem) error {
+	return search(ctx, p, func(obj sizing.Problem) error {
 		// Nelder-Mead spends d+1 evaluations on the simplex, then roughly two
 		// per iteration; size the iteration count to the remaining budget.
 		iters := max((p.Budget-(len(x0)+1))/2, 1)
-		if _, err := sizing.NelderMead(obj, x0, iters); err != nil {
+		if err := sizing.NelderMead(obj, x0, iters); err != nil {
 			return err
 		}
 		// Nelder-Mead does not watch ctx; a cancelled run ends here.

@@ -255,7 +255,7 @@ func runTrial(ctx context.Context, m Method, g spec.Spec, cfg Config, seed int64
 		return trialResult{ok: res.Success, rep: res.Report,
 			time: cfg.Cost.RLBOTime(res.Sims)}, nil
 	case MethodGA:
-		res, err := opt.GA(ctx, g, cfg.Budget, seed, opt.DefaultGAOpts())
+		res, err := opt.GA(ctx, g, cfg.Budget, seed)
 		if err != nil {
 			return trialResult{}, err
 		}

@@ -16,40 +16,26 @@ import (
 // extension comparator: tournament selection, structural crossover at
 // the connection-position level, and the shared mutation operators.
 
-// GAOpts tunes the search of both GA and the real-coded SizeGA.
-type GAOpts struct {
-	Population int
-	Tournament int
-	// CrossoverP is the probability an offspring is produced by
+// The small-population steady configuration both GA and the real-coded
+// SizeGA search with.
+const (
+	gaPopulation = 16
+	gaTournament = 3
+	// gaCrossoverP is the probability an offspring is produced by
 	// crossover (otherwise a mutated copy of one parent).
-	CrossoverP float64
-	// Elite is how many best individuals survive unchanged.
-	Elite int
-}
-
-// DefaultGAOpts is a small-population steady configuration.
-func DefaultGAOpts() GAOpts {
-	return GAOpts{Population: 16, Tournament: 3, CrossoverP: 0.6, Elite: 2}
-}
+	gaCrossoverP = 0.6
+	gaElite      = 2 // best individuals that survive unchanged
+)
 
 // GA runs the genetic search under a hard simulation budget. The run
 // emits an "opt.ga" span and stops between generations when the context
 // is cancelled.
-func GA(ctx context.Context, sp spec.Spec, budget int, seed int64, opts GAOpts) (*Result, error) {
+func GA(ctx context.Context, sp spec.Spec, budget int, seed int64) (*Result, error) {
 	if budget < 20 {
 		return nil, fmt.Errorf("opt: GA budget %d too small", budget)
 	}
 	ctx, span := telemetry.StartSpan(ctx, "opt.ga")
 	defer span.End()
-	if opts.Population < 4 {
-		opts.Population = 4
-	}
-	if opts.Tournament < 2 {
-		opts.Tournament = 2
-	}
-	if opts.Elite < 0 || opts.Elite >= opts.Population {
-		opts.Elite = 1
-	}
 	rng := rand.New(rand.NewSource(seed))
 	sampler := topology.NewSampler(seed + 1)
 	ev := newEvaluator(sp, budget)
@@ -59,7 +45,7 @@ func GA(ctx context.Context, sp spec.Spec, budget int, seed int64, opts GAOpts) 
 		tp    *topology.Topology
 		score float64
 	}
-	pop := make([]indiv, opts.Population)
+	pop := make([]indiv, gaPopulation)
 	for i := range pop {
 		tp := sampler.Random()
 		tp.Name = "GA"
@@ -68,7 +54,7 @@ func GA(ctx context.Context, sp spec.Spec, budget int, seed int64, opts GAOpts) 
 
 	tournament := func() indiv {
 		best := pop[rng.Intn(len(pop))]
-		for i := 1; i < opts.Tournament; i++ {
+		for i := 1; i < gaTournament; i++ {
 			c := pop[rng.Intn(len(pop))]
 			if c.score > best.score {
 				best = c
@@ -77,7 +63,7 @@ func GA(ctx context.Context, sp spec.Spec, budget int, seed int64, opts GAOpts) 
 		return best
 	}
 
-	for ev.remaining(budget) > opts.Population-opts.Elite {
+	for ev.remaining(budget) > gaPopulation-gaElite {
 		if err := ctx.Err(); err != nil {
 			span.SetAttr("cancelled", err.Error())
 			return ev.best, err
@@ -90,11 +76,11 @@ func GA(ctx context.Context, sp spec.Spec, budget int, seed int64, opts GAOpts) 
 				}
 			}
 		}
-		next := make([]indiv, 0, opts.Population)
-		next = append(next, pop[:opts.Elite]...)
-		for len(next) < opts.Population && ev.remaining(budget) > 0 {
+		next := make([]indiv, 0, gaPopulation)
+		next = append(next, pop[:gaElite]...)
+		for len(next) < gaPopulation && ev.remaining(budget) > 0 {
 			var child *topology.Topology
-			if rng.Float64() < opts.CrossoverP {
+			if rng.Float64() < gaCrossoverP {
 				child = crossover(sampler, tournament().tp, tournament().tp, rng)
 			} else {
 				child = sampler.Mutate(tournament().tp)

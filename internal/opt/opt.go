@@ -34,7 +34,6 @@ type Result struct {
 	Score   float64
 	Success bool
 	Sims    int
-	History []float64 // best score after each simulation
 }
 
 // evaluator counts simulations and scores topologies under a spec.
@@ -83,7 +82,6 @@ func (e *evaluator) eval(ctx context.Context, tp *topology.Topology) float64 {
 		e.best.Success = err == nil && e.sp.Satisfied(rep)
 	}
 	e.best.Sims = e.sims
-	e.best.History = append(e.best.History, e.best.Score)
 	return score
 }
 
@@ -176,7 +174,7 @@ func BOBO(ctx context.Context, sp spec.Spec, budget int, seed int64) (*Result, e
 		}
 		return ev.eval(ctx, tp)
 	}}
-	_, err := sizing.Optimize(ctx, prob, sizing.Options{
+	err := sizing.Optimize(ctx, prob, sizing.Options{
 		InitSamples: init, Iterations: budget - init, Candidates: 256, Seed: seed})
 	if err != nil {
 		return nil, err
@@ -351,5 +349,7 @@ func refineBest(ctx context.Context, ev *evaluator, budget int) {
 		}
 		return ev.eval(ctx, tp)
 	}}
-	_, _ = sizing.NelderMead(prob, cur, iters/2)
+	// NelderMead fails only when a value has no finite log (a zero stage
+	// gm); the run then keeps its unrefined best.
+	_ = sizing.NelderMead(prob, cur, iters/2)
 }

@@ -14,36 +14,23 @@ import (
 // problem: tournament selection, blend (BLX-α) crossover, Gaussian
 // mutation, and elitism, under a hard evaluation budget. It is the GA
 // family's entry in the sizing-backend comparison — same objective and
-// bounds as the BO sizer, different search dynamics.
-func SizeGA(ctx context.Context, p sizing.Problem, budget int, seed int64, o GAOpts) (*sizing.Result, error) {
-	if len(p.Lo) == 0 || len(p.Lo) != len(p.Hi) {
-		return nil, fmt.Errorf("opt: bad bounds (%d vs %d)", len(p.Lo), len(p.Hi))
-	}
-	if p.Eval == nil {
-		return nil, fmt.Errorf("opt: nil objective")
+// bounds as the BO sizer, different search dynamics. Like
+// sizing.Optimize it leaves the incumbent to the objective.
+func SizeGA(ctx context.Context, p sizing.Problem, budget int, seed int64) error {
+	if err := p.Validate(); err != nil {
+		return err
 	}
 	if budget < 8 {
-		return nil, fmt.Errorf("opt: SizeGA budget %d too small", budget)
+		return fmt.Errorf("opt: SizeGA budget %d too small", budget)
 	}
 	ctx, span := telemetry.StartSpan(ctx, "opt.ga")
 	defer span.End()
 	span.SetAttr("mode", "sizing")
-	if o.Population < 4 {
-		o.Population = 4
-	}
-	if o.Population > budget/2 {
-		o.Population = budget / 2
-	}
-	if o.Tournament < 2 {
-		o.Tournament = 2
-	}
-	if o.Elite < 0 || o.Elite >= o.Population {
-		o.Elite = 1
-	}
+	popSize := min(gaPopulation, budget/2)
 	d := len(p.Lo)
 	rng := rand.New(rand.NewSource(seed))
-	res := &sizing.Result{BestY: math.Inf(-1)}
-	defer func() { span.SetAttr("evals", fmt.Sprintf("%d", res.Evals)) }()
+	evals := 0
+	defer func() { span.SetAttr("evals", fmt.Sprintf("%d", evals)) }()
 
 	clamp := func(x []float64) {
 		for i := range x {
@@ -51,21 +38,15 @@ func SizeGA(ctx context.Context, p sizing.Problem, budget int, seed int64, o GAO
 		}
 	}
 	eval := func(x []float64) float64 {
-		y := p.Eval(x)
-		res.Evals++
-		if y > res.BestY {
-			res.BestY = y
-			res.BestX = append([]float64(nil), x...)
-		}
-		res.History = append(res.History, res.BestY)
-		return y
+		evals++
+		return p.Eval(x)
 	}
 
 	type indiv struct {
 		x []float64
 		y float64
 	}
-	pop := make([]indiv, o.Population)
+	pop := make([]indiv, popSize)
 	for i := range pop {
 		x := make([]float64, d)
 		for j := range x {
@@ -76,7 +57,7 @@ func SizeGA(ctx context.Context, p sizing.Problem, budget int, seed int64, o GAO
 
 	tournament := func() indiv {
 		best := pop[rng.Intn(len(pop))]
-		for i := 1; i < o.Tournament; i++ {
+		for i := 1; i < gaTournament; i++ {
 			c := pop[rng.Intn(len(pop))]
 			if c.y > best.y {
 				best = c
@@ -86,10 +67,10 @@ func SizeGA(ctx context.Context, p sizing.Problem, budget int, seed int64, o GAO
 	}
 
 	const alpha = 0.4 // BLX blend factor
-	for res.Evals+o.Population-o.Elite <= budget {
+	for evals+popSize-gaElite <= budget {
 		if err := ctx.Err(); err != nil {
 			span.SetAttr("cancelled", err.Error())
-			return res, err
+			return err
 		}
 		// Sort descending by score (small population: simple selection).
 		for i := 0; i < len(pop); i++ {
@@ -99,11 +80,11 @@ func SizeGA(ctx context.Context, p sizing.Problem, budget int, seed int64, o GAO
 				}
 			}
 		}
-		next := make([]indiv, 0, o.Population)
-		next = append(next, pop[:o.Elite]...)
-		for len(next) < o.Population && res.Evals < budget {
+		next := make([]indiv, 0, popSize)
+		next = append(next, pop[:gaElite]...)
+		for len(next) < popSize && evals < budget {
 			child := make([]float64, d)
-			if rng.Float64() < o.CrossoverP {
+			if rng.Float64() < gaCrossoverP {
 				a, b := tournament().x, tournament().x
 				for j := range child {
 					lo, hi := math.Min(a[j], b[j]), math.Max(a[j], b[j])
@@ -121,5 +102,5 @@ func SizeGA(ctx context.Context, p sizing.Problem, budget int, seed int64, o GAO
 		}
 		pop = next
 	}
-	return res, nil
+	return nil
 }

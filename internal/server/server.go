@@ -745,6 +745,9 @@ func (s *Server) designFunc(sp spec.Spec, req DesignRequest, requestID string) j
 		a.Opts.Tune = req.Tune
 		a.Opts.SizingBackend = req.Backend
 		sessionCounters := &resilience.Counters{}
+		// The events a session spent count service-wide whatever its
+		// outcome, as the shared breaker's do.
+		defer func() { s.counters.Merge(sessionCounters.Snapshot()) }()
 		a.Res = &agents.Resilience{
 			Retry: resilience.RetryPolicy{
 				MaxAttempts: s.opts.RetryMax,
@@ -769,7 +772,6 @@ func (s *Server) designFunc(sp spec.Spec, req DesignRequest, requestID string) j
 		if err := ctx.Err(); err != nil {
 			return nil, err // cancelled mid-run: discard the result
 		}
-		s.counters.Merge(out.Resilience)
 		if out.Success {
 			outcome = "success"
 		} else {

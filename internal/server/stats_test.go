@@ -1,10 +1,14 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
+	"time"
 )
 
 func TestStatsEndpoint(t *testing.T) {
@@ -83,5 +87,47 @@ func TestChaosModeServerDesigns(t *testing.T) {
 	}
 	if stats.Resilience.Injected == 0 || stats.Resilience.Attempts == 0 {
 		t.Errorf("service-wide counters not rolled up: %s", body)
+	}
+}
+
+// A session that runs out of time still spent resilience events, and
+// they reach the service-wide counters: /stats and /metrics count the
+// attempts and injected faults of a design that answered 503.
+func TestFailedSessionCountsResilience(t *testing.T) {
+	srv := NewWithOptions(Options{Workers: 1, FaultRate: 1, RetryMax: 10, JobTimeout: 50 * time.Millisecond})
+	defer func() {
+		if err := srv.Shutdown(context.Background()); err != nil {
+			t.Error(err)
+		}
+	}()
+	rec, body := doJSON(t, srv, "POST", "/design", DesignRequest{Group: "G-1", Seed: 3})
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("design with every call failing: %d %s, want 503", rec.Code, body)
+	}
+
+	_, body = doJSON(t, srv, "GET", "/stats", nil)
+	var stats struct {
+		Resilience struct {
+			Injected int64 `json:"injected"`
+			Attempts int64 `json:"attempts"`
+		} `json:"resilience"`
+	}
+	if err := json.Unmarshal(body, &stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Resilience.Attempts < 1 || stats.Resilience.Injected < 1 {
+		t.Errorf("failed session's events not rolled up: %s", body)
+	}
+
+	_, body = doJSON(t, srv, "GET", "/metrics", nil)
+	const series = `artisan_resilience_events_total{event="attempts"} `
+	attempts := 0.0
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, series); ok {
+			attempts, _ = strconv.ParseFloat(v, 64)
+		}
+	}
+	if attempts == 0 {
+		t.Errorf("metrics: no attempts counted in %q", series)
 	}
 }

@@ -305,7 +305,7 @@ func TestGPJitterEscalation(t *testing.T) {
 
 // optimizeScalar is the original BO loop over the scalar GP: a fresh fit
 // per iteration and one draw-then-predict per candidate.
-func optimizeScalar(p Problem, o Options) *Result {
+func optimizeScalar(p Problem, o Options) {
 	if o.InitSamples < 2 {
 		o.InitSamples = 2
 	}
@@ -319,7 +319,7 @@ func optimizeScalar(p Problem, o Options) *Result {
 		p.denorm(x, u)
 		return x
 	}
-	res := &Result{BestY: math.Inf(-1)}
+	bestY := math.Inf(-1)
 	var xs [][]float64
 	var ys []float64
 	worstFinite, haveFinite := 0.0, false
@@ -340,12 +340,9 @@ func optimizeScalar(p Problem, o Options) *Result {
 		y := sanitize(p.Eval(denorm(u)))
 		xs = append(xs, u)
 		ys = append(ys, y)
-		res.Evals++
-		if y > res.BestY {
-			res.BestY = y
-			res.BestX = denorm(u)
+		if y > bestY {
+			bestY = y
 		}
-		res.History = append(res.History, res.BestY)
 	}
 	if o.Init != nil {
 		u := make([]float64, d)
@@ -382,7 +379,7 @@ func optimizeScalar(p Problem, o Options) *Result {
 				}
 			}
 			mu, sd := g.predict(cand)
-			if ei := expectedImprovement(mu, sd, res.BestY); ei > bestEI {
+			if ei := expectedImprovement(mu, sd, bestY); ei > bestEI {
 				bestEI = ei
 				copy(bestCand, cand)
 				haveBest = true
@@ -395,14 +392,13 @@ func optimizeScalar(p Problem, o Options) *Result {
 		}
 		record(bestCand)
 	}
-	return res
 }
 
 // TestOptimizeMatchesScalarLoop runs Optimize and the original loop side
 // by side over seeded random problems — d = 1–9, 16–527 candidates, with
 // and without an incumbent, objectives that return NaN or ±Inf, and
-// constant objectives — and requires identical History, BestX and BestY
-// down to the bit.
+// constant objectives — and requires the objective to see the same
+// points and return the same values in the same order, down to the bit.
 func TestOptimizeMatchesScalarLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 60; trial++ {
@@ -433,14 +429,25 @@ func TestOptimizeMatchesScalarLoop(t *testing.T) {
 				o.Init[i] = lo[i] + (hi[i]-lo[i])*rng.Float64()
 			}
 		}
-		p := Problem{Lo: lo, Hi: hi, Eval: eval}
-		got, err := Optimize(context.Background(), p, o)
-		if err != nil {
+		p, got := recorded(Problem{Lo: lo, Hi: hi, Eval: eval})
+		if err := Optimize(context.Background(), p, o); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if want := optimizeScalar(p, o); historyHash(got) != historyHash(want) || got.Evals != want.Evals {
-			t.Fatalf("trial %d (d=%d, %d candidates): run differs from the scalar loop: BestY %v vs %v, BestX %v vs %v",
-				trial, d, o.Candidates, got.BestY, want.BestY, got.BestX, want.BestX)
+		p, want := recorded(Problem{Lo: lo, Hi: hi, Eval: eval})
+		optimizeScalar(p, o)
+		tag := fmt.Sprintf("trial %d (d=%d, %d candidates)", trial, d, o.Candidates)
+		if got.evals() != want.evals() {
+			t.Fatalf("%s: %d evaluations, the scalar loop %d", tag, got.evals(), want.evals())
+		}
+		for i, x := range got.xs {
+			for k := range x {
+				if !sameBits(x[k], want.xs[i][k]) {
+					t.Fatalf("%s: evaluation %d at %v, the scalar loop at %v", tag, i, x, want.xs[i])
+				}
+			}
+			if !sameBits(got.ys[i], want.ys[i]) {
+				t.Fatalf("%s: evaluation %d returned %v, the scalar loop %v", tag, i, got.ys[i], want.ys[i])
+			}
 		}
 	}
 }

@@ -31,22 +31,11 @@ type Options struct {
 	Init []float64
 }
 
-// DefaultOptions is a modest budget suitable for behavioral simulation.
-func DefaultOptions(seed int64) Options {
-	return Options{InitSamples: 12, Iterations: 40, Candidates: 512, Seed: seed}
-}
-
-// Result reports the best point found and the evaluation history.
-type Result struct {
-	BestX   []float64
-	BestY   float64
-	Evals   int
-	History []float64 // best-so-far after each evaluation
-}
-
 func (p Problem) dim() int { return len(p.Lo) }
 
-func (p Problem) validate() error {
+// Validate checks that the bounds are finite, non-empty, matched in
+// length and strictly increasing, and that the objective is set.
+func (p Problem) Validate() error {
 	if len(p.Lo) == 0 || len(p.Lo) != len(p.Hi) {
 		return fmt.Errorf("sizing: bounds length mismatch (%d vs %d)", len(p.Lo), len(p.Hi))
 	}
@@ -68,14 +57,16 @@ func (p Problem) denorm(x, u []float64) {
 	}
 }
 
-// Optimize runs GP-based Bayesian optimization (maximization). The run
+// Optimize runs GP-based Bayesian optimization (maximization). It
+// reports nothing but an error: the objective sees every point evaluated
+// and keeps whatever incumbent or history its caller needs. The run
 // emits telemetry spans ("sizing.optimize" with "sizing.init" and
 // "sizing.bo" children) when the context carries a tracer, and a
-// cancelled context stops the BO loop at the next iteration boundary,
-// returning the best point found so far alongside the context's error.
-func Optimize(ctx context.Context, p Problem, o Options) (*Result, error) {
-	if err := p.validate(); err != nil {
-		return nil, err
+// cancelled context stops the BO loop at the next iteration boundary
+// with the context's error.
+func Optimize(ctx context.Context, p Problem, o Options) error {
+	if err := p.Validate(); err != nil {
+		return err
 	}
 	ctx, span := telemetry.StartSpan(ctx, "sizing.optimize")
 	defer span.End()
@@ -89,11 +80,11 @@ func Optimize(ctx context.Context, p Problem, o Options) (*Result, error) {
 	d := p.dim()
 	if o.Init != nil {
 		if len(o.Init) != d {
-			return nil, fmt.Errorf("sizing: incumbent dimension %d, want %d", len(o.Init), d)
+			return fmt.Errorf("sizing: incumbent dimension %d, want %d", len(o.Init), d)
 		}
 		for i, v := range o.Init {
 			if !(v >= p.Lo[i] && v <= p.Hi[i]) {
-				return nil, fmt.Errorf("sizing: incumbent[%d]=%g outside [%g, %g]", i, v, p.Lo[i], p.Hi[i])
+				return fmt.Errorf("sizing: incumbent[%d]=%g outside [%g, %g]", i, v, p.Lo[i], p.Hi[i])
 			}
 		}
 	}
@@ -104,7 +95,9 @@ func Optimize(ctx context.Context, p Problem, o Options) (*Result, error) {
 		nmax++
 	}
 	g := newGP(d, nmax, o.Candidates)
-	res := &Result{BestY: math.Inf(-1), History: make([]float64, 0, nmax)}
+	// bestY is the best sanitized value, the incumbent expected
+	// improvement is measured against.
+	bestY, evals := math.Inf(-1), 0
 	// A single non-finite objective value would poison the GP
 	// standardization (NaN mean/std make every EI comparison false, so no
 	// candidate ever wins). Clamp NaN/±Inf to just below the worst finite
@@ -129,21 +122,16 @@ func Optimize(ctx context.Context, p Problem, o Options) (*Result, error) {
 		p.denorm(x, u)
 		y := sanitize(p.Eval(x))
 		g.add(u, y)
-		res.Evals++
-		if y > res.BestY {
-			res.BestY = y
-			if res.BestX == nil {
-				res.BestX = make([]float64, d)
-			}
-			p.denorm(res.BestX, u)
+		evals++
+		if y > bestY {
+			bestY = y
 		}
-		res.History = append(res.History, res.BestY)
 	}
-	defer func() { span.SetAttr("evals", fmt.Sprintf("%d", res.Evals)) }()
+	defer func() { span.SetAttr("evals", fmt.Sprintf("%d", evals)) }()
 
 	_, initSpan := telemetry.StartSpan(ctx, "sizing.init")
 	if o.Init != nil {
-		// The incumbent leads the history, so it seeds the GP and the
+		// The incumbent is the GP's first observation, so it seeds the
 		// Gaussian exploitation moves of every BO iteration.
 		u := make([]float64, d)
 		for i, v := range o.Init {
@@ -175,7 +163,7 @@ func Optimize(ctx context.Context, p Problem, o Options) (*Result, error) {
 	for it := 0; it < o.Iterations; it++ {
 		if err := ctx.Err(); err != nil {
 			boSpan.SetAttr("cancelled", err.Error())
-			return res, err
+			return err
 		}
 		if g.broken {
 			// Degenerate model (no jitter factors the kernel): fall back
@@ -202,7 +190,7 @@ func Optimize(ctx context.Context, p Problem, o Options) (*Result, error) {
 		g.predict(cands, mu, sd)
 		best, bestEI := -1, math.Inf(-1)
 		for c := range mu {
-			if ei := expectedImprovement(mu[c], sd[c], res.BestY); ei > bestEI {
+			if ei := expectedImprovement(mu[c], sd[c], bestY); ei > bestEI {
 				best, bestEI = c, ei
 			}
 		}
@@ -214,7 +202,7 @@ func Optimize(ctx context.Context, p Problem, o Options) (*Result, error) {
 		}
 		record(cands[best*d : (best+1)*d])
 	}
-	return res, nil
+	return nil
 }
 
 func argmax(ys []float64) int {
@@ -238,14 +226,15 @@ func clamp01(v float64) float64 {
 }
 
 // NelderMead runs a bounded simplex maximization from x0 for maxIter
-// iterations; it is the local refiner used after BO.
-func NelderMead(p Problem, x0 []float64, maxIter int) (*Result, error) {
-	if err := p.validate(); err != nil {
-		return nil, err
+// iterations; it is the local refiner used after BO. Like Optimize it
+// leaves the incumbent to the objective.
+func NelderMead(p Problem, x0 []float64, maxIter int) error {
+	if err := p.Validate(); err != nil {
+		return err
 	}
 	d := p.dim()
 	if len(x0) != d {
-		return nil, fmt.Errorf("sizing: start point dimension %d, want %d", len(x0), d)
+		return fmt.Errorf("sizing: start point dimension %d, want %d", len(x0), d)
 	}
 	clampX := func(x []float64) []float64 {
 		c := make([]float64, d)
@@ -254,18 +243,7 @@ func NelderMead(p Problem, x0 []float64, maxIter int) (*Result, error) {
 		}
 		return c
 	}
-	res := &Result{BestY: math.Inf(-1)}
-	eval := func(x []float64) float64 {
-		x = clampX(x)
-		y := p.Eval(x)
-		res.Evals++
-		if y > res.BestY {
-			res.BestY = y
-			res.BestX = append([]float64(nil), x...)
-		}
-		res.History = append(res.History, res.BestY)
-		return y
-	}
+	eval := func(x []float64) float64 { return p.Eval(clampX(x)) }
 
 	// Initial simplex: x0 plus per-dimension steps of 5% of range.
 	pts := make([][]float64, d+1)
@@ -334,5 +312,5 @@ func NelderMead(p Problem, x0 []float64, maxIter int) (*Result, error) {
 			}
 		}
 	}
-	return res, nil
+	return nil
 }

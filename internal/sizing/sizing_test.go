@@ -13,6 +13,63 @@ import (
 	"artisan/internal/units"
 )
 
+// recorder keeps what an objective sees of a run, which is all the
+// optimizers report: every point evaluated, every value returned, the
+// best value after each evaluation, and the best point.
+type recorder struct {
+	xs      [][]float64
+	ys      []float64
+	history []float64 // best-so-far after each evaluation
+	bestX   []float64
+	bestY   float64
+}
+
+// recorded returns p with its objective wrapped in a fresh recorder.
+func recorded(p Problem) (Problem, *recorder) {
+	r := &recorder{bestY: math.Inf(-1)}
+	eval := p.Eval
+	p.Eval = func(x []float64) float64 {
+		y := eval(x)
+		r.xs = append(r.xs, append([]float64(nil), x...))
+		r.ys = append(r.ys, y)
+		if y > r.bestY {
+			r.bestY = y
+			r.bestX = r.xs[len(r.xs)-1]
+		}
+		r.history = append(r.history, r.bestY)
+		return y
+	}
+	return p, r
+}
+
+func (r *recorder) evals() int { return len(r.ys) }
+
+// optimize runs Optimize under a recorder.
+func optimize(t *testing.T, p Problem, o Options) *recorder {
+	t.Helper()
+	p, r := recorded(p)
+	if err := Optimize(context.Background(), p, o); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// nelderMead runs NelderMead under a recorder.
+func nelderMead(t *testing.T, p Problem, x0 []float64, maxIter int) *recorder {
+	t.Helper()
+	p, r := recorded(p)
+	if err := NelderMead(p, x0, maxIter); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// defaults is the modest budget most tests run: 12 Latin-hypercube
+// samples, 40 iterations, 512 candidates.
+func defaults(seed int64) Options {
+	return Options{InitSamples: 12, Iterations: 40, Candidates: 512, Seed: seed}
+}
+
 func sphere(opt []float64) func([]float64) float64 {
 	return func(x []float64) float64 {
 		s := 0.0
@@ -30,15 +87,12 @@ func TestOptimizeSphere2D(t *testing.T) {
 		Hi:   []float64{5, 5},
 		Eval: sphere([]float64{1.2, -2.3}),
 	}
-	res, err := Optimize(context.Background(), p, DefaultOptions(1))
-	if err != nil {
-		t.Fatal(err)
+	r := optimize(t, p, defaults(1))
+	if r.bestY < -0.3 {
+		t.Errorf("best = %g, want near 0 (found x=%v)", r.bestY, r.bestX)
 	}
-	if res.BestY < -0.3 {
-		t.Errorf("BestY = %g, want near 0 (found x=%v)", res.BestY, res.BestX)
-	}
-	if res.Evals != 12+40 {
-		t.Errorf("Evals = %d, want 52", res.Evals)
+	if r.evals() != 12+40 {
+		t.Errorf("evals = %d, want 52", r.evals())
 	}
 }
 
@@ -49,47 +103,44 @@ func TestOptimizeInitIncumbent(t *testing.T) {
 		Hi:   []float64{5, 5},
 		Eval: sphere(opt),
 	}
-	o := DefaultOptions(1)
+	o := defaults(1)
 	o.Init = []float64{1.2, -2.3} // exact optimum as incumbent
-	res, err := Optimize(context.Background(), p, o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := optimize(t, p, o)
 	// The incumbent is evaluated first and adds one evaluation.
-	if res.Evals != 1+12+40 {
-		t.Errorf("Evals = %d, want 53", res.Evals)
+	if r.evals() != 1+12+40 {
+		t.Errorf("evals = %d, want 53", r.evals())
 	}
 	// The incumbent passes through the unit-cube normalization, so the
 	// score is optimal only to floating-point round-trip precision.
-	if res.History[0] < -1e-25 {
-		t.Errorf("History[0] = %g, want the incumbent's near-zero score", res.History[0])
+	if r.ys[0] < -1e-25 {
+		t.Errorf("first value = %g, want the incumbent's near-zero score", r.ys[0])
 	}
-	if res.BestY < -1e-25 {
-		t.Errorf("BestY = %g, want near 0 (incumbent was optimal)", res.BestY)
+	if r.bestY < -1e-25 {
+		t.Errorf("best = %g, want near 0 (incumbent was optimal)", r.bestY)
 	}
-	if !units.ApproxEqual(res.BestX[0], opt[0], 1e-9) || !units.ApproxEqual(res.BestX[1], opt[1], 1e-9) {
-		t.Errorf("BestX = %v, want the incumbent", res.BestX)
+	if !units.ApproxEqual(r.bestX[0], opt[0], 1e-9) || !units.ApproxEqual(r.bestX[1], opt[1], 1e-9) {
+		t.Errorf("best point = %v, want the incumbent", r.bestX)
 	}
 }
 
 func TestOptimizeInitValidation(t *testing.T) {
 	p := Problem{Lo: []float64{-5, -5}, Hi: []float64{5, 5}, Eval: sphere([]float64{0, 0})}
-	o := DefaultOptions(1)
+	o := defaults(1)
 	o.Init = []float64{1}
-	if _, err := Optimize(context.Background(), p, o); err == nil {
+	if err := Optimize(context.Background(), p, o); err == nil {
 		t.Error("dimension mismatch accepted")
 	}
 	o.Init = []float64{0, 7}
-	if _, err := Optimize(context.Background(), p, o); err == nil {
+	if err := Optimize(context.Background(), p, o); err == nil {
 		t.Error("out-of-bounds incumbent accepted")
 	}
 	o.Init = []float64{-5, 5} // boundary points are valid
-	if _, err := Optimize(context.Background(), p, o); err != nil {
+	if err := Optimize(context.Background(), p, o); err != nil {
 		t.Errorf("boundary incumbent rejected: %v", err)
 	}
 	for _, bad := range [][]float64{{math.NaN(), 0}, {0, math.NaN()}, {math.Inf(1), 0}, {0, math.Inf(-1)}} {
 		o.Init = bad
-		if _, err := Optimize(context.Background(), p, o); err == nil {
+		if err := Optimize(context.Background(), p, o); err == nil {
 			t.Errorf("non-finite incumbent %v accepted", bad)
 		}
 	}
@@ -99,18 +150,12 @@ func TestOptimizeNilInitUnchanged(t *testing.T) {
 	// A nil incumbent must reproduce the historical run byte for byte —
 	// goldens and benchmarks depend on it.
 	p := Problem{Lo: []float64{-5, -5}, Hi: []float64{5, 5}, Eval: sphere([]float64{1.2, -2.3})}
-	a, err := Optimize(context.Background(), p, DefaultOptions(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := DefaultOptions(7)
+	a := optimize(t, p, defaults(7))
+	o := defaults(7)
 	o.Init = nil
-	b, err := Optimize(context.Background(), p, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Evals != b.Evals || a.BestY != b.BestY {
-		t.Errorf("nil Init changed the run: (%d, %g) vs (%d, %g)", a.Evals, a.BestY, b.Evals, b.BestY)
+	b := optimize(t, p, o)
+	if a.evals() != b.evals() || a.bestY != b.bestY {
+		t.Errorf("nil Init changed the run: (%d, %g) vs (%d, %g)", a.evals(), a.bestY, b.evals(), b.bestY)
 	}
 }
 
@@ -122,10 +167,7 @@ func TestOptimizeBeatsRandomSearch(t *testing.T) {
 	boWins := 0
 	const seeds = 5
 	for s := int64(0); s < seeds; s++ {
-		res, err := Optimize(context.Background(), p, Options{InitSamples: 10, Iterations: 30, Candidates: 256, Seed: s})
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := optimize(t, p, Options{InitSamples: 10, Iterations: 30, Candidates: 256, Seed: s})
 		rng := rand.New(rand.NewSource(s + 1000))
 		randBest := math.Inf(-1)
 		for i := 0; i < 40; i++ {
@@ -137,7 +179,7 @@ func TestOptimizeBeatsRandomSearch(t *testing.T) {
 				randBest = y
 			}
 		}
-		if res.BestY > randBest {
+		if r.bestY > randBest {
 			boWins++
 		}
 	}
@@ -146,37 +188,21 @@ func TestOptimizeBeatsRandomSearch(t *testing.T) {
 	}
 }
 
-func TestHistoryMonotone(t *testing.T) {
-	p := Problem{Lo: []float64{-2}, Hi: []float64{2},
-		Eval: func(x []float64) float64 { return math.Sin(3*x[0]) - x[0]*x[0]/4 }}
-	res, err := Optimize(context.Background(), p, DefaultOptions(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(res.History); i++ {
-		if res.History[i] < res.History[i-1] {
-			t.Fatalf("history not monotone at %d", i)
-		}
-	}
-	if len(res.History) != res.Evals {
-		t.Errorf("history length %d != evals %d", len(res.History), res.Evals)
-	}
-}
-
 func TestResultWithinBounds(t *testing.T) {
 	f := func(seed int64) bool {
-		p := Problem{Lo: []float64{0, -1}, Hi: []float64{1, 1},
-			Eval: func(x []float64) float64 { return x[0] - x[1]*x[1] }}
-		res, err := Optimize(context.Background(), p, Options{InitSamples: 5, Iterations: 8, Candidates: 64, Seed: seed})
-		if err != nil {
+		p, r := recorded(Problem{Lo: []float64{0, -1}, Hi: []float64{1, 1},
+			Eval: func(x []float64) float64 { return x[0] - x[1]*x[1] }})
+		if err := Optimize(context.Background(), p, Options{InitSamples: 5, Iterations: 8, Candidates: 64, Seed: seed}); err != nil {
 			return false
 		}
-		for i := range res.BestX {
-			if res.BestX[i] < p.Lo[i]-1e-12 || res.BestX[i] > p.Hi[i]+1e-12 {
-				return false
+		for _, x := range r.xs {
+			for i := range x {
+				if x[i] < p.Lo[i]-1e-12 || x[i] > p.Hi[i]+1e-12 {
+					return false
+				}
 			}
 		}
-		return true
+		return r.evals() == 5+8
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
@@ -184,23 +210,23 @@ func TestResultWithinBounds(t *testing.T) {
 }
 
 func TestOptimizeValidation(t *testing.T) {
-	if _, err := Optimize(context.Background(), Problem{}, DefaultOptions(1)); err == nil {
+	if err := Optimize(context.Background(), Problem{}, defaults(1)); err == nil {
 		t.Error("empty problem accepted")
 	}
-	if _, err := Optimize(context.Background(), Problem{Lo: []float64{1}, Hi: []float64{0},
-		Eval: func([]float64) float64 { return 0 }}, DefaultOptions(1)); err == nil {
+	if err := Optimize(context.Background(), Problem{Lo: []float64{1}, Hi: []float64{0},
+		Eval: func([]float64) float64 { return 0 }}, defaults(1)); err == nil {
 		t.Error("inverted bounds accepted")
 	}
-	if _, err := Optimize(context.Background(), Problem{Lo: []float64{0}, Hi: []float64{1}}, DefaultOptions(1)); err == nil {
+	if err := Optimize(context.Background(), Problem{Lo: []float64{0}, Hi: []float64{1}}, defaults(1)); err == nil {
 		t.Error("nil objective accepted")
 	}
 	inf := math.Inf(1)
 	for _, b := range [][2]float64{{-inf, inf}, {0, inf}, {-inf, 0}, {math.NaN(), 1}, {0, math.NaN()}} {
 		p := Problem{Lo: []float64{0, b[0]}, Hi: []float64{1, b[1]}, Eval: func([]float64) float64 { return 0 }}
-		if _, err := Optimize(context.Background(), p, DefaultOptions(1)); err == nil {
+		if err := Optimize(context.Background(), p, defaults(1)); err == nil {
 			t.Errorf("bounds [%g, %g] accepted", b[0], b[1])
 		}
-		if _, err := NelderMead(p, []float64{0.5, 0}, 10); err == nil {
+		if err := NelderMead(p, []float64{0.5, 0}, 10); err == nil {
 			t.Errorf("NelderMead accepted bounds [%g, %g]", b[0], b[1])
 		}
 	}
@@ -209,12 +235,9 @@ func TestOptimizeValidation(t *testing.T) {
 func TestConstantObjectiveSurvives(t *testing.T) {
 	p := Problem{Lo: []float64{0}, Hi: []float64{1},
 		Eval: func([]float64) float64 { return 7 }}
-	res, err := Optimize(context.Background(), p, Options{InitSamples: 4, Iterations: 6, Candidates: 32, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.BestY != 7 {
-		t.Errorf("BestY = %g", res.BestY)
+	r := optimize(t, p, Options{InitSamples: 4, Iterations: 6, Candidates: 32, Seed: 2})
+	if r.bestY != 7 || r.evals() != 4+6 {
+		t.Errorf("best = %g after %d evaluations", r.bestY, r.evals())
 	}
 }
 
@@ -228,31 +251,30 @@ func TestNelderMeadRosenbrock(t *testing.T) {
 			return -(a*a + 100*b*b)
 		},
 	}
-	res, err := NelderMead(p, []float64{-1, 1}, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.BestY < -0.05 {
-		t.Errorf("NM best = %g at %v, want near 0 at (1,1)", res.BestY, res.BestX)
+	r := nelderMead(t, p, []float64{-1, 1}, 300)
+	if r.bestY < -0.05 {
+		t.Errorf("NM best = %g at %v, want near 0 at (1,1)", r.bestY, r.bestX)
 	}
 }
 
 func TestNelderMeadRespectsBounds(t *testing.T) {
 	p := Problem{Lo: []float64{0}, Hi: []float64{1},
 		Eval: func(x []float64) float64 { return x[0] }} // pushes to upper bound
-	res, err := NelderMead(p, []float64{0.5}, 100)
-	if err != nil {
-		t.Fatal(err)
+	r := nelderMead(t, p, []float64{0.5}, 100)
+	if r.bestX[0] < 0.99 || r.bestX[0] > 1 {
+		t.Errorf("best point = %v, want at bound 1", r.bestX)
 	}
-	if res.BestX[0] < 0.99 || res.BestX[0] > 1 {
-		t.Errorf("BestX = %v, want at bound 1", res.BestX)
+	for _, x := range r.xs {
+		if x[0] < 0 || x[0] > 1 {
+			t.Fatalf("evaluated %v outside [0, 1]", x)
+		}
 	}
 }
 
 func TestNelderMeadValidation(t *testing.T) {
 	p := Problem{Lo: []float64{0, 0}, Hi: []float64{1, 1},
 		Eval: func(x []float64) float64 { return 0 }}
-	if _, err := NelderMead(p, []float64{0.5}, 10); err == nil {
+	if err := NelderMead(p, []float64{0.5}, 10); err == nil {
 		t.Error("dimension mismatch accepted")
 	}
 }
@@ -393,25 +415,18 @@ func TestOptimizeNaNObjective(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			p := Problem{Lo: []float64{-1, -1}, Hi: []float64{1, 1}, Eval: eval}
-			o := DefaultOptions(7)
-			o.InitSamples, o.Iterations, o.Candidates = 6, 10, 64
-			res, err := Optimize(context.Background(), p, o)
-			if err != nil {
-				t.Fatal(err)
+			o := Options{InitSamples: 6, Iterations: 10, Candidates: 64, Seed: 7}
+			r := optimize(t, p, o)
+			if r.evals() != o.InitSamples+o.Iterations {
+				t.Errorf("evals = %d, want %d", r.evals(), o.InitSamples+o.Iterations)
 			}
-			if res.Evals != o.InitSamples+o.Iterations {
-				t.Errorf("Evals = %d, want %d", res.Evals, o.InitSamples+o.Iterations)
-			}
-			if len(res.BestX) != 2 {
-				t.Fatalf("BestX = %v, want a 2-vector", res.BestX)
-			}
-			if math.IsNaN(res.BestY) || math.IsInf(res.BestY, 0) {
-				t.Errorf("BestY = %v, want finite", res.BestY)
-			}
-			for _, h := range res.History {
-				if math.IsNaN(h) || math.IsInf(h, 0) {
-					t.Fatalf("History contains non-finite value %v", h)
+			for _, x := range r.xs {
+				if len(x) != 2 || !(x[0] >= -1 && x[0] <= 1 && x[1] >= -1 && x[1] <= 1) {
+					t.Fatalf("evaluated %v, want a 2-vector within the bounds", x)
 				}
+			}
+			if name == "mixed" && (math.IsNaN(r.bestY) || math.IsInf(r.bestY, 0)) {
+				t.Errorf("best = %v, want finite", r.bestY)
 			}
 		})
 	}
@@ -428,12 +443,9 @@ func TestOptimizeMixedNaNStillImproves(t *testing.T) {
 		dx, dy := x[0]-target[0], x[1]-target[1]
 		return -(dx*dx + dy*dy)
 	}}
-	res, err := Optimize(context.Background(), p, DefaultOptions(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.BestY < -0.05 {
-		t.Errorf("BestY = %g at %v, want near 0 (found the finite basin)", res.BestY, res.BestX)
+	r := optimize(t, p, defaults(3))
+	if r.bestY < -0.05 {
+		t.Errorf("best = %g at %v, want near 0 (found the finite basin)", r.bestY, r.bestX)
 	}
 }
 
@@ -457,22 +469,23 @@ func box8() (lo, hi []float64) {
 	return lo, hi
 }
 
-// historyHash is an FNV-1a hash over the Float64bits of a run's History,
-// BestX and BestY.
-func historyHash(r *Result) uint64 {
+// historyHash is an FNV-1a hash over the Float64bits of a run's
+// best-so-far history, best point and best value, as its objective saw
+// them.
+func historyHash(r *recorder) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
 	put := func(v float64) {
 		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
 		h.Write(b[:])
 	}
-	for _, v := range r.History {
+	for _, v := range r.history {
 		put(v)
 	}
-	for _, v := range r.BestX {
+	for _, v := range r.bestX {
 		put(v)
 	}
-	put(r.BestY)
+	put(r.bestY)
 	return h.Sum64()
 }
 
@@ -496,18 +509,15 @@ func TestOptimizeHistoryPinned(t *testing.T) {
 		{"size_recover", Problem{Lo: lo, Hi: hi, Eval: wavy},
 			Options{InitSamples: 15, Iterations: 45, Candidates: 256, Seed: 11}, 60, 0x35bdeff682df54ae},
 		{"default", Problem{Lo: []float64{-5, -5, -5}, Hi: []float64{5, 5, 5}, Eval: wavy},
-			DefaultOptions(5), 52, 0x1dba999b10fa092e},
+			Options{InitSamples: 12, Iterations: 40, Candidates: 512, Seed: 5}, 52, 0x1dba999b10fa092e},
 		{"incumbent", Problem{Lo: lo, Hi: hi, Eval: wavy}, incumbent, 60, 0x4153d34b049dcfc8},
 	} {
-		res, err := Optimize(context.Background(), tc.p, tc.o)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+		r := optimize(t, tc.p, tc.o)
+		if r.evals() != tc.evals {
+			t.Errorf("%s: evals = %d, want %d", tc.name, r.evals(), tc.evals)
 		}
-		if res.Evals != tc.evals {
-			t.Errorf("%s: Evals = %d, want %d", tc.name, res.Evals, tc.evals)
-		}
-		if got := historyHash(res); got != tc.want {
-			t.Errorf("%s: history hash %#x, want %#x (BestY %v)", tc.name, got, tc.want, res.BestY)
+		if got := historyHash(r); got != tc.want {
+			t.Errorf("%s: history hash %#x, want %#x (best %v)", tc.name, got, tc.want, r.bestY)
 		}
 	}
 }
@@ -535,7 +545,7 @@ func TestOptimizeAllocsIndependentOfCandidates(t *testing.T) {
 		o := sizeRecoverOptions(4)
 		o.Candidates = c
 		return testing.AllocsPerRun(3, func() {
-			if _, err := Optimize(context.Background(), p, o); err != nil {
+			if err := Optimize(context.Background(), p, o); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -553,7 +563,7 @@ func BenchmarkOptimize(b *testing.B) {
 	p := Problem{Lo: lo, Hi: hi, Eval: wavy}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Optimize(context.Background(), p, sizeRecoverOptions(int64(i))); err != nil {
+		if err := Optimize(context.Background(), p, sizeRecoverOptions(int64(i))); err != nil {
 			b.Fatal(err)
 		}
 	}

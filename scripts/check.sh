@@ -12,6 +12,9 @@ test -z "$(gofmt -l $(git ls-files '*.go'))"
 go vet ./...
 go build ./...
 go test ./...
+# The exact allocation gate once more at several GOMAXPROCS: its counts
+# must not depend on the CPU count.
+go test -count=1 -run '^TestHotPathAllocs$' -cpu 1,2,4 .
 # The benchmark is its own module, so ./... above does not reach it:
 # vet it and run its tests; -short skips the workload smoke runs.
 (cd perfbench && go vet ./... && go test -short ./...)
