@@ -39,7 +39,12 @@ chaos:
 	$(GO) test ./internal/resilience/... -race -count=2
 	ARTISAN_CHAOS_LONG=1 $(GO) test ./internal/chaos -race -count=1
 
-check: fmt vet build test allocs race chaos
+# The whole gate: scripts/check.sh runs every step above (the chaos
+# suites as short -count=2 smokes), the fuzz smokes and the errcheck
+# grep. The single-step targets run one part alone; `make chaos` is the
+# long soak.
+check:
+	sh scripts/check.sh
 
 # bench prints every root benchmark with its allocations. Nothing gates
 # on it: allocation counts are gated exactly by TestHotPathAllocs, and

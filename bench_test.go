@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"artisan/internal/agents"
+	"artisan/internal/bench"
 	"artisan/internal/core"
 	"artisan/internal/corpus"
 	"artisan/internal/describe"
@@ -451,6 +452,59 @@ func BenchmarkMonteCarloYield(b *testing.B) {
 	b.ReportMetric(y, "yield")
 }
 
+// BenchmarkCircuitPool times the simulator on the circuits perfbench's
+// circuit_sim serves: the first 64 pool circuits, built outside the
+// timer. One op is one pass over all 64 through one layer: analyze
+// (measure.AnalyzeContext), step (measure.StepAnalyze; the pool's step
+// failures are part of the pass), noise (1 Hz to 1 GHz at 10 points per
+// decade) or yield (32 samples, seed 1, one worker).
+func BenchmarkCircuitPool(b *testing.B) {
+	tasks := poolTasks(b, 64)
+	circuits := make([]*mna.Circuit, len(tasks))
+	for i, t := range tasks {
+		c, err := mna.Compile(t.Netlist)
+		if err != nil {
+			b.Fatal(err)
+		}
+		circuits[i] = c
+	}
+	ctx := context.Background()
+	for _, layer := range []struct {
+		name string
+		run  func(i int) error
+	}{
+		{"analyze", func(i int) error {
+			_, err := measure.AnalyzeContext(ctx, tasks[i].Netlist, "out")
+			return err
+		}},
+		{"step", func(i int) error {
+			// Some pool circuits fail their step (no GBW, or Newton
+			// non-convergence); the failure is part of the timed pass.
+			_, _ = measure.StepAnalyze(tasks[i].Netlist, "out", measure.DefaultStepOpts())
+			return nil
+		}},
+		{"noise", func(i int) error {
+			_, err := circuits[i].NoiseSweep("out", 1, 1e9, 10, mna.NoiseOpts{})
+			return err
+		}},
+		{"yield", func(i int) error {
+			_, err := experiment.MonteCarloYield(tasks[i].Netlist, tasks[i].Spec,
+				experiment.YieldOpts{Samples: 32, Seed: 1, Workers: 1})
+			return err
+		}},
+	} {
+		b.Run(layer.name, func(b *testing.B) {
+			for n := 0; n < b.N; n++ {
+				for i := range tasks {
+					if err := layer.run(i); err != nil {
+						b.Fatalf("circuit %d: %v", i, err)
+					}
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkCorners measures the five-corner PVT sweep.
 func BenchmarkCorners(b *testing.B) {
 	g1, _ := spec.Group("G-1")
@@ -599,4 +653,20 @@ func g1Design(tb testing.TB) (spec.Spec, *netlist.Netlist) {
 		tb.Fatal(err)
 	}
 	return g1, nl
+}
+
+// poolTasks returns the first n circuits of perfbench circuit_sim's pool:
+// entry i is bench.NewTask(i, 1_000_003+7919·i), a generated topology
+// with its derived spec.
+func poolTasks(tb testing.TB, n int) []*bench.Task {
+	tb.Helper()
+	tasks := make([]*bench.Task, n)
+	for i := range tasks {
+		t, err := bench.NewTask(i, 1_000_003+7919*int64(i))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		tasks[i] = t
+	}
+	return tasks
 }

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"runtime"
 	"runtime/debug"
 	"strings"
 	"testing"
@@ -49,11 +48,7 @@ func TestHotPathAllocs(t *testing.T) {
 	g1, g1nl := g1Design(t)
 	g5, _ := spec.Group("G-5")
 	// A node with a journal, as deployed; the gate's warm-up call runs the
-	// design and every counted call is served from the cache. Each call
-	// yields once so the goroutine the handler starts per request exits
-	// inside the call: the runtime then reuses its descriptor for the next
-	// one instead of allocating a new descriptor, as it must whenever
-	// scheduling lets several pile up.
+	// design and every counted call is served from the cache.
 	srv := server.NewWithOptions(server.Options{Workers: 1, DataDir: t.TempDir()})
 	defer func() {
 		if err := srv.Shutdown(ctx); err != nil {
@@ -63,7 +58,6 @@ func TestHotPathAllocs(t *testing.T) {
 	postDesign := func() error {
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, httptest.NewRequest("POST", "/design", strings.NewReader(`{"group":"G-1","seed":1}`)))
-		runtime.Gosched()
 		if rec.Code != http.StatusOK {
 			return fmt.Errorf("POST /design: %d %s", rec.Code, rec.Body)
 		}
@@ -74,7 +68,7 @@ func TestHotPathAllocs(t *testing.T) {
 		want float64
 		op   func() error
 	}{
-		{"Fig1Skeleton", 143, func() error {
+		{"Fig1Skeleton", 144, func() error {
 			nl, err := topo.Elaborate(env)
 			if err != nil {
 				return err
@@ -82,7 +76,7 @@ func TestHotPathAllocs(t *testing.T) {
 			_, err = measure.Analyze(nl, "out")
 			return err
 		}},
-		{"MNASolve", 71, func() error {
+		{"MNASolve", 72, func() error {
 			_, err := measure.Analyze(nl, "out")
 			return err
 		}},
@@ -90,11 +84,11 @@ func TestHotPathAllocs(t *testing.T) {
 			_, err := ws.SolveAt(mna.Omega(1e6))
 			return err
 		}},
-		{"CircuitSweep", 2, func() error {
+		{"CircuitSweep", 1, func() error {
 			_, err := c.Sweep(ctx, "out", 1e-2, 1e10, 24)
 			return err
 		}},
-		{"PoleZero", 67, func() error {
+		{"PoleZero", 69, func() error {
 			c, err := mna.Compile(nl)
 			if err != nil {
 				return err
@@ -105,31 +99,31 @@ func TestHotPathAllocs(t *testing.T) {
 			_, err = c.Zeros(ctx, "out")
 			return err
 		}},
-		{"TransientStep", 209, func() error {
+		{"TransientStep", 211, func() error {
 			_, err := measure.StepAnalyze(g1nl, "out", measure.DefaultStepOpts())
 			return err
 		}},
-		{"NoiseSweep", 6, func() error {
+		{"NoiseSweep", 5, func() error {
 			_, err := c.NoiseSweep("out", 1, 1e9, 10, mna.NoiseOpts{})
 			return err
 		}},
 		// One worker at a fixed seed: perfbench circuit_sim's setting.
-		{"MonteCarloYield", 551, func() error {
+		{"MonteCarloYield", 554, func() error {
 			_, err := experiment.MonteCarloYield(g1nl, g1,
 				experiment.YieldOpts{Samples: 120, Sigma: 0.05, Seed: 1, Workers: 1})
 			return err
 		}},
 		// One untuned run of the whole workflow; G-5's design fails, so
 		// it skips the gm/Id mapping.
-		{"CoreDesign/G-1", 1810, func() error {
+		{"CoreDesign/G-1", 1812, func() error {
 			_, err := core.New(7).Design(ctx, g1)
 			return err
 		}},
-		{"CoreDesign/G-5", 1855, func() error {
+		{"CoreDesign/G-5", 1857, func() error {
 			_, err := core.New(7).Design(ctx, g5)
 			return err
 		}},
-		{"DesignHandler/cached", 65, postDesign},
+		{"DesignHandler/cached", 64, postDesign},
 	}
 	// One trial per sizing backend on the reference NMC under G-1's load
 	// (budget 60, seed 3), and one tuned session: BenchmarkAblationTuning's
@@ -160,12 +154,12 @@ func TestHotPathAllocs(t *testing.T) {
 		evals int // simulator evaluations per call
 		op    func() (int, error)
 	}{
-		{"SizeLadder/bo", 8978, 60, size("bo")},
-		{"SizeLadder/ga", 8649, 58, size("ga")},
-		{"SizeLadder/hybrid", 9482, 60, size("hybrid")},
-		{"SizeLadder/whitebox", 8510, 53, size("whitebox")},
+		{"SizeLadder/bo", 9038, 60, size("bo")},
+		{"SizeLadder/ga", 8707, 58, size("ga")},
+		{"SizeLadder/hybrid", 9542, 60, size("hybrid")},
+		{"SizeLadder/whitebox", 8563, 53, size("whitebox")},
 		// The design's verification plus the tuner's budget.
-		{"TunedSession", 9508, 54, func() (int, error) {
+		{"TunedSession", 9562, 54, func() (int, error) {
 			out, err := tuningSession(g4, 2, true)
 			if err != nil {
 				return 0, err

@@ -60,7 +60,7 @@ func NewMCAnalyzer(nl *netlist.Netlist, out string) (*MCAnalyzer, error) {
 	if _, err := base.NodeIndex(out); err != nil {
 		return nil, err
 	}
-	a.gbw0, _ = bisectGBW(base, out, 0)
+	a.gbw0, _ = bisectGBW(base, out, 0, math.NaN())
 	if poles, err := base.Poles(context.Background()); err == nil {
 		a.seeds = poles
 	}
@@ -108,7 +108,7 @@ func (s *MCSession) Analyze(scale []float64) (Report, error) {
 	rep.GainDB = 20 * math.Log10(dc)
 	rep.GM = math.Inf(1)
 
-	rep.GBW, err = bisectGBW(circ, s.a.out, s.a.gbw0)
+	rep.GBW, err = bisectGBW(circ, s.a.out, s.a.gbw0, math.Log(dc))
 	if err != nil {
 		return Report{}, err
 	}
@@ -176,8 +176,10 @@ func (s *MCSession) scaledNetlist(scale []float64) *netlist.Netlist {
 // geometric scan. Inside the bracket an Illinois false-position iteration
 // exploits that log|H| is near-linear in log f (a straight Bode slope),
 // settling in a handful of solves where plain bisection needs ~15.
-// Returns 0 when the response never crosses unity in range.
-func bisectGBW(c *mna.Circuit, out string, hint float64) (float64, error) {
+// g0 is log|H(sweepStart)| when the caller has already solved it, NaN
+// otherwise; the DC anchor is then solved once here. Returns 0 when the
+// response never crosses unity in range.
+func bisectGBW(c *mna.Circuit, out string, hint, g0 float64) (float64, error) {
 	var solveErr error
 	gainAt := func(f float64) float64 {
 		v, err := c.VoltageAt(out, mna.Omega(f))
@@ -186,7 +188,10 @@ func bisectGBW(c *mna.Circuit, out string, hint float64) (float64, error) {
 		}
 		return math.Log(cmplx.Abs(v)) // >0 above unity, <=0 at/below
 	}
-	if gainAt(sweepStart) <= 0 {
+	if math.IsNaN(g0) {
+		g0 = gainAt(sweepStart)
+	}
+	if g0 <= 0 {
 		return 0, solveErr // no gain to begin with
 	}
 	lo, hi := sweepStart, 0.0
@@ -201,7 +206,7 @@ func bisectGBW(c *mna.Circuit, out string, hint float64) (float64, error) {
 		}
 	}
 	if hi == 0 {
-		glo = gainAt(lo)
+		glo = g0 // lo is still sweepStart
 		for f := sweepStart * 10; f <= sweepStop; f *= 10 {
 			g := gainAt(f)
 			if g <= 0 {

@@ -1,6 +1,7 @@
 package measure
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -14,6 +15,11 @@ import (
 // closed-loop step response, using the transient engine with saturating
 // transconductance stages. The classical large-signal figure of merit
 // FoM_L = SR·CL/Power complements the paper's small-signal Eq. (6).
+
+// ErrNoGBW reports that StepAnalyze could not size its window
+// automatically: the open-loop response never crosses unity gain in the
+// measured range.
+var ErrNoGBW = errors.New("measure: cannot auto-size window (no GBW)")
 
 // StepReport summarises one step response.
 type StepReport struct {
@@ -125,12 +131,12 @@ func StepAnalyze(nl *netlist.Netlist, out string, opts StepOpts) (StepReport, er
 		if err != nil {
 			return StepReport{}, err
 		}
-		gbw, err := bisectGBW(ol, out, 0)
+		gbw, err := bisectGBW(ol, out, 0, math.NaN())
 		if err != nil {
 			return StepReport{}, err
 		}
 		if gbw <= 0 {
-			return StepReport{}, fmt.Errorf("measure: cannot auto-size window (no GBW)")
+			return StepReport{}, ErrNoGBW
 		}
 		tau := 1 / (2 * math.Pi * gbw)
 		if tEnd == 0 {

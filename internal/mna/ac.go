@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"sync"
 
 	"artisan/internal/telemetry"
 )
@@ -47,7 +48,7 @@ func (c *Circuit) sweep(out string, fStart, fStop float64, perDecade int) ([]TFP
 	if err != nil {
 		return nil, err
 	}
-	freqs := logFreqs(fStart, fStop, perDecade)
+	freqs := sweepGrid(fStart, fStop, perDecade)
 	pts := make([]TFPoint, len(freqs))
 	w := c.workspace()
 	defer c.release(w)
@@ -59,6 +60,46 @@ func (c *Circuit) sweep(out string, fStart, fStop float64, perDecade int) ([]TFP
 		pts[i] = TFPoint{Freq: f, H: x[j]}
 	}
 	return pts, nil
+}
+
+// maxSweepGrids bounds the grid memo: mna is a library, and callers may
+// sweep arbitrary ranges.
+const maxSweepGrids = 16
+
+// sweepGrids memoizes logFreqs per (fStart, fStop, perDecade). Every
+// measure.Analyze sweeps the same 289-point grid, and its Pow calls cost
+// more than the grid's memory. The first maxSweepGrids keys are stored;
+// later ones are computed without storing. Callers only read the slices.
+var sweepGrids struct {
+	mu sync.Mutex
+	m  map[gridKey][]float64
+}
+
+type gridKey struct {
+	fStart, fStop float64
+	perDecade     int
+}
+
+// sweepGrid returns logFreqs(fStart, fStop, perDecade), shared and
+// read-only.
+func sweepGrid(fStart, fStop float64, perDecade int) []float64 {
+	k := gridKey{fStart, fStop, perDecade}
+	sweepGrids.mu.Lock()
+	g, ok := sweepGrids.m[k]
+	sweepGrids.mu.Unlock()
+	if ok {
+		return g
+	}
+	g = logFreqs(fStart, fStop, perDecade)
+	sweepGrids.mu.Lock()
+	if sweepGrids.m == nil {
+		sweepGrids.m = make(map[gridKey][]float64, maxSweepGrids)
+	}
+	if len(sweepGrids.m) < maxSweepGrids {
+		sweepGrids.m[k] = g
+	}
+	sweepGrids.mu.Unlock()
+	return g
 }
 
 // logFreqs lists the sweep frequencies: log-spaced at perDecade points per

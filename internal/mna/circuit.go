@@ -3,6 +3,7 @@ package mna
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"artisan/internal/netlist"
@@ -26,6 +27,12 @@ type Circuit struct {
 	G, C     *Matrix
 	b        []complex128
 	branches map[string]int // source name → branch row
+
+	// capSlots lists, sorted and without repeats, the data indices of G
+	// and C that any capacitor stamp touches: every other entry of C is
+	// +0 whatever the device values, so assembly computes G + sC only
+	// here. Structural, hence shared with Restamped variants.
+	capSlots []int
 
 	wsPool sync.Pool // *Workspace scratch for the pooled entry points
 
@@ -51,15 +58,22 @@ type stampSink interface {
 }
 
 // matrixSink accumulates stamps into dense matrices — the Compile/restamp
-// backend.
+// backend. Given capacity in slots (Compile), it also appends the data
+// index of every C stamp there.
 type matrixSink struct {
-	g, c *Matrix
-	b    []complex128
+	g, c  *Matrix
+	b     []complex128
+	slots []int
 }
 
 func (m *matrixSink) G(r, c int, v complex128) { m.g.Add(r, c, v) }
-func (m *matrixSink) C(r, c int, v complex128) { m.c.Add(r, c, v) }
 func (m *matrixSink) B(r int, v complex128)    { m.b[r] += v }
+func (m *matrixSink) C(r, c int, v complex128) {
+	m.c.Add(r, c, v)
+	if cap(m.slots) > 0 {
+		m.slots = append(m.slots, r*m.c.N+c)
+	}
+}
 
 // patternSink records the structural (row, col) positions of the A-matrix
 // stamps, ignoring values and the excitation.
@@ -195,9 +209,20 @@ func Compile(nl *netlist.Netlist) (*Circuit, error) {
 	c.G = NewMatrix(n)
 	c.C = NewMatrix(n)
 	c.b = make([]complex128, n)
-	if err := c.stampInto(nil, &matrixSink{g: c.G, c: c.C, b: c.b}); err != nil {
+	caps := 0
+	for _, d := range nl.Devices {
+		if d.Kind == netlist.Capacitor {
+			caps++
+		}
+	}
+	// A capacitor stamps at most four entries: one allocation holds the
+	// slot list, sorted and compacted in place.
+	sink := &matrixSink{g: c.G, c: c.C, b: c.b, slots: make([]int, 0, 4*caps)}
+	if err := c.stampInto(nil, sink); err != nil {
 		return nil, err
 	}
+	slices.Sort(sink.slots)
+	c.capSlots = slices.Compact(sink.slots)
 	return c, nil
 }
 
@@ -220,7 +245,7 @@ func (c *Circuit) Restamped(scale []float64, into *Circuit) (*Circuit, error) {
 		n := c.Size()
 		into = &Circuit{
 			nl: c.nl, nodeIdx: c.nodeIdx, nodes: c.nodes, nn: c.nn, nb: c.nb,
-			branches: c.branches, deg: c.deg,
+			branches: c.branches, deg: c.deg, capSlots: c.capSlots,
 			G: NewMatrix(n), C: NewMatrix(n), b: make([]complex128, n),
 		}
 	}

@@ -8,6 +8,7 @@
 package mna
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/cmplx"
@@ -177,6 +178,21 @@ func (lu *LU) factor() {
 	}
 }
 
+// ErrSingular is matched (errors.Is) by every error that reports a system
+// singular to working precision: dense and sparse solves, transient
+// steps and noise sweeps. Each keeps its own message.
+var ErrSingular = errors.New("mna: singular matrix")
+
+// singularf formats an error that matches ErrSingular.
+func singularf(format string, args ...any) error {
+	return singularError(fmt.Sprintf(format, args...))
+}
+
+type singularError string
+
+func (e singularError) Error() string        { return string(e) }
+func (e singularError) Is(target error) bool { return target == ErrSingular }
+
 // OK reports whether the factorization succeeded (matrix nonsingular).
 func (lu *LU) OK() bool { return lu.ok }
 
@@ -208,7 +224,7 @@ func (lu *LU) Solve(b []complex128) ([]complex128, error) {
 // performs no allocations.
 func (lu *LU) SolveInto(x, b []complex128) error {
 	if !lu.ok {
-		return fmt.Errorf("mna: singular matrix")
+		return ErrSingular
 	}
 	n := lu.m.N
 	if len(b) != n || len(x) != n {

@@ -2,6 +2,7 @@ package mna
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -351,6 +352,29 @@ func TestSweepValidation(t *testing.T) {
 	}
 }
 
+// TestSweepGridBounded: the shared grid equals logFreqs for every key,
+// and the memo stops storing at maxSweepGrids keys.
+func TestSweepGridBounded(t *testing.T) {
+	for k := 1; k <= 2*maxSweepGrids; k++ {
+		fStop := 1e3 * float64(k)
+		got, want := sweepGrid(1, fStop, 7), logFreqs(1, fStop, 7)
+		if len(got) != len(want) {
+			t.Fatalf("key %d: %d points, want %d", k, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("key %d point %d: %g, want %g", k, i, got[i], want[i])
+			}
+		}
+	}
+	sweepGrids.mu.Lock()
+	n := len(sweepGrids.m)
+	sweepGrids.mu.Unlock()
+	if n != maxSweepGrids {
+		t.Errorf("memo holds %d grids, want %d", n, maxSweepGrids)
+	}
+}
+
 func TestCompileErrors(t *testing.T) {
 	bad := netlist.New("floating")
 	bad.AddR("R1", "a", "b", 1e3)
@@ -452,6 +476,44 @@ func TestSingularMatrix(t *testing.T) {
 	}
 	if !lu.Det().Zero() {
 		t.Errorf("det = %v, want zero", lu.Det())
+	}
+}
+
+// TestSingularErrorsTyped: every singular-system error matches
+// ErrSingular and keeps its message. Two voltage sources in parallel pin
+// one node twice, so A(s) and the transient systems are singular.
+func TestSingularErrorsTyped(t *testing.T) {
+	nl := netlist.New("parallel sources")
+	nl.AddV("V1", "in", "0", 1)
+	nl.AddV("V2", "in", "0", 2)
+	nl.AddR("R1", "in", "out", 1e3)
+	nl.AddC("C1", "out", "0", 1e-12)
+	c := compileOK(t, nl)
+	var sparse SparseLU
+	sparse.Analyze(NewPattern(1, []int{0}, []int{0}))
+	sparse.Factor([]float64{0})
+	_, solveErr := c.SolveAt(Omega(1e3))
+	_, noiseErr := c.NoiseSweep("out", 1, 10, 1, NoiseOpts{})
+	_, tranErr := c.Transient("out", TranOpts{TEnd: 1e-6, Dt: 1e-9})
+	for _, tc := range []struct {
+		err  error
+		want string
+	}{
+		{Factor(NewMatrix(2)).SolveInto(make([]complex128, 2), make([]complex128, 2)), "mna: singular matrix"},
+		{solveErr, "mna: solve at s=(0+6283.185307179586i): mna: singular matrix"},
+		{sparse.SolveInto(make([]float64, 1), make([]float64, 1)), "mna: singular sparse matrix"},
+		{noiseErr, "mna: singular at 1 Hz"},
+		{tranErr, "mna: transient consistent initialization singular (dt=1e-09)"},
+	} {
+		if !errors.Is(tc.err, ErrSingular) {
+			t.Errorf("%v does not match ErrSingular", tc.err)
+		}
+		if tc.err == nil || tc.err.Error() != tc.want {
+			t.Errorf("error %v, want %q", tc.err, tc.want)
+		}
+	}
+	if errors.Is(ErrNewtonNoConverge, ErrSingular) || errors.Is(ErrNoConverge, ErrSingular) {
+		t.Error("a non-convergence sentinel matches ErrSingular")
 	}
 }
 

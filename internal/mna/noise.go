@@ -12,7 +12,7 @@ import (
 // thermal sources. Every resistor contributes a 4kT/R current source in
 // parallel; every transconductor contributes 4kTγ·gm of channel noise at
 // its output. At each frequency one LU factorization serves all sources,
-// each of which needs a single extra solve.
+// and each distinct injection node pair needs a single extra solve.
 
 // Boltzmann constant (J/K).
 const kB = 1.380649e-23
@@ -96,11 +96,35 @@ func (c *Circuit) NoiseSweep(out string, fStart, fStop float64, perDecade int, o
 	if fStart == fStop {
 		freqs = []float64{fStart}
 	} else {
-		freqs = logFreqs(fStart, fStop, perDecade)
+		freqs = sweepGrid(fStart, fStop, perDecade)
+	}
+
+	// Sources on the same unordered node pair {a, b} share |H|²: the
+	// injection b→a is exactly −rhs of a→b, and negating the right-hand
+	// side negates every nonzero of the LU solve exactly (rounding is
+	// symmetric), so |x[j]| is identical. Each pair is solved once per
+	// frequency, by its first source, and total still adds h²·si in
+	// source order, so it rounds as one solve per source would.
+	var pairBuf, firstBuf [32]int
+	var hhBuf [32]float64
+	pair, first := pairBuf[:0], firstBuf[:0] // source → pair, pair → first source
+	for k, s := range sources {
+		p := 0
+		for p < len(first) && !samePair(sources[first[p]], s) {
+			p++
+		}
+		if p == len(first) {
+			first = append(first, k)
+		}
+		pair = append(pair, p)
+	}
+	hh := hhBuf[:] // |H|² per pair at the current frequency
+	if len(first) > len(hh) {
+		hh = make([]float64, len(first))
 	}
 
 	// One workspace serves the whole sweep: each frequency is a single
-	// in-place factorization, each source one allocation-free solve into
+	// in-place factorization, each pair one allocation-free solve into
 	// workspace-owned scratch.
 	w := c.workspace()
 	defer c.release(w)
@@ -109,30 +133,41 @@ func (c *Circuit) NoiseSweep(out string, fStart, fStop float64, perDecade int, o
 	for _, f := range freqs {
 		lu := w.factorAt(Omega(f))
 		if !lu.OK() {
-			return nil, fmt.Errorf("mna: singular at %g Hz", f)
+			return nil, singularf("mna: singular at %g Hz", f)
 		}
 		total := 0.0
-		for _, s := range sources {
-			for i := range rhs {
-				rhs[i] = 0
+		for k, s := range sources {
+			p := pair[k]
+			if first[p] == k {
+				for i := range rhs {
+					rhs[i] = 0
+				}
+				// Unit current from a to b through the generator injects
+				// −1 at a and +1 at b (matches the ISource stamp
+				// convention).
+				if s.a >= 0 {
+					rhs[s.a] -= 1
+				}
+				if s.b >= 0 {
+					rhs[s.b] += 1
+				}
+				if err := lu.SolveInto(x, rhs); err != nil {
+					return nil, err
+				}
+				h := cmplx.Abs(x[j])
+				hh[p] = h * h
 			}
-			// Unit current from a to b through the generator injects −1
-			// at a and +1 at b (matches the ISource stamp convention).
-			if s.a >= 0 {
-				rhs[s.a] -= 1
-			}
-			if s.b >= 0 {
-				rhs[s.b] += 1
-			}
-			if err := lu.SolveInto(x, rhs); err != nil {
-				return nil, err
-			}
-			h := cmplx.Abs(x[j])
-			total += h * h * s.si
+			total += hh[p] * s.si
 		}
 		pts = append(pts, NoisePoint{Freq: f, Svv: total})
 	}
 	return pts, nil
+}
+
+// samePair reports whether two sources inject at the same unordered node
+// pair.
+func samePair(s, t noiseSource) bool {
+	return s.a == t.a && s.b == t.b || s.a == t.b && s.b == t.a
 }
 
 // IntegratedNoise integrates the output noise PSD over [fStart, fStop]

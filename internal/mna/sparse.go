@@ -449,7 +449,7 @@ func (lu *SparseLU) Refactor(vals []float64) bool {
 // performs no allocations.
 func (lu *SparseLU) SolveInto(x, b []float64) error {
 	if !lu.ok {
-		return fmt.Errorf("mna: singular sparse matrix")
+		return singularf("mna: singular sparse matrix")
 	}
 	n := lu.pat.N
 	if len(x) != n || len(b) != n {

@@ -1,6 +1,7 @@
 package mna
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
@@ -25,6 +26,10 @@ import (
 // effective transconductances hold still (within jacDriftTol), which
 // collapses the settled tail of a step response to one refactor-free
 // chord iteration per step.
+
+// ErrNewtonNoConverge reports that a transient step's Newton iteration
+// exhausted TranOpts.MaxNewton without meeting its tolerance.
+var ErrNewtonNoConverge = errors.New("transient Newton did not converge")
 
 // TranOpts configures a transient run.
 type TranOpts struct {
@@ -209,7 +214,7 @@ func (c *Circuit) Transient(out string, opts TranOpts) ([]TranPoint, error) {
 			ts.jacV[i] = ts.gv[i] + ts.cv[i]/delta
 		}
 		if !ts.lu.Factor(ts.jacV) {
-			return nil, fmt.Errorf("mna: transient consistent initialization singular (dt=%g)", h)
+			return nil, singularf("mna: transient consistent initialization singular (dt=%g)", h)
 		}
 		u0 := opts.Input(0)
 		for i := range ts.rhs {
@@ -239,7 +244,7 @@ func (c *Circuit) Transient(out string, opts TranOpts) ([]TranPoint, error) {
 	jacFresh := false
 	if len(sats) == 0 {
 		if !ts.lu.Refactor(ts.aBase) {
-			return nil, fmt.Errorf("mna: transient system singular at dt=%g", h)
+			return nil, singularf("mna: transient system singular at dt=%g", h)
 		}
 		jacFresh = true
 	}
@@ -266,7 +271,7 @@ func (c *Circuit) Transient(out string, opts TranOpts) ([]TranPoint, error) {
 				jacFresh = false
 				if len(sats) == 0 {
 					if !ts.lu.Refactor(ts.aBase) {
-						return nil, fmt.Errorf("mna: transient system singular at dt=%g", hs)
+						return nil, singularf("mna: transient system singular at dt=%g", hs)
 					}
 					jacFresh = true
 				}
@@ -279,7 +284,8 @@ func (c *Circuit) Transient(out string, opts TranOpts) ([]TranPoint, error) {
 			ts.cdx[r] = ts.bReal[r] * u0
 		}
 		matVecSub(ts.cdx, pat, ts.gv, ts.x)
-		addSatCurrents(ts.cdx, sats, ts.x, -1, nil)
+		satTanh(ts.satTanh, sats, ts.x)
+		addSatCurrents(ts.cdx, sats, ts.satTanh, -1)
 
 		// rhs = b(t_{n+1}) + (2C/h)·x_n + C·x'_n, with the history terms
 		// masked to rows that have capacitor stamps (algebraic rows stay
@@ -312,7 +318,12 @@ func (c *Circuit) Transient(out string, opts TranOpts) ([]TranPoint, error) {
 					ts.f[r] = -ts.rhs[r]
 				}
 				matVecAdd(ts.f, pat, ts.aBase, ts.xNew)
-				addSatCurrents(ts.f, sats, ts.xNew, 1, ts.satTanh)
+				if it > 0 {
+					// Iteration 0's predictor is a copy of x, whose tanh
+					// values the history term above just computed.
+					satTanh(ts.satTanh, sats, ts.xNew)
+				}
+				addSatCurrents(ts.f, sats, ts.satTanh, 1)
 				refresh := !jacFresh
 				for si := range sats {
 					geff := sats[si].gm * (1 - ts.satTanh[si]*ts.satTanh[si])
@@ -328,12 +339,12 @@ func (c *Circuit) Transient(out string, opts TranOpts) ([]TranPoint, error) {
 						addGeffStamps(ts.jacV, &sats[si], geff)
 					}
 					if !ts.lu.Refactor(ts.jacV) {
-						return nil, fmt.Errorf("mna: transient Newton singular at t=%g", t1)
+						return nil, singularf("mna: transient Newton singular at t=%g", t1)
 					}
 					jacFresh = true
 				}
 				if err := ts.lu.SolveInto(ts.dx, ts.f); err != nil {
-					return nil, fmt.Errorf("mna: transient Newton singular at t=%g", t1)
+					return nil, singularf("mna: transient Newton singular at t=%g", t1)
 				}
 				if newtonStepApply(ts.xNew, ts.dx) < opts.Tol {
 					converged = true
@@ -341,7 +352,7 @@ func (c *Circuit) Transient(out string, opts TranOpts) ([]TranPoint, error) {
 				}
 			}
 			if !converged {
-				return nil, fmt.Errorf("mna: transient Newton did not converge at t=%g", t1)
+				return nil, fmt.Errorf("mna: %w at t=%g", ErrNewtonNoConverge, t1)
 			}
 		}
 		copy(ts.x, ts.xNew)
@@ -434,20 +445,25 @@ func ctrlVoltage(x []float64, s *vccsInfo) float64 {
 	return v
 }
 
-// addSatCurrents accumulates w·i_sat(x) into f at the output nodes.
-// Convention matches the linear stamp: current i leaves node op and
-// enters om, i.e. KCL rows get +i at op and −i at om. When th is non-nil
-// it receives each device's tanh operating point, from which the Newton
-// loop derives the effective transconductance gm·(1 − tanh²) for free.
-func addSatCurrents(f []float64, sats []vccsInfo, x []float64, w float64, th []float64) {
+// satTanh writes each saturating device's tanh operating point at x into
+// th: i_sat = imax·th, and the Newton loop derives the effective
+// transconductance gm·(1 − th²) from it for free.
+func satTanh(th []float64, sats []vccsInfo, x []float64) {
 	for si := range sats {
 		s := &sats[si]
 		v := ctrlVoltage(x, s)
-		t := math.Tanh(s.gm * v / s.imax)
-		if th != nil {
-			th[si] = t
-		}
-		i := s.imax * t
+		th[si] = math.Tanh(s.gm * v / s.imax)
+	}
+}
+
+// addSatCurrents accumulates w·i_sat into f at the output nodes, from the
+// operating points th that satTanh computed. Convention matches the
+// linear stamp: current i leaves node op and enters om, i.e. KCL rows get
+// +i at op and −i at om.
+func addSatCurrents(f []float64, sats []vccsInfo, th []float64, w float64) {
+	for si := range sats {
+		s := &sats[si]
+		i := s.imax * th[si]
 		if s.op >= 0 {
 			f[s.op] += w * i
 		}

@@ -387,3 +387,65 @@ func TestJobJSONShape(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAdmissionLeaseSpansJob: with admission on, a design job holds its
+// lease while it is queued and gives it back once terminal, and a cache
+// hit, whose job is terminal at submission, gives its lease back before
+// the handler returns.
+func TestAdmissionLeaseSpansJob(t *testing.T) {
+	srv := NewWithOptions(Options{Workers: 1, Queue: 8, TenantRate: 1000})
+	defer srv.Shutdown(context.Background())
+	leasesDrain := func() {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); srv.pqueue.InUse() != 0; {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d leases still held after the jobs ended", srv.pqueue.InUse())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	release := make(chan struct{})
+	blocker, _, err := srv.jobs.Submit(func(ctx context.Context) (any, error) {
+		select {
+		case <-release:
+		case <-ctx.Done():
+		}
+		return nil, nil
+	}, jobs.SubmitOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for blocker.Status() != jobs.StatusRunning {
+		time.Sleep(time.Millisecond)
+	}
+	rec, body := doJSON(t, srv, "POST", "/jobs", DesignRequest{Group: "G-2", Seed: 9})
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("POST /jobs: %d %s", rec.Code, body)
+	}
+	var accepted jobJSON
+	if err := json.Unmarshal(body, &accepted); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.pqueue.InUse(); got != 1 {
+		t.Fatalf("queued job holds %d leases, want 1", got)
+	}
+	close(release)
+	if fin := pollJob(t, srv, accepted.ID); fin.Status != "done" {
+		t.Fatalf("job status %s, want done", fin.Status)
+	}
+	leasesDrain()
+
+	req := DesignRequest{Group: "G-1", Seed: 1}
+	if rec, body := doJSON(t, srv, "POST", "/design", req); rec.Code != http.StatusOK {
+		t.Fatalf("POST /design: %d %s", rec.Code, body)
+	}
+	leasesDrain()
+	rec, body = doJSON(t, srv, "POST", "/design", req)
+	if rec.Code != http.StatusOK || !strings.Contains(string(body), `"cached":true`) {
+		t.Fatalf("repeat POST /design: %d %s, want a cache hit", rec.Code, body)
+	}
+	if got := srv.pqueue.InUse(); got != 0 {
+		t.Errorf("cache hit still holds %d leases after the handler returned", got)
+	}
+}

@@ -937,7 +937,13 @@ func (s *Server) submitDesign(w http.ResponseWriter, r *http.Request) (*jobs.Job
 	}
 	// The admission lease spans the job's whole life — queued, running,
 	// terminal — regardless of whether the caller waits (sync /design) or
-	// polls (async /jobs).
+	// polls (async /jobs). With admission off there is no lease, and a
+	// job already terminal (a cache hit) holds it no longer: both give it
+	// back here instead of starting a goroutine to wait.
+	if s.admission == nil || j.Status().Terminal() {
+		release()
+		return j, true
+	}
 	go func() {
 		defer release()
 		_, werr := j.Wait(context.Background())

@@ -3,8 +3,10 @@
 # hot-path allocation gate, TestHotPathAllocs), the benchmark module's
 # tests, a race pass over every package, a chaos smoke
 # over the resilience layer and the fleet, fuzz smokes, and an
-# errcheck-style grep gate. Mirrors `make check`. Timing is not gated
-# here: it is judged by interleaved perfbench runs.
+# errcheck-style grep gate. `make check` runs this script; the
+# Makefile's other targets run single steps, and `make chaos` the long
+# chaos soak. Timing is not gated here: it is judged by interleaved
+# perfbench runs.
 set -eux
 cd "$(dirname "$0")/.."
 # Formatting gate: every tracked Go file must be gofmt-clean.
@@ -33,17 +35,20 @@ go test ./internal/chaos -race -count=2
 
 # Fuzz smoke: 10 s of coverage-guided input generation per target over
 # the parsers that face raw bytes (SPICE netlists, spec JSON, the journal
-# replay path and topology JSON) and the white-box seed and gm/Id mapping
-# that consume decoded topologies, seeded from the checked-in corpus under
-# testdata/fuzz/. Crashers land in testdata/fuzz/<Target>/ and fail this
-# gate until fixed.
+# replay path and topology JSON), the white-box seed and gm/Id mapping
+# that consume decoded topologies, and the metric extraction over scaled
+# generated circuits (the simulator's assembly and real-s determinant
+# paths), seeded from the checked-in corpus under testdata/fuzz/.
+# Crashers land in testdata/fuzz/<Target>/ and fail this gate until
+# fixed.
 for target in \
     'FuzzParse ./internal/netlist' \
     'FuzzDeviceLineRoundTrip ./internal/netlist' \
     'FuzzSpecJSON ./internal/spec' \
     'FuzzJournalReplay ./internal/cluster' \
     'FuzzFromJSON ./internal/topology' \
-    'FuzzSeed ./internal/backend'; do
+    'FuzzSeed ./internal/backend' \
+    'FuzzAnalyze ./internal/measure'; do
     set -- $target
     go test -run '^$' -fuzz "^$1\$" -fuzztime 10s "$2"
 done
