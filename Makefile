@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all fmt build vet test allocs race chaos check bench
+.PHONY: all fmt build vet test allocs race chaos check bench loc
 
 all: check
 
@@ -51,3 +51,10 @@ check:
 # timing is judged by interleaved perfbench runs.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
+
+# loc prints the size of the non-test Go outside perfbench/: all lines,
+# then the lines that are neither blank nor only a // comment.
+loc:
+	@files="$$(git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^perfbench/')"; \
+	echo "non-test Go lines: $$(cat $$files | wc -l)"; \
+	echo "without blank and comment-only lines: $$(cat $$files | grep -v '^[[:space:]]*$$' | grep -v '^[[:space:]]*//' | wc -l)"

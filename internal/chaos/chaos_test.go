@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -219,12 +220,17 @@ func TestChaosCorruptJournalQuarantine(t *testing.T) {
 
 	// The job whose done record was destroyed replayed as interrupted and
 	// must have been re-executed to a terminal state.
-	state, ok := f2.Nodes()[0].Server().Persist().Store().State(corruptedID)
-	if !ok {
+	rec, err := cluster.ReadJobs(nodeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(rec.IDs, corruptedID) {
 		t.Fatalf("job %s vanished after corruption", corruptedID)
 	}
-	if !state.Terminal() {
-		t.Errorf("job %s is %q after replay, want terminal", corruptedID, state.Status)
+	for _, p := range rec.Pending {
+		if p.ID == corruptedID {
+			t.Errorf("job %s is %q after replay, want terminal", corruptedID, p.Status)
+		}
 	}
 
 	// Every observability surface agrees on the corruption count.
@@ -272,7 +278,7 @@ func flipDoneRecord(t *testing.T, path string) string {
 // that cannot fail is not a checker.
 func TestChaosBrokenInvariantDetected(t *testing.T) {
 	bad := []NodeJournal{{Node: 0, Records: []cluster.Record{
-		{Op: cluster.OpSubmit, ID: "n0-j-1", Kind: "design", Key: "k"},
+		{Op: cluster.OpSubmit, ID: "n0-j-1", Key: "k"},
 		{Op: cluster.OpDone, ID: "n0-j-1", Result: json.RawMessage(`{"x":1}`)},
 		{Op: cluster.OpStart, ID: "n0-j-1"}, // re-execution after completion
 	}}}

@@ -324,9 +324,15 @@ func (f *Fleet) AwaitQuiesce(timeout time.Duration) error {
 				settled = false
 				break
 			}
-			if p := srv.Persist(); p != nil && !p.Store().ReadOnly() && len(p.Store().Pending()) > 0 {
-				settled = false
-				break
+			if p := srv.Persist(); p != nil && !p.Store().ReadOnly() {
+				rec, err := cluster.ReadJobs(n.Dir)
+				if err != nil {
+					return err
+				}
+				if len(rec.Pending) > 0 {
+					settled = false
+					break
+				}
 			}
 		}
 		if settled {

@@ -62,13 +62,6 @@ func (v *VNet) Unregister(host string) {
 	delete(v.hosts, host)
 }
 
-// SetRule replaces host's fault rule.
-func (v *VNet) SetRule(host string, r FaultRule) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.rules[host] = &r
-}
-
 // UpdateRule mutates host's fault rule in place under the lock,
 // creating it if absent — so a script can partition a host without
 // clobbering an active latency rule.

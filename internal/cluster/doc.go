@@ -8,10 +8,11 @@
 //     partition cleanly — duplicate work lands on one node and runs once
 //     fleet-wide.
 //   - Store / PersistentManager: an append-only journal plus snapshot
-//     under a data dir. Job submissions and state transitions are logged;
-//     on restart the journal is replayed — completed results re-warm the
-//     result cache (exactly-once visibility) and interrupted jobs are
-//     re-executed (at-least-once execution).
+//     under a data dir, the only durable job table. Job submissions and
+//     state transitions are logged; on restart OpenStore folds the
+//     journal once and Replay consumes the recovered jobs — completed
+//     results re-warm the result cache (exactly-once visibility) and
+//     interrupted jobs are re-executed (at-least-once execution).
 //   - Admission / PQueue: per-tenant token-bucket admission control and a
 //     small priority queue in front of the worker pool, so overload sheds
 //     the noisiest tenant with 429 + Retry-After instead of crashing the

@@ -10,6 +10,7 @@ package cluster
 import (
 	"errors"
 	"os"
+	"slices"
 	"testing"
 )
 
@@ -31,22 +32,22 @@ func FuzzJournalReplay(f *testing.F) {
 		if err := os.WriteFile(JournalPath(dir), journal, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s, err := OpenStore(dir, StoreOptions{})
+		s, _, err := OpenStore(dir, StoreOptions{})
 		if err != nil {
 			return // oversized lines etc. may refuse to open; only panics are bugs
 		}
-		if err := s.Append(Record{Op: OpSubmit, ID: "fz-j-999", Kind: "k"}); err != nil {
+		if err := s.Append(Record{Op: OpSubmit, ID: "fz-j-999"}); err != nil {
 			t.Fatalf("append onto recovered journal: %v", err)
 		}
 		if err := s.Close(); err != nil {
 			t.Fatalf("close: %v", err)
 		}
-		re, err := OpenStore(dir, StoreOptions{})
+		re, rec, err := OpenStore(dir, StoreOptions{})
 		if err != nil {
 			t.Fatalf("reopen after append: %v", err)
 		}
 		defer re.Close()
-		if _, ok := re.State("fz-j-999"); !ok {
+		if !slices.Contains(rec.IDs, "fz-j-999") {
 			t.Fatal("record appended after recovery was lost on replay")
 		}
 		// The scan API must agree with OpenStore on the same bytes.

@@ -5,14 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"artisan/internal/jobs"
 )
 
-// Executor rehydrates one kind of persisted job. Run re-executes a job
-// from its journaled payload; Decode turns a journaled result back into
-// the in-memory value the result cache serves (so a replayed done job is
+// Executor runs and rehydrates persisted jobs. Run executes a job from
+// its journaled payload; Decode turns a journaled result back into the
+// in-memory value the result cache serves (so a replayed done job is
 // indistinguishable from a live cache entry).
 type Executor struct {
 	Run    func(ctx context.Context, payload json.RawMessage) (any, error)
@@ -29,49 +28,25 @@ type Executor struct {
 type PersistentManager struct {
 	m     *jobs.Manager
 	store *Store
+	ex    Executor
 
 	mu     sync.Mutex
-	execs  map[string]Executor
 	closed bool // set by Close; later submissions are refused
 
 	// watchers counts submissions in flight and the watch goroutines
 	// they hand their jobs to, so Close can wait for every terminal
 	// record before it closes the store.
 	watchers sync.WaitGroup
-
-	// Replay accounting, surfaced on /stats.
-	replayedPending atomic.Int64
-	replayedResults atomic.Int64
 }
 
-// NewPersistentManager wires a store onto a manager. Register executors
-// before Replay or the first Submit of their kind.
-func NewPersistentManager(m *jobs.Manager, store *Store) *PersistentManager {
-	return &PersistentManager{m: m, store: store, execs: make(map[string]Executor)}
+// NewPersistentManager wires a store onto a manager; ex runs every job
+// submitted or replayed through it.
+func NewPersistentManager(m *jobs.Manager, store *Store, ex Executor) *PersistentManager {
+	return &PersistentManager{m: m, store: store, ex: ex}
 }
-
-// Manager exposes the wrapped jobs.Manager (introspection, shutdown).
-func (p *PersistentManager) Manager() *jobs.Manager { return p.m }
 
 // Store exposes the backing store (compaction, tests).
 func (p *PersistentManager) Store() *Store { return p.store }
-
-// Register installs the executor for one job kind.
-func (p *PersistentManager) Register(kind string, ex Executor) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.execs[kind] = ex
-}
-
-func (p *PersistentManager) executor(kind string) (Executor, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	ex, ok := p.execs[kind]
-	if !ok {
-		return Executor{}, fmt.Errorf("cluster: no executor registered for job kind %q", kind)
-	}
-	return ex, nil
-}
 
 // Close journals every outstanding terminal record, then closes the
 // store. Call it after the manager has drained (jobs.Manager.Shutdown):
@@ -85,23 +60,18 @@ func (p *PersistentManager) Close() error {
 	return p.store.Close()
 }
 
-// Submit journals and enqueues one job of a registered kind. Cache hits
-// and coalesced attaches are not journaled — their result visibility is
-// already guaranteed by the journaled leader. The submit record is
-// durable before Submit returns, so an acknowledged job survives a
-// crash.
-func (p *PersistentManager) Submit(kind string, payload json.RawMessage, opts jobs.SubmitOpts) (*jobs.Job, bool, error) {
-	return p.submit(kind, payload, opts, "")
+// Submit journals and enqueues one job. Cache hits and coalesced
+// attaches are not journaled — their result visibility is already
+// guaranteed by the journaled leader. The submit record is durable
+// before Submit returns, so an acknowledged job survives a crash.
+func (p *PersistentManager) Submit(payload json.RawMessage, opts jobs.SubmitOpts) (*jobs.Job, bool, error) {
+	return p.submit(payload, opts, "")
 }
 
 // submit is Submit plus the replay path: a non-empty logicalID marks a
 // re-execution of an already-journaled job (an OpResume record instead
 // of a fresh OpSubmit, keeping the journal's logical identity stable).
-func (p *PersistentManager) submit(kind string, payload json.RawMessage, opts jobs.SubmitOpts, logicalID string) (*jobs.Job, bool, error) {
-	ex, err := p.executor(kind)
-	if err != nil {
-		return nil, false, err
-	}
+func (p *PersistentManager) submit(payload json.RawMessage, opts jobs.SubmitOpts, logicalID string) (*jobs.Job, bool, error) {
 	// The submission counts as a watcher until it returns, so Close cannot
 	// close the store between the enqueue and the journal records.
 	p.mu.Lock()
@@ -128,7 +98,7 @@ func (p *PersistentManager) submit(kind string, payload json.RawMessage, opts jo
 		if gate.id != "" {
 			_ = p.store.Append(Record{Op: OpStart, ID: gate.id})
 		}
-		return ex.Run(ctx, payload)
+		return p.ex.Run(ctx, payload)
 	}
 	j, shared, err := p.m.Submit(fn, opts)
 	if err != nil {
@@ -141,7 +111,7 @@ func (p *PersistentManager) submit(kind string, payload json.RawMessage, opts jo
 		}
 		logicalID = j.ID()
 		if err := p.store.Append(Record{
-			Op: OpSubmit, ID: logicalID, Kind: kind, Key: opts.Key, Payload: payload,
+			Op: OpSubmit, ID: logicalID, Key: opts.Key, Payload: payload,
 		}); err != nil {
 			// The job is already queued but cannot be made durable. Cancel it
 			// so the rejected submission does not execute as a ghost — the
@@ -198,49 +168,35 @@ type ReplayStats struct {
 	Interrupted int `json:"interrupted"`
 }
 
-// Replay rebuilds serving state from the journal: journaled done
-// results are decoded and re-installed in the result cache under their
-// original keys, then queued and interrupted jobs are resubmitted in
-// their original order. Jobs whose key now hits the warmed cache
-// complete instantly without re-running. Call once, after Register and
-// before serving traffic.
-func (p *PersistentManager) Replay() (ReplayStats, error) {
+// Replay rebuilds serving state from the jobs OpenStore recovered:
+// journaled done results are decoded and re-installed in the result
+// cache under their original keys, then queued and interrupted jobs are
+// resubmitted in their original order. Jobs whose key now hits the
+// warmed cache complete instantly without re-running. Call once, before
+// serving traffic.
+func (p *PersistentManager) Replay(rec Recovered) (ReplayStats, error) {
 	var stats ReplayStats
-	for _, d := range p.store.Done() {
-		if d.Key == "" || len(d.Result) == 0 {
+	for _, d := range rec.Done {
+		if d.Key == "" || len(d.Result) == 0 || p.ex.Decode == nil {
 			continue
 		}
-		ex, err := p.executor(d.Kind)
-		if err != nil {
-			return stats, err
-		}
-		if ex.Decode == nil {
-			continue
-		}
-		v, err := ex.Decode(d.Result)
+		v, err := p.ex.Decode(d.Result)
 		if err != nil {
 			return stats, fmt.Errorf("cluster: replay decode %s: %w", d.ID, err)
 		}
 		p.m.WarmCache(d.Key, v)
 		stats.ResultsWarmed++
 	}
-	for _, pend := range p.store.Pending() {
+	for _, pend := range rec.Pending {
 		if pend.Interrupted() {
 			stats.Interrupted++
 		}
-		if _, _, err := p.submit(pend.Kind, pend.Payload, jobs.SubmitOpts{
+		if _, _, err := p.submit(pend.Payload, jobs.SubmitOpts{
 			Key: pend.Key, Coalesce: pend.Key != "",
 		}, pend.ID); err != nil {
 			return stats, fmt.Errorf("cluster: replay resubmit %s: %w", pend.ID, err)
 		}
 		stats.Resubmitted++
 	}
-	p.replayedResults.Add(int64(stats.ResultsWarmed))
-	p.replayedPending.Add(int64(stats.Resubmitted))
 	return stats, nil
-}
-
-// ReplayCounts reports cumulative replay totals (for /stats).
-func (p *PersistentManager) ReplayCounts() (resultsWarmed, resubmitted int64) {
-	return p.replayedResults.Load(), p.replayedPending.Load()
 }

@@ -106,7 +106,7 @@ func TestPersistCrashRecovery(t *testing.T) {
 			total := tc.done + tc.running + tc.queued
 
 			// ---- Phase 1: run until mid-batch, then crash. ----
-			store1, err := OpenStore(dir, StoreOptions{})
+			store1, _, err := OpenStore(dir, StoreOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,12 +124,11 @@ func TestPersistCrashRecovery(t *testing.T) {
 				workers = 1
 			}
 			m1 := jobs.NewManager(jobs.Config{Workers: workers, Queue: total + 4})
-			pm1 := NewPersistentManager(m1, store1)
-			pm1.Register("test", testExecutor(c1, blocked, gate))
+			pm1 := NewPersistentManager(m1, store1, testExecutor(c1, blocked, gate))
 
 			submit := func(v int) {
 				t.Helper()
-				_, shared, err := pm1.Submit("test", payloadFor(v), jobs.SubmitOpts{
+				_, shared, err := pm1.Submit(payloadFor(v), jobs.SubmitOpts{
 					Key: fmt.Sprintf("key-%d", v), Coalesce: true,
 				})
 				if err != nil || shared {
@@ -141,14 +140,14 @@ func TestPersistCrashRecovery(t *testing.T) {
 			}
 			// Terminal records are journaled by watch goroutines; wait for
 			// all of them before wedging the workers.
-			waitFor(t, "done jobs journaled", func() bool { return len(store1.Done()) == tc.done })
+			waitFor(t, "done jobs journaled", func() bool { return len(readJobs(t, dir).Done) == tc.done })
 			for v := tc.done; v < total; v++ {
 				submit(v)
 			}
 			if tc.running > 0 {
 				waitFor(t, "running jobs journaled as started", func() bool {
 					interrupted := 0
-					for _, p := range store1.Pending() {
+					for _, p := range readJobs(t, dir).Pending {
 						if p.Interrupted() {
 							interrupted++
 						}
@@ -163,16 +162,15 @@ func TestPersistCrashRecovery(t *testing.T) {
 			}
 
 			// ---- Phase 2: reopen, replay, drain. ----
-			store2, err := OpenStore(dir, StoreOptions{})
+			store2, rec2, err := OpenStore(dir, StoreOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer store2.Close()
 			c2 := newRunCounter()
 			m2 := jobs.NewManager(jobs.Config{Workers: 2, Queue: total + 4})
-			pm2 := NewPersistentManager(m2, store2)
-			pm2.Register("test", testExecutor(c2, nil, nil))
-			stats, err := pm2.Replay()
+			pm2 := NewPersistentManager(m2, store2, testExecutor(c2, nil, nil))
+			stats, err := pm2.Replay(rec2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,12 +184,12 @@ func TestPersistCrashRecovery(t *testing.T) {
 				t.Errorf("Interrupted = %d, want %d", stats.Interrupted, tc.running)
 			}
 
-			waitFor(t, "all jobs terminal after replay", func() bool { return len(store2.Pending()) == 0 })
+			waitFor(t, "all jobs terminal after replay", func() bool { return len(readJobs(t, dir).Pending) == 0 })
 
 			// Exactly once terminal: every logical job is done, none twice
-			// (the state map keys on logical id, so a duplicate would surface
-			// as a wrong Done count or a leftover pending entry).
-			done := store2.Done()
+			// (the fold keys on logical id, so a duplicate would surface as a
+			// wrong Done count or a leftover pending entry).
+			done := readJobs(t, dir).Done
 			if len(done) != total {
 				t.Fatalf("Done = %d jobs after recovery, want %d", len(done), total)
 			}
@@ -217,7 +215,7 @@ func TestPersistCrashRecovery(t *testing.T) {
 
 			// Exactly-once visibility: a duplicate of a completed job is a
 			// cache hit with the journaled result — no new execution.
-			j, shared, err := pm2.Submit("test", payloadFor(0), jobs.SubmitOpts{Key: "key-0", Coalesce: true})
+			j, shared, err := pm2.Submit(payloadFor(0), jobs.SubmitOpts{Key: "key-0", Coalesce: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -242,62 +240,45 @@ func TestPersistCrashRecovery(t *testing.T) {
 // replay does not resurrect failed jobs.
 func TestPersistFailedJobJournaled(t *testing.T) {
 	dir := t.TempDir()
-	store, err := OpenStore(dir, StoreOptions{})
+	store, _, err := OpenStore(dir, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := jobs.NewManager(jobs.Config{Workers: 1, Queue: 8})
-	pm := NewPersistentManager(m, store)
-	pm.Register("boom", Executor{
+	pm := NewPersistentManager(m, store, Executor{
 		Run: func(ctx context.Context, _ json.RawMessage) (any, error) {
 			return nil, fmt.Errorf("kaput")
 		},
 	})
-	j, _, err := pm.Submit("boom", json.RawMessage(`{}`), jobs.SubmitOpts{})
+	j, _, err := pm.Submit(json.RawMessage(`{}`), jobs.SubmitOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := j.Wait(context.Background()); err == nil {
 		t.Fatal("want job error")
 	}
-	waitFor(t, "fail journaled", func() bool { return len(store.Pending()) == 0 })
+	waitFor(t, "fail journaled", func() bool { return len(readJobs(t, dir).Pending) == 0 })
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	store2, err := OpenStore(dir, StoreOptions{})
+	store2, rec2, err := OpenStore(dir, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store2.Close()
-	pm2 := NewPersistentManager(jobs.NewManager(jobs.Config{Workers: 1, Queue: 8}), store2)
-	pm2.Register("boom", Executor{Run: func(ctx context.Context, _ json.RawMessage) (any, error) {
-		t.Error("failed job re-executed on replay")
-		return nil, nil
-	}})
-	stats, err := pm2.Replay()
+	pm2 := NewPersistentManager(jobs.NewManager(jobs.Config{Workers: 1, Queue: 8}), store2, Executor{
+		Run: func(ctx context.Context, _ json.RawMessage) (any, error) {
+			t.Error("failed job re-executed on replay")
+			return nil, nil
+		},
+	})
+	stats, err := pm2.Replay(rec2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Resubmitted != 0 || stats.ResultsWarmed != 0 {
 		t.Errorf("replay of a failed job = %+v, want nothing", stats)
-	}
-}
-
-// TestPersistUnknownKind: submitting an unregistered kind fails fast,
-// before anything is journaled.
-func TestPersistUnknownKind(t *testing.T) {
-	store, err := OpenStore(t.TempDir(), StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	pm := NewPersistentManager(jobs.NewManager(jobs.Config{Workers: 1, Queue: 1}), store)
-	if _, _, err := pm.Submit("nope", json.RawMessage(`{}`), jobs.SubmitOpts{}); err == nil {
-		t.Fatal("unregistered kind accepted")
-	}
-	if store.Len() != 0 {
-		t.Fatalf("store journaled %d jobs for a rejected submit", store.Len())
 	}
 }
 
@@ -308,18 +289,17 @@ func TestPersistUnknownKind(t *testing.T) {
 // record is still being encoded after the job is already queued.
 func TestPersistJournalOrder(t *testing.T) {
 	dir := t.TempDir()
-	store, err := OpenStore(dir, StoreOptions{})
+	store, _, err := OpenStore(dir, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := jobs.NewManager(jobs.Config{Workers: 4, Queue: 64})
-	pm := NewPersistentManager(m, store)
-	pm.Register("t", testExecutor(newRunCounter(), nil, nil))
+	pm := NewPersistentManager(m, store, testExecutor(newRunCounter(), nil, nil))
 	pad := strings.Repeat("x", 64<<10)
 	var js []*jobs.Job
 	for i := 0; i < 48; i++ {
 		payload := json.RawMessage(fmt.Sprintf(`{"v":%d,"pad":%q}`, i, pad))
-		j, _, err := pm.Submit("t", payload, jobs.SubmitOpts{})
+		j, _, err := pm.Submit(payload, jobs.SubmitOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -366,23 +346,22 @@ func (s slowJSON) MarshalJSON() ([]byte, error) {
 // re-run — and nothing is left pending. Submits after Close are refused.
 func TestPersistCloseJournalsResults(t *testing.T) {
 	dir := t.TempDir()
-	store, err := OpenStore(dir, StoreOptions{})
+	store, _, err := OpenStore(dir, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	counter := newRunCounter()
 	m := jobs.NewManager(jobs.Config{Workers: 2, Queue: 32})
-	pm := NewPersistentManager(m, store)
 	ex := testExecutor(counter, nil, nil)
 	run := ex.Run
 	ex.Run = func(ctx context.Context, payload json.RawMessage) (any, error) {
 		v, err := run(ctx, payload)
 		return slowJSON{v}, err
 	}
-	pm.Register("t", ex)
+	pm := NewPersistentManager(m, store, ex)
 	const n = 24
 	for i := 0; i < n; i++ {
-		j, _, err := pm.Submit("t", payloadFor(i), jobs.SubmitOpts{Key: fmt.Sprint("k", i)})
+		j, _, err := pm.Submit(payloadFor(i), jobs.SubmitOpts{Key: fmt.Sprint("k", i)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -396,26 +375,25 @@ func TestPersistCloseJournalsResults(t *testing.T) {
 	if err := pm.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := pm.Submit("t", payloadFor(n), jobs.SubmitOpts{}); !errors.Is(err, jobs.ErrShutdown) {
+	if _, _, err := pm.Submit(payloadFor(n), jobs.SubmitOpts{}); !errors.Is(err, jobs.ErrShutdown) {
 		t.Errorf("submit after Close = %v, want jobs.ErrShutdown", err)
 	}
 
-	store2, err := OpenStore(dir, StoreOptions{})
+	store2, rec2, err := OpenStore(dir, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store2.Close()
-	if got := len(store2.Done()); got != n {
+	if got := len(rec2.Done); got != n {
 		t.Errorf("reopened journal holds %d done jobs, want %d", got, n)
 	}
-	if got := len(store2.Pending()); got != 0 {
+	if got := len(rec2.Pending); got != 0 {
 		t.Errorf("reopened journal holds %d pending jobs, want 0", got)
 	}
 	m2 := jobs.NewManager(jobs.Config{Workers: 2, Queue: 32})
 	defer m2.Shutdown(context.Background())
-	pm2 := NewPersistentManager(m2, store2)
-	pm2.Register("t", testExecutor(counter, nil, nil))
-	stats, err := pm2.Replay()
+	pm2 := NewPersistentManager(m2, store2, testExecutor(counter, nil, nil))
+	stats, err := pm2.Replay(rec2)
 	if err != nil {
 		t.Fatal(err)
 	}

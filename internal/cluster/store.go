@@ -37,7 +37,6 @@ const (
 type Record struct {
 	Op      Op              `json:"op"`
 	ID      string          `json:"id"`
-	Kind    string          `json:"kind,omitempty"`    // executor kind (submit only)
 	Key     string          `json:"key,omitempty"`     // result-cache key (submit only)
 	Payload json.RawMessage `json:"payload,omitempty"` // executor input (submit only)
 	Result  json.RawMessage `json:"result,omitempty"`  // done only
@@ -48,7 +47,6 @@ type Record struct {
 // JobState is the replayed view of one logical job.
 type JobState struct {
 	ID      string
-	Kind    string
 	Key     string
 	Payload json.RawMessage
 	Status  Op // OpSubmit (queued), OpStart (interrupted running), or terminal
@@ -66,10 +64,10 @@ func (s JobState) Terminal() bool {
 func (s JobState) Interrupted() bool { return s.Status == OpStart }
 
 // ErrStoreReadOnly marks a store poisoned by a failed append: the
-// journal fd and the in-memory state can no longer be trusted to agree,
-// so the store refuses further writes. Reads (Pending, Done, Stats)
-// keep working; /healthz surfaces the condition so the router pulls the
-// node out of the write path.
+// journal fd can no longer be trusted to hold what was acknowledged, so
+// the store refuses further writes. Stats keeps working; /healthz
+// surfaces the condition so the router pulls the node out of the write
+// path.
 var ErrStoreReadOnly = errors.New("cluster: store is read-only (append failed)")
 
 // Store is the persistent job store: an append-only JSONL journal plus
@@ -82,6 +80,10 @@ var ErrStoreReadOnly = errors.New("cluster: store is read-only (append failed)")
 // lines (bare JSON objects) still replay. A corrupt mid-file record is
 // quarantined to a sidecar and counted, never silently dropped; only a
 // torn final line — the expected crash artifact — is ignored.
+//
+// The journal on disk is the only job table. OpenStore folds it once
+// and hands the recovered jobs to its caller; after that the store
+// keeps nothing per job, only a count of the jobs it holds.
 type Store struct {
 	dir        string
 	sync       bool
@@ -90,8 +92,7 @@ type Store struct {
 	mu       sync.Mutex
 	f        *os.File
 	w        *bufio.Writer
-	state    map[string]*JobState // logical id → latest state
-	order    []string             // submit order, for deterministic replay
+	jobs     int // logical jobs journaled: recovered at open, +1 per submit
 	jstats   JournalStats
 	readOnly bool
 	poison   error // first append failure, kept for /healthz and /stats
@@ -128,35 +129,78 @@ type StoreOptions struct {
 	WriteFault func() error
 }
 
-// OpenStore opens (creating if needed) the store under dir, loading the
-// snapshot and replaying the journal into memory. The returned store is
-// ready for Append; read the recovered state with Pending and Done.
-func OpenStore(dir string, opts StoreOptions) (*Store, error) {
+// Recovered is the job table folded from a data dir's snapshot and
+// journal: the input of replay. The store keeps no reference to it.
+type Recovered struct {
+	// Pending is the replay work list in submit order: queued jobs plus
+	// jobs that were running when the journal ends.
+	Pending []JobState
+	// Done is the completed jobs with their journaled results in submit
+	// order — the cache-warming list for exactly-once visibility.
+	Done []JobState
+	// IDs is every logical job id in submit order, terminal ones
+	// included: a restart reserves this id space so a fresh process never
+	// mints an id the journal has seen.
+	IDs []string
+}
+
+// OpenStore opens (creating if needed) the store under dir. It folds
+// the snapshot and journal once — quarantining corrupt mid-file records
+// and terminating a torn final line — and returns the recovered jobs
+// next to a store ready for Append.
+func OpenStore(dir string, opts StoreOptions) (*Store, Recovered, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("cluster: store dir: %w", err)
+		return nil, Recovered{}, fmt.Errorf("cluster: store dir: %w", err)
+	}
+	var qf *os.File
+	t, stats, err := foldDir(dir, func(line []byte) {
+		// Quarantine the corrupt line for offline forensics. Best effort:
+		// the count is authoritative even if the sidecar write fails.
+		if qf == nil {
+			var qerr error
+			if qf, qerr = os.OpenFile(QuarantineFile(dir), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644); qerr != nil {
+				return
+			}
+		}
+		_, _ = qf.Write(append(append([]byte(nil), line...), '\n'))
+	})
+	if qf != nil {
+		if cerr := qf.Close(); cerr != nil && err == nil {
+			err = fmt.Errorf("cluster: close quarantine: %w", cerr)
+		}
+	}
+	if err != nil {
+		return nil, Recovered{}, err
+	}
+	if err := repairTornNewline(JournalPath(dir)); err != nil {
+		return nil, Recovered{}, err
+	}
+	f, err := os.OpenFile(JournalPath(dir), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, Recovered{}, fmt.Errorf("cluster: open journal: %w", err)
 	}
 	s := &Store{
 		dir:        dir,
 		sync:       opts.Sync,
 		writeFault: opts.WriteFault,
-		state:      make(map[string]*JobState),
+		f:          f,
+		w:          bufio.NewWriter(f),
+		jobs:       len(t.order),
+		jstats:     stats,
 	}
-	if err := s.loadSnapshot(); err != nil {
-		return nil, err
-	}
-	if err := s.loadJournal(); err != nil {
-		return nil, err
-	}
-	if err := repairTornNewline(filepath.Join(dir, journalName)); err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(filepath.Join(dir, journalName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	return s, t.recovered(), nil
+}
+
+// ReadJobs folds the snapshot and journal under dir the way OpenStore
+// does, but writes nothing: no quarantine sidecar, no torn-tail repair.
+// It is safe on the dir of an open store; a record still being appended
+// reads as a torn tail.
+func ReadJobs(dir string) (Recovered, error) {
+	t, _, err := foldDir(dir, nil)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: open journal: %w", err)
+		return Recovered{}, err
 	}
-	s.f = f
-	s.w = bufio.NewWriter(f)
-	return s, nil
+	return t.recovered(), nil
 }
 
 // repairTornNewline terminates a journal whose final line was torn
@@ -193,54 +237,52 @@ func repairTornNewline(path string) error {
 	return nil
 }
 
-func (s *Store) loadSnapshot() error {
-	blob, err := os.ReadFile(filepath.Join(s.dir, snapshotName))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("cluster: read snapshot: %w", err)
-	}
-	var snap struct {
-		Jobs []*JobState `json:"jobs"`
-	}
-	if err := json.Unmarshal(blob, &snap); err != nil {
-		return fmt.Errorf("cluster: decode snapshot: %w", err)
-	}
-	for _, j := range snap.Jobs {
-		s.state[j.ID] = j
-		s.order = append(s.order, j.ID)
-	}
-	return nil
+// jobTable folds journal records into each logical job's latest state.
+type jobTable struct {
+	state map[string]*JobState // logical id → latest state
+	order []string             // submit order, for deterministic replay
 }
 
-func (s *Store) loadJournal() error {
-	var qf *os.File
-	stats, err := ScanJournal(filepath.Join(s.dir, journalName), s.apply, func(line []byte) {
-		// Quarantine the corrupt line for offline forensics. Best effort:
-		// the count is authoritative even if the sidecar write fails.
-		if qf == nil {
-			var qerr error
-			qf, qerr = os.OpenFile(filepath.Join(s.dir, quarantineName),
-				os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-			if qerr != nil {
-				return
-			}
+// foldDir folds the snapshot and then the journal under dir, passing
+// each corrupt mid-file journal line to onCorrupt (if non-nil).
+func foldDir(dir string, onCorrupt func(line []byte)) (*jobTable, JournalStats, error) {
+	t := &jobTable{state: make(map[string]*JobState)}
+	blob, err := os.ReadFile(filepath.Join(dir, snapshotName))
+	switch {
+	case errors.Is(err, os.ErrNotExist):
+	case err != nil:
+		return nil, JournalStats{}, fmt.Errorf("cluster: read snapshot: %w", err)
+	default:
+		var snap struct {
+			Jobs []*JobState `json:"jobs"`
 		}
-		if _, werr := qf.Write(append(append([]byte(nil), line...), '\n')); werr != nil {
-			return
+		if err := json.Unmarshal(blob, &snap); err != nil {
+			return nil, JournalStats{}, fmt.Errorf("cluster: decode snapshot: %w", err)
 		}
-	})
-	if qf != nil {
-		if cerr := qf.Close(); cerr != nil && err == nil {
-			err = fmt.Errorf("cluster: close quarantine: %w", cerr)
+		for _, j := range snap.Jobs {
+			t.state[j.ID] = j
+			t.order = append(t.order, j.ID)
 		}
 	}
+	stats, err := ScanJournal(JournalPath(dir), t.apply, onCorrupt)
 	if err != nil {
-		return err
+		return nil, JournalStats{}, err
 	}
-	s.jstats = stats
-	return nil
+	return t, stats, nil
+}
+
+// recovered splits the table into replay's inputs.
+func (t *jobTable) recovered() Recovered {
+	r := Recovered{IDs: t.order}
+	for _, id := range t.order {
+		switch j := t.state[id]; {
+		case j.Status == OpDone:
+			r.Done = append(r.Done, *j)
+		case !j.Terminal():
+			r.Pending = append(r.Pending, *j)
+		}
+	}
+	return r
 }
 
 // JournalStats summarizes one journal scan: how many records replayed,
@@ -355,20 +397,19 @@ func decodeJournalLine(line []byte) (rec Record, legacy bool, err error) {
 	return rec, false, nil
 }
 
-// apply folds one record into the in-memory state map.
-func (s *Store) apply(rec Record) {
+// apply folds one record into the table.
+func (t *jobTable) apply(rec Record) {
 	switch rec.Op {
 	case OpSubmit:
-		if _, ok := s.state[rec.ID]; ok {
+		if _, ok := t.state[rec.ID]; ok {
 			return // duplicate submit line; keep the first
 		}
-		s.state[rec.ID] = &JobState{
-			ID: rec.ID, Kind: rec.Kind, Key: rec.Key,
-			Payload: rec.Payload, Status: OpSubmit,
+		t.state[rec.ID] = &JobState{
+			ID: rec.ID, Key: rec.Key, Payload: rec.Payload, Status: OpSubmit,
 		}
-		s.order = append(s.order, rec.ID)
+		t.order = append(t.order, rec.ID)
 	case OpStart, OpResume:
-		if j, ok := s.state[rec.ID]; ok && !j.Terminal() {
+		if j, ok := t.state[rec.ID]; ok && !j.Terminal() {
 			if rec.Op == OpStart {
 				j.Status = OpStart
 			} else {
@@ -376,7 +417,7 @@ func (s *Store) apply(rec Record) {
 			}
 		}
 	case OpDone, OpFail, OpCancel:
-		if j, ok := s.state[rec.ID]; ok {
+		if j, ok := t.state[rec.ID]; ok {
 			j.Status = rec.Op
 			j.Result = rec.Result
 			j.Err = rec.Err
@@ -385,8 +426,8 @@ func (s *Store) apply(rec Record) {
 }
 
 // poisonLocked flips the store read-only after a failed write. The
-// record that failed is NOT applied to memory, so the in-memory state
-// never claims durability the journal doesn't have. Callers hold s.mu.
+// record that failed is not counted, so Len never claims a job the
+// journal doesn't durably hold. Callers hold s.mu.
 func (s *Store) poisonLocked(stage string, cause error) error {
 	s.readOnly = true
 	err := fmt.Errorf("cluster: %s: %v: %w", stage, cause, ErrStoreReadOnly)
@@ -398,7 +439,7 @@ func (s *Store) poisonLocked(stage string, cause error) error {
 
 // Append journals one record and makes it durable per the store's sync
 // policy before returning. Any write failure poisons the store into
-// read-only mode: the failed record is not applied, and every later
+// read-only mode: the failed record is not counted, and every later
 // Append returns ErrStoreReadOnly.
 func (s *Store) Append(rec Record) error {
 	if rec.TS.IsZero() {
@@ -432,7 +473,9 @@ func (s *Store) Append(rec Record) error {
 			return s.poisonLocked("fsync", err)
 		}
 	}
-	s.apply(rec)
+	if rec.Op == OpSubmit {
+		s.jobs++ // ReserveIDs keeps a logical id to one submit
+	}
 	return nil
 }
 
@@ -456,79 +499,27 @@ type StoreStats struct {
 func (s *Store) Stats() StoreStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := StoreStats{Journal: s.jstats, ReadOnly: s.readOnly, Jobs: len(s.state)}
+	st := StoreStats{Journal: s.jstats, ReadOnly: s.readOnly, Jobs: s.jobs}
 	if s.poison != nil {
 		st.ReadOnlyCause = s.poison.Error()
 	}
 	return st
 }
 
-// QuarantinePath returns the sidecar file corrupt records are copied
-// to. The file exists only if a scan has quarantined at least one line.
-func (s *Store) QuarantinePath() string {
-	return filepath.Join(s.dir, quarantineName)
-}
-
-// Pending returns the non-terminal jobs in submit order — the replay
-// work list: queued jobs plus interrupted running jobs.
-func (s *Store) Pending() []JobState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []JobState
-	for _, id := range s.order {
-		if j := s.state[id]; j != nil && !j.Terminal() {
-			out = append(out, *j)
-		}
-	}
-	return out
-}
-
-// Done returns the completed jobs (with their journaled results) in
-// submit order — the cache-warming list for exactly-once visibility.
-func (s *Store) Done() []JobState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []JobState
-	for _, id := range s.order {
-		if j := s.state[id]; j != nil && j.Status == OpDone {
-			out = append(out, *j)
-		}
-	}
-	return out
-}
-
-// State returns the replayed view of one logical job id.
-func (s *Store) State(id string) (JobState, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.state[id]
-	if !ok {
-		return JobState{}, false
-	}
-	return *j, true
-}
-
-// IDs returns every tracked logical job id in submit order — the
-// restart path scans them to reserve the id space already journaled, so
-// a fresh process never mints a logical id the journal has seen.
-func (s *Store) IDs() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]string(nil), s.order...)
-}
-
-// Len reports how many logical jobs the store tracks.
+// Len reports how many logical jobs the store holds.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.state)
+	return s.jobs
 }
 
-// Compact writes the current state as a snapshot and truncates the
-// journal — bounding replay time after long uptimes. Terminal cancel
-// and fail entries are dropped (nothing replays them); done results and
-// pending jobs are kept. A poisoned store refuses to compact: the
-// snapshot would capture state the journal never durably held.
+// Compact folds the snapshot and journal again, writes the result as a
+// snapshot and truncates the journal — bounding replay time after long
+// uptimes. Terminal cancel and fail entries are dropped (nothing
+// replays them); done results and pending jobs are kept. The fold
+// writes no quarantine lines: OpenStore already copied every corrupt
+// record. A poisoned store refuses to compact: the snapshot would
+// capture state the journal never durably held.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -538,19 +529,20 @@ func (s *Store) Compact() error {
 	if s.readOnly {
 		return fmt.Errorf("cluster: compact: %w", ErrStoreReadOnly)
 	}
+	if err := s.w.Flush(); err != nil {
+		return fmt.Errorf("cluster: flush: %w", err)
+	}
+	t, _, err := foldDir(s.dir, nil)
+	if err != nil {
+		return err
+	}
 	var snap struct {
 		Jobs []*JobState `json:"jobs"`
 	}
-	keptIDs := make([]string, 0, len(s.order))
-	kept := make(map[string]*JobState, len(s.state))
-	for _, id := range s.order {
-		j := s.state[id]
-		if j == nil || j.Status == OpFail || j.Status == OpCancel {
-			continue
+	for _, id := range t.order {
+		if j := t.state[id]; j.Status != OpFail && j.Status != OpCancel {
+			snap.Jobs = append(snap.Jobs, j)
 		}
-		snap.Jobs = append(snap.Jobs, j)
-		keptIDs = append(keptIDs, id)
-		kept[id] = j
 	}
 	blob, err := json.Marshal(snap)
 	if err != nil {
@@ -564,9 +556,6 @@ func (s *Store) Compact() error {
 		return fmt.Errorf("cluster: install snapshot: %w", err)
 	}
 	// Truncate the journal now that the snapshot covers its contents.
-	if err := s.w.Flush(); err != nil {
-		return fmt.Errorf("cluster: flush: %w", err)
-	}
 	if err := s.f.Truncate(0); err != nil {
 		return fmt.Errorf("cluster: truncate journal: %w", err)
 	}
@@ -574,8 +563,7 @@ func (s *Store) Compact() error {
 		return fmt.Errorf("cluster: rewind journal: %w", err)
 	}
 	s.w.Reset(s.f)
-	s.order = keptIDs
-	s.state = kept
+	s.jobs = len(snap.Jobs)
 	return nil
 }
 

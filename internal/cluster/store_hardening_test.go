@@ -12,6 +12,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -38,7 +39,7 @@ func readJournalLines(t *testing.T, dir string) [][]byte {
 func TestStoreCRCFraming(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir)
-	mustAppend(t, s, Record{Op: OpSubmit, ID: "a", Kind: "k", Payload: json.RawMessage(`{"x":1}`)})
+	mustAppend(t, s, Record{Op: OpSubmit, ID: "a", Payload: json.RawMessage(`{"x":1}`)})
 	mustAppend(t, s, Record{Op: OpDone, ID: "a", Result: json.RawMessage(`{"ok":true}`)})
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -77,16 +78,16 @@ func TestStoreLegacyJournalReplay(t *testing.T) {
 	if err := os.WriteFile(JournalPath(dir), []byte(legacy), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s := openTestStore(t, dir)
+	s, rec := openTestStoreRecovered(t, dir)
 	st := s.Stats()
 	if st.Journal.Records != 4 || st.Journal.Legacy != 4 || st.Journal.Corrupt != 0 {
 		t.Fatalf("legacy journal stats = %+v, want 4 records all legacy", st.Journal)
 	}
-	done := s.Done()
+	done := rec.Done
 	if len(done) != 1 || done[0].ID != "old-1" || string(done[0].Result) != `{"ff":42}` {
 		t.Fatalf("Done = %+v, want old-1 with its journaled result", done)
 	}
-	if p := s.Pending(); len(p) != 1 || p[0].ID != "old-2" {
+	if p := rec.Pending; len(p) != 1 || p[0].ID != "old-2" {
 		t.Fatalf("Pending = %+v, want [old-2]", p)
 	}
 	// New appends onto the legacy file use the framed format.
@@ -108,8 +109,8 @@ func TestStoreLegacyJournalReplay(t *testing.T) {
 func TestStoreCorruptRecordQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir)
-	mustAppend(t, s, Record{Op: OpSubmit, ID: "a", Kind: "k", Key: "ka"})
-	mustAppend(t, s, Record{Op: OpSubmit, ID: "b", Kind: "k", Key: "kb"})
+	mustAppend(t, s, Record{Op: OpSubmit, ID: "a", Key: "ka"})
+	mustAppend(t, s, Record{Op: OpSubmit, ID: "b", Key: "kb"})
 	mustAppend(t, s, Record{Op: OpDone, ID: "a", Result: json.RawMessage(`{"v":1}`)})
 	mustAppend(t, s, Record{Op: OpDone, ID: "b", Result: json.RawMessage(`{"v":2}`)})
 	if err := s.Close(); err != nil {
@@ -128,7 +129,7 @@ func TestStoreCorruptRecordQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re := openTestStore(t, dir)
+	re, rec := openTestStoreRecovered(t, dir)
 	st := re.Stats()
 	if st.Journal.Corrupt != 1 || st.Journal.TornTail {
 		t.Fatalf("stats = %+v, want exactly 1 corrupt, no torn tail", st.Journal)
@@ -136,7 +137,7 @@ func TestStoreCorruptRecordQuarantined(t *testing.T) {
 	if st.Journal.Records != 3 {
 		t.Fatalf("records = %d, want 3 intact survivors", st.Journal.Records)
 	}
-	qblob, err := os.ReadFile(re.QuarantinePath())
+	qblob, err := os.ReadFile(QuarantineFile(dir))
 	if err != nil {
 		t.Fatalf("quarantine sidecar missing: %v", err)
 	}
@@ -145,10 +146,10 @@ func TestStoreCorruptRecordQuarantined(t *testing.T) {
 	}
 	// Job a lost its done record: it must surface as pending (replay will
 	// re-run it), never vanish.
-	if js, ok := re.State("a"); !ok || js.Terminal() {
+	if js, ok := findJob(rec.Pending, "a"); !ok || js.Terminal() {
 		t.Fatalf("State(a) = %+v ok=%v, want intact and non-terminal", js, ok)
 	}
-	if js, ok := re.State("b"); !ok || js.Status != OpDone {
+	if js, ok := findJob(rec.Done, "b"); !ok || js.Status != OpDone {
 		t.Fatalf("State(b) = %+v ok=%v, want done untouched", js, ok)
 	}
 }
@@ -160,7 +161,7 @@ func TestStoreCorruptRecordQuarantined(t *testing.T) {
 func TestStoreTornTailRepair(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir)
-	mustAppend(t, s, Record{Op: OpSubmit, ID: "a", Kind: "k"})
+	mustAppend(t, s, Record{Op: OpSubmit, ID: "a"})
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func TestStoreTornTailRepair(t *testing.T) {
 	if st := re.Stats(); !st.Journal.TornTail || st.Journal.Records != 1 {
 		t.Fatalf("stats after torn tail = %+v, want TornTail with 1 record", st.Journal)
 	}
-	mustAppend(t, re, Record{Op: OpSubmit, ID: "b", Kind: "k"})
+	mustAppend(t, re, Record{Op: OpSubmit, ID: "b"})
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -187,8 +188,8 @@ func TestStoreTornTailRepair(t *testing.T) {
 	// Third generation: the post-crash append must replay intact. The
 	// once-torn fragment is now mid-file, so it graduates from "expected
 	// crash artifact" to counted-and-quarantined corruption.
-	re2 := openTestStore(t, dir)
-	if _, ok := re2.State("b"); !ok {
+	re2, rec := openTestStoreRecovered(t, dir)
+	if !slices.Contains(rec.IDs, "b") {
 		t.Fatal("record appended after torn-tail repair was lost on replay")
 	}
 	st := re2.Stats()
@@ -204,7 +205,7 @@ func TestStoreTornTailRepair(t *testing.T) {
 func TestStoreWriteFaultPoisons(t *testing.T) {
 	dir := t.TempDir()
 	var fail atomic.Bool
-	s, err := OpenStore(dir, StoreOptions{WriteFault: func() error {
+	s, _, err := OpenStore(dir, StoreOptions{WriteFault: func() error {
 		if fail.Load() {
 			return errors.New("injected disk fault")
 		}
@@ -215,13 +216,13 @@ func TestStoreWriteFaultPoisons(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = s.Close() })
 
-	mustAppend(t, s, Record{Op: OpSubmit, ID: "a", Kind: "k"})
+	mustAppend(t, s, Record{Op: OpSubmit, ID: "a"})
 	fail.Store(true)
-	if err := s.Append(Record{Op: OpSubmit, ID: "b", Kind: "k"}); !errors.Is(err, ErrStoreReadOnly) {
+	if err := s.Append(Record{Op: OpSubmit, ID: "b"}); !errors.Is(err, ErrStoreReadOnly) {
 		t.Fatalf("faulted append err = %v, want ErrStoreReadOnly", err)
 	}
-	if _, ok := s.State("b"); ok {
-		t.Fatal("failed record was applied to memory; state claims durability the journal lacks")
+	if slices.Contains(readJobs(t, dir).IDs, "b") || s.Len() != 1 {
+		t.Fatal("failed record was counted; state claims durability the journal lacks")
 	}
 	if !s.ReadOnly() {
 		t.Fatal("store not read-only after append failure")
@@ -233,7 +234,7 @@ func TestStoreWriteFaultPoisons(t *testing.T) {
 
 	// The poison is sticky: a recovered disk does not quietly resume.
 	fail.Store(false)
-	if err := s.Append(Record{Op: OpSubmit, ID: "c", Kind: "k"}); !errors.Is(err, ErrStoreReadOnly) {
+	if err := s.Append(Record{Op: OpSubmit, ID: "c"}); !errors.Is(err, ErrStoreReadOnly) {
 		t.Fatalf("append after fault cleared = %v, want sticky ErrStoreReadOnly", err)
 	}
 	if err := s.Compact(); !errors.Is(err, ErrStoreReadOnly) {
@@ -252,23 +253,23 @@ func TestStoreWriteFaultPoisons(t *testing.T) {
 	if re.Len() != 1 {
 		t.Fatalf("Len = %d after reopen, want only the durable record", re.Len())
 	}
-	mustAppend(t, re, Record{Op: OpSubmit, ID: "d", Kind: "k"})
+	mustAppend(t, re, Record{Op: OpSubmit, ID: "d"})
 }
 
-// TestStoreIDsReturnsSubmitOrder: IDs — the restart id-space
-// reservation input — lists every journaled logical id in submit order,
-// including terminal ones (their ids are burned too).
+// TestStoreIDsReturnsSubmitOrder: the recovered IDs — the restart
+// id-space reservation input — list every journaled logical id in
+// submit order, including terminal ones (their ids are burned too).
 func TestStoreIDsReturnsSubmitOrder(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir)
-	mustAppend(t, s, Record{Op: OpSubmit, ID: "n0-j-1", Kind: "k"})
-	mustAppend(t, s, Record{Op: OpSubmit, ID: "n0-j-2", Kind: "k"})
+	mustAppend(t, s, Record{Op: OpSubmit, ID: "n0-j-1"})
+	mustAppend(t, s, Record{Op: OpSubmit, ID: "n0-j-2"})
 	mustAppend(t, s, Record{Op: OpDone, ID: "n0-j-1"})
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re := openTestStore(t, dir)
-	ids := re.IDs()
+	_, rec := openTestStoreRecovered(t, dir)
+	ids := rec.IDs
 	if len(ids) != 2 || ids[0] != "n0-j-1" || ids[1] != "n0-j-2" {
 		t.Fatalf("IDs = %v, want submit order including the done job", ids)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -179,6 +180,46 @@ func TestCoalesceClearsFailedLeader(t *testing.T) {
 	}
 	if v, err := entries[0].job.Wait(context.Background()); err != nil || v != "fine" {
 		t.Fatalf("retry: %v, %v", v, err)
+	}
+}
+
+// A finished leader wakes its waiters before the worker drops it from
+// the coalescing map. A same-key submission landing in that gap must
+// start its own run, not inherit the failure. The gap is a few
+// instructions wide, so the test repeats the sequence, with GOMAXPROCS
+// at least two so that the waiter and the worker run at once.
+func TestCoalesceSkipsFinishedLeader(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	m := newTestManager(t, Config{Workers: 1, Queue: 8})
+	boom := errors.New("boom")
+	fail := func(ctx context.Context) (any, error) { return nil, boom }
+	fine := func(ctx context.Context) (any, error) { return "fine", nil }
+	const rounds = 5000
+	attached := 0
+	for i := 0; i < rounds; i++ {
+		opts := SubmitOpts{Key: fmt.Sprint("k", i), Coalesce: true}
+		leader, _, err := m.Submit(fail, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := leader.Wait(context.Background()); !errors.Is(err, boom) {
+			t.Fatalf("round %d: leader err = %v, want boom", i, err)
+		}
+		retry, shared, err := m.Submit(fine, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if shared {
+			attached++
+		}
+		if _, err := retry.Wait(context.Background()); err != nil && !shared {
+			t.Fatalf("round %d: retry err = %v", i, err)
+		}
+	}
+	if attached > 0 {
+		t.Errorf("a retry attached to its failed leader in %d of %d rounds", attached, rounds)
 	}
 }
 

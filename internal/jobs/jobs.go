@@ -322,7 +322,11 @@ func (m *Manager) Submit(fn Func, opts SubmitOpts) (*Job, bool, error) {
 			return j, false, nil
 		}
 		if opts.Coalesce {
-			if leader, ok := m.inflight[opts.Key]; ok {
+			// A leader stays in the map from its terminal transition until
+			// unflight runs; attaching in that gap would hand a failed or
+			// cancelled result to a fresh submission, so only a live leader
+			// is shared.
+			if leader, ok := m.inflight[opts.Key]; ok && !leader.Status().Terminal() {
 				m.coalesceHits.Add(1)
 				return leader, true, nil
 			}

@@ -94,7 +94,7 @@ func (s *MCSession) Analyze(scale []float64) (Report, error) {
 	s.circ = circ
 
 	var rep Report
-	rep.Power = s.scaledPower(scale)
+	rep.Power = DefaultPowerModel().Power(s.a.nl, scale)
 
 	href, err := circ.VoltageAt(s.a.out, mna.Omega(sweepStart))
 	if err != nil {
@@ -137,24 +137,6 @@ func (s *MCSession) Analyze(scale []float64) (Report, error) {
 	}
 	// Uncertain classification: run the full pipeline on a scaled clone.
 	return Analyze(s.scaledNetlist(scale), s.a.out)
-}
-
-// scaledPower evaluates the power model on the perturbed gm values.
-func (s *MCSession) scaledPower(scale []float64) float64 {
-	pm := DefaultPowerModel()
-	total := pm.BiasOverhead
-	for i, d := range s.a.nl.Devices {
-		if d.Kind != netlist.VCCS {
-			continue
-		}
-		id := math.Abs(d.Value*scale[i]) / pm.GmOverId
-		if equalFold(d.Name, pm.InputStage) {
-			total += pm.InputFactor * id
-		} else {
-			total += pm.StageFactor * id
-		}
-	}
-	return pm.VDD * total
 }
 
 // scaledNetlist materializes the sample as a netlist clone for the
@@ -251,24 +233,4 @@ func bisectGBW(c *mna.Circuit, out string, hint, g0 float64) (float64, error) {
 		return 0, solveErr
 	}
 	return math.Exp((llo + lhi) / 2), nil
-}
-
-// equalFold is strings.EqualFold without the import churn for one call.
-func equalFold(a, b string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := 0; i < len(a); i++ {
-		ca, cb := a[i], b[i]
-		if 'A' <= ca && ca <= 'Z' {
-			ca += 'a' - 'A'
-		}
-		if 'A' <= cb && cb <= 'Z' {
-			cb += 'a' - 'A'
-		}
-		if ca != cb {
-			return false
-		}
-	}
-	return true
 }

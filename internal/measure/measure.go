@@ -79,14 +79,20 @@ func DefaultPowerModel() PowerModel {
 	}
 }
 
-// Power estimates the total supply power of the behavioral netlist.
-func (pm PowerModel) Power(nl *netlist.Netlist) float64 {
+// Power estimates the total supply power of the behavioral netlist,
+// with device i's value multiplied by scale[i] (a Monte-Carlo sample's
+// factors). A nil scale uses the values as they are.
+func (pm PowerModel) Power(nl *netlist.Netlist, scale []float64) float64 {
 	total := pm.BiasOverhead
-	for _, d := range nl.Devices {
+	for i, d := range nl.Devices {
 		if d.Kind != netlist.VCCS {
 			continue
 		}
-		id := math.Abs(d.Value) / pm.GmOverId
+		v := d.Value
+		if scale != nil {
+			v *= scale[i]
+		}
+		id := math.Abs(v) / pm.GmOverId
 		if strings.EqualFold(d.Name, pm.InputStage) {
 			total += pm.InputFactor * id
 		} else {
@@ -118,7 +124,7 @@ func AnalyzeContext(ctx context.Context, nl *netlist.Netlist, out string) (Repor
 		return Report{}, fmt.Errorf("measure: sweep too short")
 	}
 
-	rep := Report{Power: DefaultPowerModel().Power(nl)}
+	rep := Report{Power: DefaultPowerModel().Power(nl, nil)}
 
 	// Magnitudes and unwrapped phase relative to the DC response. The
 	// opamp may be inverting; phase is referenced so φ(DC) = 0.

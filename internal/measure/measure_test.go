@@ -152,7 +152,7 @@ func TestSingleStagePM90(t *testing.T) {
 func TestPowerModel(t *testing.T) {
 	pm := DefaultPowerModel()
 	nl := buildNMC()
-	p := pm.Power(nl)
+	p := pm.Power(nl, nil)
 	id := (2*25.13e-6 + 37.7e-6 + 251.3e-6) / 16
 	want := 1.8 * (id + 2e-6)
 	if !units.ApproxEqual(p, want, 1e-9) {
@@ -161,7 +161,7 @@ func TestPowerModel(t *testing.T) {
 	// A custom model with different input stage naming.
 	pm2 := pm
 	pm2.InputStage = "Gm3"
-	p2 := pm2.Power(nl)
+	p2 := pm2.Power(nl, nil)
 	if p2 <= p {
 		t.Error("making the largest stage the input stage should raise power")
 	}

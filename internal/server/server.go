@@ -163,6 +163,7 @@ type Server struct {
 	// on so a router pulls the node from rotation before its queue
 	// closes.
 	persist   *cluster.PersistentManager
+	replay    cluster.ReplayStats // the journal replay NewServer ran; /stats reads it
 	admission *cluster.Admission
 	pqueue    *cluster.PQueue
 	draining  atomic.Bool
@@ -244,7 +245,7 @@ func NewServer(o Options) (*Server, error) {
 		})
 	}
 	if o.DataDir != "" {
-		store, err := cluster.OpenStore(o.DataDir, cluster.StoreOptions{
+		store, recovered, err := cluster.OpenStore(o.DataDir, cluster.StoreOptions{
 			Sync: o.StoreSync, WriteFault: o.StoreWriteFault,
 		})
 		if err != nil {
@@ -254,13 +255,12 @@ func NewServer(o Options) (*Server, error) {
 		// process otherwise restarts the manager's counter at 1 and a new
 		// job can mint a logical id the journal has already seen, merging
 		// two unrelated jobs' histories.
-		s.jobs.ReserveIDs(maxJobSeq(store.IDs()))
-		s.persist = cluster.NewPersistentManager(s.jobs, store)
-		s.persist.Register("design", cluster.Executor{
+		s.jobs.ReserveIDs(maxJobSeq(recovered.IDs))
+		s.persist = cluster.NewPersistentManager(s.jobs, store, cluster.Executor{
 			Run:    s.runPersistedDesign,
 			Decode: decodePersistedDesign,
 		})
-		if _, err := s.persist.Replay(); err != nil {
+		if s.replay, err = s.persist.Replay(recovered); err != nil {
 			_ = store.Close()
 			return nil, fmt.Errorf("server: journal replay: %w", err)
 		}
@@ -440,15 +440,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if s.persist != nil {
-		warmed, resubmitted := s.persist.ReplayCounts()
+		store := s.persist.Store()
 		out["replay"] = map[string]any{
-			"resultsWarmed": warmed,
-			"resubmitted":   resubmitted,
-			"journalJobs":   s.persist.Store().Len(),
+			"resultsWarmed": s.replay.ResultsWarmed,
+			"resubmitted":   s.replay.Resubmitted,
+			"journalJobs":   store.Len(),
 		}
 		// Journal integrity: corrupt (quarantined) record count, legacy
 		// frames, torn tail, and the read-only poison flag.
-		out["store"] = s.persist.Store().Stats()
+		out["store"] = store.Stats()
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -832,8 +832,8 @@ type persistedDesign struct {
 	DeadlineUnixMs int64 `json:"deadlineUnixMs,omitempty"`
 }
 
-// runPersistedDesign is the "design" executor behind the persistent job
-// store: it rebuilds the design closure from a journaled payload and
+// runPersistedDesign is the executor behind the persistent job store:
+// it rebuilds the design closure from a journaled payload and
 // runs it. Fresh submissions go through the same path, so live and
 // replayed runs are byte-identical.
 func (s *Server) runPersistedDesign(ctx context.Context, payload json.RawMessage) (any, error) {
@@ -890,7 +890,7 @@ func (s *Server) submitDesignJob(sp spec.Spec, req DesignRequest, requestID stri
 		if err != nil {
 			return nil, false, err
 		}
-		return s.persist.Submit("design", payload, opts)
+		return s.persist.Submit(payload, opts)
 	}
 	return s.jobs.Submit(s.designFunc(sp, req, requestID), opts)
 }

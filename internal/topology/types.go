@@ -148,14 +148,9 @@ const (
 	MaxStageCount = 4
 )
 
-// SkeletonNodes are the five initial nodes of the three-stage skeleton
-// of Fig. 1(a): the input, two internal stage outputs, the opamp output,
-// and ground. Kept for the fixed three-stage design space; the general
-// form is SkeletonNodesN.
-var SkeletonNodes = []string{"in", "n1", "n2", "out", "0"}
-
 // SkeletonNodesN returns the signal-path nodes of an n-stage skeleton in
-// signal order — in, n1 … n(n-1), out — followed by ground.
+// signal order — in, n1 … n(n-1), out — followed by ground. The
+// three-stage skeleton of Fig. 1(a) is SkeletonNodesN(3).
 func SkeletonNodesN(n int) []string {
 	if n < MinStageCount || n > MaxStageCount {
 		return buildSkeletonNodes(n)
