@@ -9,8 +9,11 @@ import (
 	"runtime/debug"
 	"strings"
 	"testing"
+	"time"
 
 	"artisan/internal/backend"
+	"artisan/internal/chaos"
+	"artisan/internal/cluster"
 	"artisan/internal/core"
 	"artisan/internal/experiment"
 	"artisan/internal/measure"
@@ -22,10 +25,11 @@ import (
 )
 
 // TestHotPathAllocs is the allocation gate over every layer a /design
-// request crosses on one node: each simulator operation below, built
-// from the setup of the benchmark of the same name, an untuned design
-// run through core, a cached POST /design through the server's handler,
-// and each sizing run must allocate exactly the committed count per
+// request crosses: each simulator operation below, built from the setup
+// of the benchmark of the same name, an untuned design run through core
+// (with and without its transcript), a cached POST /design through the
+// server's handler and through the router in front of a node, and each
+// sizing run must allocate exactly the committed count per
 // call; a sizing run must also spend exactly its committed simulator
 // evaluations, and a traced design run must open exactly its committed
 // spans. These counts do not depend on the host's speed, load or CPU
@@ -60,6 +64,42 @@ func TestHotPathAllocs(t *testing.T) {
 		srv.ServeHTTP(rec, httptest.NewRequest("POST", "/design", strings.NewReader(`{"group":"G-1","seed":1}`)))
 		if rec.Code != http.StatusOK {
 			return fmt.Errorf("POST /design: %d %s", rec.Code, rec.Body)
+		}
+		return nil
+	}
+	// A second such node behind the router, over the in-process network
+	// (no sockets). The router's health loop probes once at start and then
+	// not for an hour; the gate waits for that probe to name the node
+	// before it counts.
+	vnet := chaos.NewVNet()
+	node := server.NewWithOptions(server.Options{Workers: 1, DataDir: t.TempDir(), NodeID: "n1"})
+	defer func() {
+		if err := node.Shutdown(ctx); err != nil {
+			t.Error(err)
+		}
+	}()
+	vnet.Register("n1", node)
+	rt, err := cluster.NewRouter(cluster.RouterConfig{Nodes: []string{"http://n1"},
+		Client: &http.Client{Transport: vnet}, HealthInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	for {
+		rec := httptest.NewRecorder()
+		rt.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+		if strings.Contains(rec.Body.String(), `"node":"n1"`) {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	routeDesign := func() error {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest("POST", "/design", strings.NewReader(`{"group":"G-1","seed":1}`))
+		req.Header.Set("Content-Type", "application/json")
+		rt.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			return fmt.Errorf("routed POST /design: %d %s", rec.Code, rec.Body)
 		}
 		return nil
 	}
@@ -115,15 +155,24 @@ func TestHotPathAllocs(t *testing.T) {
 		}},
 		// One untuned run of the whole workflow; G-5's design fails, so
 		// it skips the gm/Id mapping.
-		{"CoreDesign/G-1", 1812, func() error {
+		{"CoreDesign/G-1", 1194, func() error {
 			_, err := core.New(7).Design(ctx, g1)
 			return err
 		}},
-		{"CoreDesign/G-5", 1857, func() error {
+		{"CoreDesign/G-5", 1164, func() error {
 			_, err := core.New(7).Design(ctx, g5)
 			return err
 		}},
+		// The same G-1 run for a reply that returns no transcript, as the
+		// server runs it without transcript or verify.
+		{"CoreDesign/G-1/no-transcript", 524, func() error {
+			a := core.New(7)
+			a.Opts.NoTranscript = true
+			_, err := a.Design(ctx, g1)
+			return err
+		}},
 		{"DesignHandler/cached", 64, postDesign},
+		{"RoutedDesign/cached", 130, routeDesign},
 	}
 	// One trial per sizing backend on the reference NMC under G-1's load
 	// (budget 60, seed 3), and one tuned session: BenchmarkAblationTuning's
@@ -156,10 +205,10 @@ func TestHotPathAllocs(t *testing.T) {
 	}{
 		{"SizeLadder/bo", 9038, 60, size("bo")},
 		{"SizeLadder/ga", 8707, 58, size("ga")},
-		{"SizeLadder/hybrid", 9542, 60, size("hybrid")},
-		{"SizeLadder/whitebox", 8563, 53, size("whitebox")},
+		{"SizeLadder/hybrid", 9177, 60, size("hybrid")},
+		{"SizeLadder/whitebox", 8198, 53, size("whitebox")},
 		// The design's verification plus the tuner's budget.
-		{"TunedSession", 9562, 54, func() (int, error) {
+		{"TunedSession", 8902, 54, func() (int, error) {
 			out, err := tuningSession(g4, 2, true)
 			if err != nil {
 				return 0, err

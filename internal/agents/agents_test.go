@@ -230,3 +230,46 @@ func TestSessionWithHotPrompter(t *testing.T) {
 		t.Error("prompter phrasing changed the design result")
 	}
 }
+
+// A session that records no transcript reaches the same outcome, QA count
+// and simulator count as one that records it, and its transcript holds no
+// entry.
+func TestSessionNoTranscript(t *testing.T) {
+	run := func(g spec.Spec, seed int64, temp float64, tune, noTranscript bool) *Outcome {
+		t.Helper()
+		opts := DefaultOptions()
+		opts.Tune = tune
+		opts.NoTranscript = noTranscript
+		out, err := NewSession(llm.NewDomainModel(seed, temp), g, opts).Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	g1, _ := spec.Group("G-1")
+	for _, g := range spec.Groups() {
+		for seed := int64(1); seed <= 4; seed++ {
+			tune := g.Name == "G-1" && seed == 1 // its direct design misses at 0.9
+			temp := 0.3
+			if tune {
+				g, temp = g1, 0.9
+			}
+			full, bare := run(g, seed, temp, tune, false), run(g, seed, temp, tune, true)
+			if bare.Success != full.Success || bare.Arch != full.Arch || bare.Report != full.Report ||
+				bare.FailReason != full.FailReason || bare.QACount != full.QACount ||
+				bare.SimCount != full.SimCount || bare.SizingEvals != full.SizingEvals {
+				t.Errorf("%s seed %d: outcome without transcript %+v, with %+v", g.Name, seed, bare, full)
+			}
+			if (bare.Netlist == nil) != (full.Netlist == nil) ||
+				(bare.Netlist != nil && bare.Netlist.String() != full.Netlist.String()) {
+				t.Errorf("%s seed %d: netlists differ", g.Name, seed)
+			}
+			if tune && full.SizingEvals == 0 {
+				t.Errorf("%s seed %d: the tuner did not run", g.Name, seed)
+			}
+			if n := len(bare.Transcript.Entries); n != 0 {
+				t.Errorf("%s seed %d: %d transcript entries recorded", g.Name, seed, n)
+			}
+		}
+	}
+}

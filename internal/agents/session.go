@@ -31,6 +31,11 @@ type Options struct {
 	// ("bo", "ga", "whitebox", "hybrid"). Empty means
 	// backend.DefaultName.
 	SizingBackend string
+	// NoTranscript records no transcript text: the outcome's Transcript
+	// keeps only its QA count, and no step, tool result or netlist is
+	// rendered for it. A caller that returns neither the chat log nor a
+	// groundedness report sets it; the zero value records everything.
+	NoTranscript bool
 }
 
 // DefaultOptions reproduces the paper's flow: one architecture, one
@@ -168,7 +173,8 @@ func (s *Session) measure(ctx context.Context, nl *netlist.Netlist) (measure.Rep
 
 // Run executes the session. The returned outcome always carries the
 // transcript, even on failure (the failed GPT-4/Llama2 logs of Fig. 7 are
-// exactly such transcripts). Cancellation of ctx — a killed job, an
+// exactly such transcripts); with Options.NoTranscript it holds only the
+// QA count. Cancellation of ctx — a killed job, an
 // expired deadline — aborts the flow at the next stage boundary and
 // returns the context's error wrapped; no outcome is fabricated for a
 // caller that has gone away.
@@ -181,7 +187,8 @@ func (s *Session) Run(ctx context.Context) (*Outcome, error) {
 	span.SetAttr("model", s.Designer.Name())
 	span.SetAttr("spec", s.Spec.Name)
 	defer span.End()
-	tr := &Transcript{Model: s.Designer.Name()}
+	record := !s.Opts.NoTranscript
+	tr := &Transcript{Model: s.Designer.Name(), countOnly: !record}
 	out := &Outcome{Transcript: tr}
 	fail := func(reason string) (*Outcome, error) {
 		out.FailReason = reason
@@ -210,8 +217,10 @@ func (s *Session) Run(ctx context.Context) (*Outcome, error) {
 		tr.QA(s.Spec.Prompt(), "(no viable architecture proposed) "+err.Error())
 		return fail("architecture selection failed: " + err.Error())
 	}
-	for _, c := range choices {
-		tr.Add(RoleDecision, fmt.Sprintf("candidate %s (score %.2f): %s", c.Arch, c.Score, c.Rationale))
+	if record {
+		for _, c := range choices {
+			tr.Add(RoleDecision, fmt.Sprintf("candidate %s (score %.2f): %s", c.Arch, c.Score, c.Rationale))
+		}
 	}
 
 	type attempt struct {
@@ -242,18 +251,18 @@ func (s *Session) Run(ctx context.Context) (*Outcome, error) {
 		}
 		// Weave the CoT steps into the session transcript; the prompter
 		// phrases each scheduled question (Eq. 4).
-		for _, st := range res.Steps {
-			tr.QA(s.Prompter.Next(st.Question), st.Answer)
+		for i := range res.Steps {
+			st := &res.Steps[i]
+			if !record {
+				tr.countQA()
+				continue
+			}
+			tr.QA(s.Prompter.Next(st.Question), st.Answer())
 			for j, f := range st.Formulas {
-				tr.ToolCall("calculator", f, st.Results[j])
+				tr.ToolCall("calculator", f, st.Result(j))
 			}
 		}
-		env := topology.DefaultEnv()
-		env.CL, env.RL = s.Spec.CL, s.Spec.RL
-		nl, err := res.Topo.Elaborate(env)
-		if err != nil {
-			return &attempt{arch: arch, res: res, reason: err.Error()}, nil
-		}
+		nl := res.Netlist()
 		rep, err := s.measure(ctx, nl)
 		if err != nil {
 			if ctx.Err() != nil {
@@ -261,12 +270,17 @@ func (s *Session) Run(ctx context.Context) (*Outcome, error) {
 			}
 			return &attempt{arch: arch, res: res, nl: nl, reason: err.Error()}, nil
 		}
-		tr.ToolCall("simulator", arch+" behavioral netlist", rep.String())
-		a := &attempt{res: res, rep: rep, nl: nl, arch: arch, ok: s.Spec.Satisfied(rep)}
-		if !a.ok {
-			a.reason = spec.Describe(s.Spec.Check(rep))
+		if record {
+			tr.ToolCall("simulator", arch+" behavioral netlist", rep.String())
 		}
-		tr.Add(RoleVerdict, spec.Describe(s.Spec.Check(rep)))
+		a := &attempt{res: res, rep: rep, nl: nl, arch: arch, ok: s.Spec.Satisfied(rep)}
+		if !a.ok || record {
+			verdict := spec.Describe(s.Spec.Check(rep))
+			if !a.ok {
+				a.reason = verdict
+			}
+			tr.Add(RoleVerdict, verdict)
+		}
 		return a, nil
 	}
 
@@ -367,12 +381,15 @@ func (s *Session) Run(ctx context.Context) (*Outcome, error) {
 	out.SimCount = s.Sim.Invocations
 	out.QACount = tr.QACount()
 	out.Resilience = s.counters().Snapshot()
-	if !best.ok {
+	switch {
+	case !best.ok:
 		out.FailReason = best.reason
 		tr.Add(RoleVerdict, "session failed: "+best.reason)
-	} else {
+	case record:
 		tr.QA("Design completed. Please give the final netlist.",
 			"The final netlist with parameters instantiated is as follows...\n"+best.nl.String())
+	default:
+		tr.countQA()
 	}
 	return out, nil
 }

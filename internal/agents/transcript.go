@@ -30,10 +30,16 @@ type Transcript struct {
 	Model   string
 	Entries []Entry
 	qaCount int
+	// countOnly keeps the QA count and records no entry: the session ran
+	// with Options.NoTranscript.
+	countOnly bool
 }
 
 // Add appends an entry.
 func (t *Transcript) Add(role Role, text string) {
+	if t.countOnly {
+		return
+	}
 	t.Entries = append(t.Entries, Entry{Seq: len(t.Entries), Role: role, Text: text})
 }
 
@@ -41,12 +47,22 @@ func (t *Transcript) Add(role Role, text string) {
 func (t *Transcript) QA(question, answer string) {
 	i := t.qaCount
 	t.qaCount++
+	if t.countOnly {
+		return
+	}
 	t.Add(RolePrompter, fmt.Sprintf("Q%d: %s", i, question))
 	t.Add(RoleDesigner, fmt.Sprintf("A%d: %s", i, answer))
 }
 
+// countQA counts a question/answer pair without rendering its text, for
+// a session that records no transcript.
+func (t *Transcript) countQA() { t.qaCount++ }
+
 // ToolCall records a tool invocation.
 func (t *Transcript) ToolCall(tool, input, output string) {
+	if t.countOnly {
+		return
+	}
 	t.Add(RoleTool, fmt.Sprintf("[%s] %s -> %s", tool, input, output))
 }
 

@@ -1,8 +1,10 @@
 package calc
 
 import (
+	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -126,22 +128,71 @@ func TestParallelOperator(t *testing.T) {
 	}
 }
 
-func TestSession(t *testing.T) {
-	s := NewSession()
-	s.Env().Set("CL", 10e-12)
-	out, err := s.Run("gm3 = 8*pi*1MEG*CL")
+// Eval through the parse cache answers as a fresh parse does, for sources
+// stored before the cache's bound and for sources that arrive after it.
+func TestParseCacheBound(t *testing.T) {
+	check := func(src string) {
+		t.Helper()
+		env := NewEnv()
+		env.Set("GBW", 1e6)
+		got, err := Eval(src, env)
+		if err != nil {
+			t.Fatalf("Eval(%q): %v", src, err)
+		}
+		n, err := Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := n.eval(env)
+		if err != nil || got != want {
+			t.Fatalf("Eval(%q) = %g, fresh parse gives %g (%v)", src, got, want, err)
+		}
+	}
+	for i := 0; i < maxParsed+10; i++ {
+		src := fmt.Sprintf("v%d = %d*GBW + 1", i, i)
+		check(src)
+		check(src) // the second call reads the cache while it has room
+	}
+	parsed.mu.Lock()
+	n := len(parsed.m)
+	parsed.mu.Unlock()
+	if n != maxParsed {
+		t.Errorf("cache holds %d trees, want its bound %d", n, maxParsed)
+	}
+	if _, err := Eval("1 +", NewEnv()); err == nil {
+		t.Error("a source that fails to parse evaluated")
+	}
+}
+
+// The cached trees are shared: one source evaluated from many goroutines
+// at once, each with its own environment, gives every one the same value
+// (run under -race).
+func TestEvalConcurrent(t *testing.T) {
+	const src = "gm3 = 8*pi*GBW*CL"
+	env := NewEnv()
+	env.Set("GBW", 1e6)
+	env.Set("CL", 10e-12)
+	want, err := Eval(src, env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "251.3") {
-		t.Errorf("session output %q should contain 251.3", out)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				env := NewEnv()
+				env.Set("GBW", 1e6)
+				env.Set("CL", 10e-12)
+				if got, err := Eval(src, env); err != nil || got != want {
+					t.Errorf("Eval = %g, %v; want %g", got, err, want)
+					return
+				}
+			}
+		}()
 	}
-	if len(s.Log()) != 1 {
-		t.Errorf("log length = %d, want 1", len(s.Log()))
-	}
-	if _, err := s.Run("gm3 * 2"); err != nil {
-		t.Errorf("session should remember gm3: %v", err)
-	}
+	wg.Wait()
 }
 
 func TestASTString(t *testing.T) {

@@ -3,9 +3,7 @@ package calc
 import (
 	"fmt"
 	"math"
-	"sort"
-
-	"artisan/internal/units"
+	"sync"
 )
 
 // Env holds variable bindings for evaluation. The zero value is unusable;
@@ -31,24 +29,52 @@ func (e *Env) Get(name string) (float64, bool) {
 	return v, ok
 }
 
-// Names returns all bound variable names, sorted.
-func (e *Env) Names() []string {
-	out := make([]string, 0, len(e.vars))
-	for k := range e.vars {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Eval parses and evaluates src in env. Assignments ("gm1 = 2*pi*GBW*Cm1")
-// bind the result in env and also return it.
+// bind the result in env and also return it. Each source is parsed once
+// per process (see parsed); evaluation runs on every call.
 func Eval(src string, env *Env) (float64, error) {
-	n, err := Parse(src)
+	n, err := parseCached(src)
 	if err != nil {
 		return 0, err
 	}
 	return n.eval(env)
+}
+
+// maxParsed bounds the parse cache: calc is a library, and callers may
+// evaluate any number of distinct sources.
+const maxParsed = 256
+
+// parsed memoizes Parse per source. The design recipes evaluate a few
+// dozen distinct formulas on every run, and lexing and parsing them cost
+// more than evaluating. The first maxParsed sources that parse are
+// stored; later ones are parsed without storing, and sources that fail
+// to parse are never stored. Trees are immutable, so callers share them.
+var parsed struct {
+	mu sync.Mutex
+	m  map[string]Node
+}
+
+// parseCached returns Parse(src), from the cache when it holds src.
+func parseCached(src string) (Node, error) {
+	parsed.mu.Lock()
+	n, ok := parsed.m[src]
+	parsed.mu.Unlock()
+	if ok {
+		return n, nil
+	}
+	n, err := Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	parsed.mu.Lock()
+	if parsed.m == nil {
+		parsed.m = make(map[string]Node, maxParsed)
+	}
+	if len(parsed.m) < maxParsed {
+		parsed.m[src] = n
+	}
+	parsed.mu.Unlock()
+	return n, nil
 }
 
 func (n numNode) eval(env *Env) (float64, error) { return n.v, nil }
@@ -179,31 +205,3 @@ func (n assignNode) eval(env *Env) (float64, error) {
 	env.Set(n.name, v)
 	return v, nil
 }
-
-// Session evaluates a sequence of expression lines in one shared
-// environment, returning the formatted result of each line. It is the
-// interface exposed to the agents as the "calculator tool".
-type Session struct {
-	env *Env
-	log []string
-}
-
-// NewSession creates a calculator session with a fresh environment.
-func NewSession() *Session { return &Session{env: NewEnv()} }
-
-// Env exposes the session environment (e.g. to preload spec values).
-func (s *Session) Env() *Env { return s.env }
-
-// Run evaluates one line and returns a human-readable result string.
-func (s *Session) Run(line string) (string, error) {
-	v, err := Eval(line, s.env)
-	if err != nil {
-		return "", err
-	}
-	out := fmt.Sprintf("%s = %s", stripSpaces(line), units.Format(v))
-	s.log = append(s.log, out)
-	return out, nil
-}
-
-// Log returns the session history.
-func (s *Session) Log() []string { return append([]string(nil), s.log...) }

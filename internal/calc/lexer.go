@@ -8,7 +8,6 @@ package calc
 
 import (
 	"fmt"
-	"strings"
 	"unicode"
 )
 
@@ -152,8 +151,3 @@ func lex(src string) ([]token, error) {
 	toks = append(toks, token{tokEOF, "", len(rs)})
 	return toks, nil
 }
-
-// stripUnitTail removes a trailing pure-unit annotation that the units
-// package would reject on its own ("4p F" style never occurs; tails like
-// "Hz" are handled by units.Parse directly).
-func stripSpaces(s string) string { return strings.TrimSpace(s) }

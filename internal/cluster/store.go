@@ -473,6 +473,7 @@ func (s *Store) Append(rec Record) error {
 			return s.poisonLocked("fsync", err)
 		}
 	}
+	s.jstats.Records++
 	if rec.Op == OpSubmit {
 		s.jobs++ // ReserveIDs keeps a logical id to one submit
 	}
@@ -489,6 +490,10 @@ func (s *Store) ReadOnly() bool {
 // StoreStats is the store's observability snapshot, surfaced on /stats
 // and (corrupt count, read-only flag) on /metrics.
 type StoreStats struct {
+	// Journal describes the journal file: Records counts the intact
+	// records it holds (those OpenStore's scan read, plus every append
+	// since, and none after Compact truncates it); Legacy, Corrupt and
+	// TornTail stay what that scan found.
 	Journal       JournalStats `json:"journal"`
 	ReadOnly      bool         `json:"readOnly"`
 	ReadOnlyCause string       `json:"readOnlyCause,omitempty"`
@@ -564,6 +569,7 @@ func (s *Store) Compact() error {
 	}
 	s.w.Reset(s.f)
 	s.jobs = len(snap.Jobs)
+	s.jstats.Records = 0
 	return nil
 }
 

@@ -93,9 +93,11 @@ func (a *Artisan) Design(ctx context.Context, sp spec.Spec) (*Output, error) {
 			out.Transcript.Add(agents.RoleVerdict, "gm/Id mapping failed: "+err.Error())
 		} else {
 			res.Transistor = tn
-			out.Transcript.Add(agents.RoleTool,
-				fmt.Sprintf("[gm/Id] mapped to %d transistors, %s total bias",
-					len(tn.Devices), units.Format(tn.ITotal)))
+			if !a.Opts.NoTranscript {
+				out.Transcript.Add(agents.RoleTool,
+					fmt.Sprintf("[gm/Id] mapped to %d transistors, %s total bias",
+						len(tn.Devices), units.Format(tn.ITotal)))
+			}
 		}
 	}
 	return res, nil

@@ -20,49 +20,74 @@ import (
 	"sort"
 	"strings"
 
+	"artisan/internal/calc"
+	"artisan/internal/netlist"
 	"artisan/internal/spec"
 	"artisan/internal/topology"
 	"artisan/internal/units"
 )
 
-// Step is one QA exchange of the design flow.
+// Step is one QA exchange of the design flow. It keeps what the step
+// computed, its formula values and on the last step the netlist, and
+// renders its answer and calculator text only when read, so a run whose
+// transcript nobody reads never formats them.
 type Step struct {
 	Index    int
 	Title    string
 	Question string // what Artisan-Prompter asks
-	Answer   string // the narrative part of Artisan-LLM's answer
 	Formulas []string
-	Results  []string // formatted calculator outputs, one per formula
+	Values   []float64 // calculator outputs, one per formula
+
+	answer  string           // the narrative part of Artisan-LLM's answer
+	netlist *netlist.Netlist // the assembled netlist, on the last step
+}
+
+// Answer renders Artisan-LLM's answer: the narrative, followed on the
+// last step by the assembled netlist.
+func (s *Step) Answer() string {
+	if s.netlist == nil {
+		return s.answer
+	}
+	return s.answer + s.netlist.String()
+}
+
+// Result renders formula j with its value, as the calculator tool
+// reports it: "gm3 = 8*pi*GBW*CL = 255.0973u".
+func (s *Step) Result(j int) string {
+	return strings.TrimSpace(s.Formulas[j]) + " = " + units.Format(s.Values[j])
 }
 
 // Result is a completed design: the sized topology plus the derivation.
 type Result struct {
-	Arch   string
-	Spec   spec.Spec
-	Knobs  Knobs
-	Topo   *topology.Topology
-	Steps  []Step
-	Params map[string]float64 // final calculator environment snapshot
+	Arch  string
+	Spec  spec.Spec
+	Knobs Knobs
+	Topo  *topology.Topology
+	Steps []Step
+	env   *calc.Env // the calculator environment after the last step
 }
 
 // Transcript renders the full derivation as a chat-style log.
 func (r *Result) Transcript() string {
 	var b strings.Builder
-	for _, s := range r.Steps {
+	for i := range r.Steps {
+		s := &r.Steps[i]
 		fmt.Fprintf(&b, "Q%d: %s\n", s.Index, s.Question)
-		fmt.Fprintf(&b, "A%d: %s\n", s.Index, s.Answer)
-		for _, res := range s.Results {
-			fmt.Fprintf(&b, "    [calculator] %s\n", res)
+		fmt.Fprintf(&b, "A%d: %s\n", s.Index, s.Answer())
+		for j := range s.Formulas {
+			fmt.Fprintf(&b, "    [calculator] %s\n", s.Result(j))
 		}
 	}
 	return b.String()
 }
 
+// Netlist returns the behavioral netlist the procedure's last step
+// assembled from the designed topology under the spec's load. That step's
+// answer renders it, so a caller that changes values works on a Clone.
+func (r *Result) Netlist() *netlist.Netlist { return r.Steps[len(r.Steps)-1].netlist }
+
 // Param returns a named quantity from the final design environment.
-func (r *Result) Param(name string) (float64, bool) {
-	v, ok := r.Params[name]
-	return v, ok
-}
+func (r *Result) Param(name string) (float64, bool) { return r.env.Get(name) }
 
 // Knobs are the empirical design choices. Every knob is a positive scalar
 // so the LLM layer can jitter them log-normally.

@@ -10,21 +10,21 @@ import (
 	"artisan/internal/units"
 )
 
-// builder accumulates design steps, executing formulas in a shared
-// calculator session whose environment is preloaded with the spec
-// quantities and the sampled knobs.
+// builder accumulates design steps, executing formulas in one shared
+// calculator environment preloaded with the spec quantities and the
+// sampled knobs.
 type builder struct {
 	arch  string
 	spec  spec.Spec
 	knobs Knobs
-	sess  *calc.Session
+	env   *calc.Env
 	steps []Step
 	topo  *topology.Topology
 }
 
 func newBuilder(arch string, s spec.Spec, k Knobs) *builder {
-	b := &builder{arch: arch, spec: s, knobs: k, sess: calc.NewSession()}
-	env := b.sess.Env()
+	env := calc.NewEnv()
+	b := &builder{arch: arch, spec: s, knobs: k, env: env}
 	env.Set("GainSpec", s.MinGainDB)
 	env.Set("GBWspec", s.MinGBW)
 	env.Set("PMspec", s.MinPM)
@@ -46,14 +46,14 @@ func newBuilder(arch string, s spec.Spec, k Knobs) *builder {
 // step records one QA exchange, running its formulas through the
 // calculator tool.
 func (b *builder) step(title, question, answer string, formulas ...string) error {
-	st := Step{Index: len(b.steps), Title: title, Question: question, Answer: answer}
-	for _, f := range formulas {
-		out, err := b.sess.Run(f)
+	st := Step{Index: len(b.steps), Title: title, Question: question, answer: answer,
+		Formulas: formulas, Values: make([]float64, len(formulas))}
+	for i, f := range formulas {
+		v, err := calc.Eval(f, b.env)
 		if err != nil {
 			return fmt.Errorf("design: %s step %q formula %q: %w", b.arch, title, f, err)
 		}
-		st.Formulas = append(st.Formulas, f)
-		st.Results = append(st.Results, out)
+		st.Values[i] = v
 	}
 	b.steps = append(b.steps, st)
 	return nil
@@ -62,7 +62,7 @@ func (b *builder) step(title, question, answer string, formulas ...string) error
 // val reads a bound calculator variable; the recipes only read names they
 // have themselves defined, so a miss is a programming error.
 func (b *builder) val(name string) float64 {
-	v, ok := b.sess.Env().Get(name)
+	v, ok := b.env.Get(name)
 	if !ok {
 		panic(fmt.Sprintf("design: internal error: %s not bound", name))
 	}
@@ -76,16 +76,9 @@ func (b *builder) finish() (*Result, error) {
 	if err := b.topo.Validate(); err != nil {
 		return nil, fmt.Errorf("design: %s produced invalid topology: %w", b.arch, err)
 	}
-	params := map[string]float64{}
-	env := b.sess.Env()
-	for _, name := range env.Names() {
-		if v, ok := env.Get(name); ok {
-			params[name] = v
-		}
-	}
 	return &Result{
 		Arch: b.arch, Spec: b.spec, Knobs: b.knobs,
-		Topo: b.topo, Steps: b.steps, Params: params,
+		Topo: b.topo, Steps: b.steps, env: b.env,
 	}, nil
 }
 
@@ -423,10 +416,11 @@ func (b *builder) assembleStep() error {
 	if err != nil {
 		return err
 	}
-	return b.step("netlist",
-		"Design completed. Please give the final netlist.",
-		"The final behavioral netlist with parameters instantiated is:\n"+nl.String(),
-	)
+	b.steps = append(b.steps, Step{Index: len(b.steps), Title: "netlist",
+		Question: "Design completed. Please give the final netlist.",
+		answer:   "The final behavioral netlist with parameters instantiated is:\n",
+		netlist:  nl})
+	return nil
 }
 
 // ExpectedFoM estimates the figure of merit of a result from its solved

@@ -121,7 +121,8 @@ func truncate(s string, n int) string {
 type DomainModel struct {
 	retrievalModel
 	profiles    []ArchProfile
-	rng         *rand.Rand
+	seed        int64
+	rng         *rand.Rand // seeded from seed on the first draw
 	Temperature float64
 	// SlipRate is the probability that the model holds one *wrong
 	// empirical belief* per architecture (a hallucinated design choice,
@@ -129,8 +130,8 @@ type DomainModel struct {
 	// — redesigning with the same model repeats the mistake — which is
 	// what produces the paper's 7–9/10 session success rates.
 	SlipRate float64
-	slips    map[string]knobSlip
-	lm       *Bigram // fitted during training; nil before
+	slips    map[string]knobSlip // made on the first decided slip
+	lm       *Bigram             // fitted during training; nil before
 }
 
 type knobSlip struct {
@@ -145,11 +146,20 @@ func NewDomainModel(seed int64, temperature float64) *DomainModel {
 	return &DomainModel{
 		retrievalModel: retrievalModel{name: "Artisan-LLM", ix: domainIndex()},
 		profiles:       domainProfiles(),
-		rng:            rand.New(rand.NewSource(seed)),
+		seed:           seed,
 		Temperature:    temperature,
 		SlipRate:       temperature, // calibrated against the paper's 7–9/10 band
-		slips:          map[string]knobSlip{},
 	}
+}
+
+// rand returns the model's sampling source, seeding it on first use: a
+// model that never samples (the server's fallback) never pays for the
+// source's 4.9 KB table.
+func (m *DomainModel) rand() *rand.Rand {
+	if m.rng == nil {
+		m.rng = rand.New(rand.NewSource(m.seed))
+	}
+	return m.rng
 }
 
 // LM exposes the fitted bigram model (nil before training).
@@ -170,7 +180,7 @@ func (m *DomainModel) ProposeArchitectures(ctx context.Context, s spec.Spec, k i
 		}
 		noise := 1.0
 		if m.Temperature > 0 {
-			noise = lognormSample(m.rng, m.Temperature/2)
+			noise = lognormSample(m.rand(), m.Temperature/2)
 		}
 		out = append(out, ArchChoice{Arch: p.Arch, Score: base * noise, Rationale: p.Rationale})
 	}
@@ -199,25 +209,29 @@ func (m *DomainModel) ProposeKnobs(ctx context.Context, arch string, s spec.Spec
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	k, err := design.SampleKnobs(arch, s, m.rng, m.Temperature)
+	rng := m.rand()
+	k, err := design.SampleKnobs(arch, s, rng, m.Temperature)
 	if err != nil {
 		return nil, err
 	}
 	sl, decided := m.slips[arch]
 	if !decided {
 		sl = knobSlip{}
-		if m.rng.Float64() < m.SlipRate {
+		if rng.Float64() < m.SlipRate {
 			keys := make([]string, 0, len(k))
 			for key := range k {
 				keys = append(keys, key)
 			}
 			sort.Strings(keys)
-			sl.key = keys[m.rng.Intn(len(keys))]
+			sl.key = keys[rng.Intn(len(keys))]
 			// Hallucinated values are off by 3–8× in either direction.
-			sl.factor = 3 + 5*m.rng.Float64()
-			if m.rng.Intn(2) == 0 {
+			sl.factor = 3 + 5*rng.Float64()
+			if rng.Intn(2) == 0 {
 				sl.factor = 1 / sl.factor
 			}
+		}
+		if m.slips == nil {
+			m.slips = map[string]knobSlip{}
 		}
 		m.slips[arch] = sl
 	}

@@ -58,11 +58,17 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 // error wraps the last attempt's error, so callers can match fault
 // classes with errors.Is.
 func (p RetryPolicy) Do(ctx context.Context, op string, fn func(context.Context) error) error {
+	return p.do(ctx, op, fn, sleep)
+}
+
+// do is Do with the backoff wait passed in, so a test can read the delay
+// schedule without sleeping through it.
+func (p RetryPolicy) do(ctx context.Context, op string, fn func(context.Context) error,
+	wait func(context.Context, time.Duration) error) error {
 	p = p.withDefaults()
+	// The jitter source is seeded on its first draw: most calls succeed at
+	// once, and seeding a math/rand source fills a 4.9 KB table.
 	var rng *rand.Rand
-	if p.Jitter > 0 {
-		rng = rand.New(rand.NewSource(p.Seed))
-	}
 	delay := p.BaseDelay
 	for attempt := 1; ; attempt++ {
 		if cerr := ctx.Err(); cerr != nil {
@@ -91,21 +97,32 @@ func (p RetryPolicy) Do(ctx context.Context, op string, fn func(context.Context)
 			p.Counters.Retries.Add(1)
 		}
 		d := delay
-		if rng != nil && d > 0 {
+		if p.Jitter > 0 && d > 0 {
+			if rng == nil {
+				rng = rand.New(rand.NewSource(p.Seed))
+			}
 			d += time.Duration(p.Jitter * rng.Float64() * float64(d))
 		}
 		if d > 0 {
-			t := time.NewTimer(d)
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				return fmt.Errorf("resilience: %s cancelled during backoff: %w", op, ctx.Err())
+			if err := wait(ctx, d); err != nil {
+				return fmt.Errorf("resilience: %s cancelled during backoff: %w", op, err)
 			}
 		}
 		delay = time.Duration(float64(delay) * p.Multiplier)
 		if delay > p.MaxDelay {
 			delay = p.MaxDelay
 		}
+	}
+}
+
+// sleep waits d, or until ctx is done.
+func sleep(ctx context.Context, d time.Duration) error {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }

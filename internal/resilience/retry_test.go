@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -113,21 +114,40 @@ func TestRetryPerAttemptDeadline(t *testing.T) {
 	}
 }
 
-// The jitter schedule must be a pure function of the seed.
+// The jitter schedule is a pure function of the seed: each retry waits
+// the grown backoff plus Jitter times the next draw of
+// rand.New(rand.NewSource(Seed)), in attempt order. A call whose first
+// attempt succeeds neither waits nor seeds the source.
 func TestRetryDeterministicJitter(t *testing.T) {
-	run := func() time.Duration {
-		p := RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, Jitter: 1, Seed: 42}
-		start := time.Now()
-		_ = p.Do(context.Background(), "op", func(context.Context) error {
-			return errors.New("always")
-		})
-		return time.Since(start)
+	p := RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 3 * time.Millisecond,
+		Jitter: 0.5, Seed: 42}
+	var got []time.Duration
+	record := func(_ context.Context, d time.Duration) error {
+		got = append(got, d)
+		return nil
 	}
-	a, b := run(), run()
-	// Both runs sleep the same seeded schedule; allow generous scheduler
-	// slack but catch a divergent jitter source.
-	if diff := a - b; diff < -20*time.Millisecond || diff > 20*time.Millisecond {
-		t.Errorf("jitter schedules diverged: %v vs %v", a, b)
+	fail := func(context.Context) error { return errors.New("always") }
+	if err := p.do(context.Background(), "op", fail, record); err == nil {
+		t.Fatal("a failing operation succeeded")
+	}
+	rng := rand.New(rand.NewSource(42))
+	var want []time.Duration
+	for _, base := range []time.Duration{time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond} {
+		want = append(want, base+time.Duration(0.5*rng.Float64()*float64(base)))
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("delays %v, want %v", got, want)
+	}
+
+	got = nil
+	succeed := func(context.Context) error { return nil }
+	if err := p.do(context.Background(), "op", succeed, record); err != nil || got != nil {
+		t.Errorf("succeeding call: err %v, waits %v", err, got)
+	}
+	// Seeding the source would allocate it; a call that never retries
+	// allocates nothing.
+	if n := testing.AllocsPerRun(20, func() { _ = p.Do(context.Background(), "op", succeed) }); n != 0 {
+		t.Errorf("succeeding call allocated %v times, want 0", n)
 	}
 }
 

@@ -744,6 +744,9 @@ func (s *Server) designFunc(sp spec.Spec, req DesignRequest, requestID string) j
 		a.Opts.TreeWidth = req.TreeWidth
 		a.Opts.Tune = req.Tune
 		a.Opts.SizingBackend = req.Backend
+		// The reply carries transcript text only for these two fields, both
+		// part of the cache key.
+		a.Opts.NoTranscript = !req.Transcript && !req.Verify
 		sessionCounters := &resilience.Counters{}
 		// The events a session spent count service-wide whatever its
 		// outcome, as the shared breaker's do.

@@ -1,14 +1,18 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"artisan/internal/cluster"
 )
 
 func TestStatsEndpoint(t *testing.T) {
@@ -129,5 +133,81 @@ func TestFailedSessionCountsResilience(t *testing.T) {
 	}
 	if attempts == 0 {
 		t.Errorf("metrics: no attempts counted in %q", series)
+	}
+}
+
+// The journal record count that /stats reports follows the journal file:
+// a fresh node that served 13 designs (a submit, start and done record
+// each) reads 39, the node reopened on that directory reads what the file
+// holds, and Compact, which truncates the journal, brings it to 0.
+func TestStatsJournalRecordCount(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	records := func(srv *Server) int {
+		t.Helper()
+		rec, body := doJSON(t, srv, "GET", "/stats", nil)
+		var got struct {
+			Store cluster.StoreStats `json:"store"`
+		}
+		if rec.Code != http.StatusOK {
+			t.Fatalf("stats: %d %s", rec.Code, body)
+		}
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Fatal(err)
+		}
+		return got.Store.Journal.Records
+	}
+	fileRecords := func() int {
+		t.Helper()
+		blob, err := os.ReadFile(cluster.JournalPath(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bytes.Count(blob, []byte("\n"))
+	}
+
+	srv := NewWithOptions(Options{Workers: 1, DataDir: dir})
+	for i := 0; i < 13; i++ {
+		rec, body := doJSONHdr(t, srv, "POST", "/design", map[string]any{"group": "G-1", "seed": i}, nil)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("design %d: %d %s", i, rec.Code, body)
+		}
+	}
+	// Each done record is journaled once its job has finished, after the
+	// reply: wait for the last of them.
+	deadline := time.Now().Add(5 * time.Second)
+	got := records(srv)
+	for got < 39 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		got = records(srv)
+	}
+	if got != 39 {
+		t.Errorf("fresh node: journal records %d, want 39", got)
+	}
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	srv = NewWithOptions(Options{Workers: 1, DataDir: dir})
+	if got, want := records(srv), fileRecords(); got != want || want < 39 {
+		t.Errorf("reopened node: journal records %d, the file holds %d", got, want)
+	}
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	store, _, err := cluster.OpenStore(dir, cluster.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if got, want := store.Stats().Journal.Records, fileRecords(); got != want {
+		t.Errorf("opened store: journal records %d, the file holds %d", got, want)
+	}
+	if err := store.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if got := store.Stats().Journal.Records; got != 0 {
+		t.Errorf("after Compact: journal records %d, want 0", got)
 	}
 }

@@ -36,9 +36,10 @@ go test ./internal/chaos -race -count=2
 # Fuzz smoke: 10 s of coverage-guided input generation per target over
 # the parsers that face raw bytes (SPICE netlists, spec JSON, the journal
 # replay path and topology JSON), the white-box seed and gm/Id mapping
-# that consume decoded topologies, and the metric extraction over scaled
+# that consume decoded topologies, the metric extraction over scaled
 # generated circuits (the simulator's assembly and real-s determinant
-# paths), seeded from the checked-in corpus under testdata/fuzz/.
+# paths), and the calculator, whose parse cache must answer as a fresh
+# parse does, seeded from the checked-in corpus under testdata/fuzz/.
 # Crashers land in testdata/fuzz/<Target>/ and fail this gate until
 # fixed.
 for target in \
@@ -48,7 +49,8 @@ for target in \
     'FuzzJournalReplay ./internal/cluster' \
     'FuzzFromJSON ./internal/topology' \
     'FuzzSeed ./internal/backend' \
-    'FuzzAnalyze ./internal/measure'; do
+    'FuzzAnalyze ./internal/measure' \
+    'FuzzEval ./internal/calc'; do
     set -- $target
     go test -run '^$' -fuzz "^$1\$" -fuzztime 10s "$2"
 done
