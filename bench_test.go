@@ -354,13 +354,14 @@ func BenchmarkCircuitSolveAt(b *testing.B) {
 	}
 }
 
-// BenchmarkCircuitSweep measures the 289-point AC sweep of measure.Analyze
-// in isolation.
+// BenchmarkCircuitSweep measures measure.Analyze's 289-point AC sweep
+// grid in isolation, every point solved (Analyze stops at its last
+// crossing).
 func BenchmarkCircuitSweep(b *testing.B) {
 	c := nmcRefCircuit(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Sweep(context.Background(), "out", 1e-2, 1e10, 24); err != nil {
+		if _, err := c.Sweep(context.Background(), "out", 1e-2, 1e10, 24, everyPoint); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -604,7 +605,7 @@ func BenchmarkLadderAC(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Sweep(context.Background(), "out", 1e-1, 1e9, 24); err != nil {
+		if _, err := c.Sweep(context.Background(), "out", 1e-1, 1e9, 24, everyPoint); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -612,6 +613,9 @@ func BenchmarkLadderAC(b *testing.B) {
 
 // --- shared setup: the circuits the simulator benchmarks and the
 // allocation gate (TestHotPathAllocs) measure -------------------------------
+
+// everyPoint is a sweep visitor that keeps the sweep going to its end.
+func everyPoint(mna.TFPoint) bool { return true }
 
 // nmcRef is the reference NMC opamp of Fig. 1.
 func nmcRef() *topology.Topology {

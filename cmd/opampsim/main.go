@@ -104,7 +104,11 @@ func main() {
 	}
 
 	if *sweep {
-		pts, err := c.Sweep(context.Background(), *out, 1, 1e9, 4)
+		var pts []mna.TFPoint
+		_, err := c.Sweep(context.Background(), *out, 1, 1e9, 4, func(p mna.TFPoint) bool {
+			pts = append(pts, p)
+			return true
+		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "opampsim:", err)
 			os.Exit(1)

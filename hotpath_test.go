@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime/debug"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -32,7 +33,10 @@ import (
 // sizing run must allocate exactly the committed count per
 // call; a sizing run must also spend exactly its committed simulator
 // evaluations, and a traced design run must open exactly its committed
-// spans. These counts do not depend on the host's speed, load or CPU
+// spans. The work the fast paths skip is pinned too, from span
+// attributes: the posterior σ solves of the bo and hybrid trials, and
+// the sweep points one analysis and each traced design run solve. These
+// counts do not depend on the host's speed, load or CPU
 // count, so the gate compares the same quantity on every machine; timing
 // is judged by interleaved perfbench runs instead. A change that moves a
 // count on purpose updates its row.
@@ -108,7 +112,7 @@ func TestHotPathAllocs(t *testing.T) {
 		want float64
 		op   func() error
 	}{
-		{"Fig1Skeleton", 144, func() error {
+		{"Fig1Skeleton", 141, func() error {
 			nl, err := topo.Elaborate(env)
 			if err != nil {
 				return err
@@ -116,7 +120,7 @@ func TestHotPathAllocs(t *testing.T) {
 			_, err = measure.Analyze(nl, "out")
 			return err
 		}},
-		{"MNASolve", 72, func() error {
+		{"MNASolve", 69, func() error {
 			_, err := measure.Analyze(nl, "out")
 			return err
 		}},
@@ -124,8 +128,8 @@ func TestHotPathAllocs(t *testing.T) {
 			_, err := ws.SolveAt(mna.Omega(1e6))
 			return err
 		}},
-		{"CircuitSweep", 1, func() error {
-			_, err := c.Sweep(ctx, "out", 1e-2, 1e10, 24)
+		{"CircuitSweep", 0, func() error {
+			_, err := c.Sweep(ctx, "out", 1e-2, 1e10, 24, everyPoint)
 			return err
 		}},
 		{"PoleZero", 69, func() error {
@@ -155,17 +159,17 @@ func TestHotPathAllocs(t *testing.T) {
 		}},
 		// One untuned run of the whole workflow; G-5's design fails, so
 		// it skips the gm/Id mapping.
-		{"CoreDesign/G-1", 1194, func() error {
+		{"CoreDesign/G-1", 1096, func() error {
 			_, err := core.New(7).Design(ctx, g1)
 			return err
 		}},
-		{"CoreDesign/G-5", 1164, func() error {
+		{"CoreDesign/G-5", 1076, func() error {
 			_, err := core.New(7).Design(ctx, g5)
 			return err
 		}},
 		// The same G-1 run for a reply that returns no transcript, as the
 		// server runs it without transcript or verify.
-		{"CoreDesign/G-1/no-transcript", 524, func() error {
+		{"CoreDesign/G-1/no-transcript", 498, func() error {
 			a := core.New(7)
 			a.Opts.NoTranscript = true
 			_, err := a.Design(ctx, g1)
@@ -203,12 +207,12 @@ func TestHotPathAllocs(t *testing.T) {
 		evals int // simulator evaluations per call
 		op    func() (int, error)
 	}{
-		{"SizeLadder/bo", 9038, 60, size("bo")},
-		{"SizeLadder/ga", 8707, 58, size("ga")},
-		{"SizeLadder/hybrid", 9177, 60, size("hybrid")},
-		{"SizeLadder/whitebox", 8198, 53, size("whitebox")},
+		{"SizeLadder/bo", 8857, 60, size("bo")},
+		{"SizeLadder/ga", 8533, 58, size("ga")},
+		{"SizeLadder/hybrid", 8990, 60, size("hybrid")},
+		{"SizeLadder/whitebox", 8033, 53, size("whitebox")},
 		// The design's verification plus the tuner's budget.
-		{"TunedSession", 8902, 54, func() (int, error) {
+		{"TunedSession", 8683, 54, func() (int, error) {
 			out, err := tuningSession(g4, 2, true)
 			if err != nil {
 				return 0, err
@@ -252,8 +256,41 @@ func TestHotPathAllocs(t *testing.T) {
 		}
 	}
 
+	// The work the fast paths skip, read from span attributes: the σ
+	// solves of the BO trials' acquisitions ("sizing.optimize"
+	// sd_solves), and the sweep points one traced analysis solves
+	// ("mna.sweep" points), which stop at the last crossing it reads. The
+	// design runs below pin their sweep points too.
+	for _, row := range []struct {
+		name, span, attr string
+		want             int
+		op               func(context.Context) error
+	}{
+		{"SizeLadder/bo", "sizing.optimize", "sd_solves", 916, func(ctx context.Context) error {
+			_, err := backend.SizeLadder(ctx, "bo", trial, 3, nil)
+			return err
+		}},
+		{"SizeLadder/hybrid", "sizing.optimize", "sd_solves", 809, func(ctx context.Context) error {
+			_, err := backend.SizeLadder(ctx, "hybrid", trial, 3, nil)
+			return err
+		}},
+		{"MNASolve", "mna.sweep", "points", 203, func(ctx context.Context) error {
+			_, err := measure.AnalyzeContext(ctx, nl, "out")
+			return err
+		}},
+	} {
+		tracer := telemetry.NewTracer(16)
+		if err := row.op(telemetry.WithTracer(ctx, tracer)); err != nil {
+			t.Fatalf("%s: %v", row.name, err)
+		}
+		if got := sumAttr(t, tracer.Traces(), row.span, row.attr); got != row.want {
+			t.Errorf("%s: %s %s summed to %d, want %d", row.name, row.span, row.attr, got, row.want)
+		}
+	}
+
 	// The spans of one traced CoreDesign run: each agent step, tool call
-	// and MNA analysis opens exactly one.
+	// and MNA analysis opens exactly one; and the sweep points its
+	// analyses solve.
 	g1Spans := map[string]int{"core.design": 1, "agents.session": 1,
 		"llm.propose_architectures": 1, "llm.propose_knobs": 2, "cot.design": 2,
 		"tool.simulator": 2, "mna.sweep": 2, "mna.poles": 2, "mna.zeros": 2,
@@ -265,10 +302,11 @@ func TestHotPathAllocs(t *testing.T) {
 		}
 	}
 	for _, row := range []struct {
-		name string
-		sp   spec.Spec
-		want map[string]int
-	}{{"Spans/G-1", g1, g1Spans}, {"Spans/G-5", g5, g5Spans}} {
+		name   string
+		sp     spec.Spec
+		want   map[string]int
+		points int
+	}{{"Spans/G-1", g1, g1Spans, 401}, {"Spans/G-5", g5, g5Spans, 450}} {
 		tracer := telemetry.NewTracer(1)
 		if _, err := core.New(7).Design(telemetry.WithTracer(ctx, tracer), row.sp); err != nil {
 			t.Fatalf("%s: %v", row.name, err)
@@ -280,5 +318,36 @@ func TestHotPathAllocs(t *testing.T) {
 		if !reflect.DeepEqual(got, row.want) {
 			t.Errorf("%s: spans %v, want %v", row.name, got, row.want)
 		}
+		if got := sumAttr(t, tracer.Traces(), "mna.sweep", "points"); got != row.points {
+			t.Errorf("%s: mna.sweep points summed to %d, want %d", row.name, got, row.points)
+		}
 	}
+}
+
+// sumAttr sums the integer attribute key of every span named name in the
+// trace trees.
+func sumAttr(t *testing.T, roots []*telemetry.Span, name, key string) int {
+	t.Helper()
+	sum := 0
+	var walk func(s *telemetry.Span)
+	walk = func(s *telemetry.Span) {
+		if s.Name() == name {
+			for _, a := range s.Attrs() {
+				if a.Key == key {
+					n, err := strconv.Atoi(a.Value)
+					if err != nil {
+						t.Fatalf("%s %s=%q: %v", name, key, a.Value, err)
+					}
+					sum += n
+				}
+			}
+		}
+		for _, c := range s.Children() {
+			walk(c)
+		}
+	}
+	for _, r := range roots {
+		walk(r)
+	}
+	return sum
 }

@@ -111,78 +111,83 @@ func Analyze(nl *netlist.Netlist, out string) (Report, error) {
 // AnalyzeContext is Analyze with context propagation: the MNA solves it
 // performs (sweep, poles, zeros) emit telemetry spans when the context
 // carries a tracer.
+//
+// The sweep is read in one pass. Each crossing test compares a point
+// with the one before it, so only the previous point's frequency,
+// magnitude and unwrapped phase are kept, and the sweep stops once the
+// first −3 dB, unity-gain and −180° crossings are all found: no report
+// field depends on a later point. A point past them is never solved, so
+// a failure to solve it is no error, and a zero response at DC is
+// reported at the first point, before any later point is solved.
 func AnalyzeContext(ctx context.Context, nl *netlist.Netlist, out string) (Report, error) {
 	c, err := mna.Compile(nl)
 	if err != nil {
 		return Report{}, err
 	}
-	pts, err := c.Sweep(ctx, out, sweepStart, sweepStop, sweepPerDecade)
-	if err != nil {
-		return Report{}, err
-	}
-	if len(pts) < 2 {
-		return Report{}, fmt.Errorf("measure: sweep too short")
-	}
-
-	rep := Report{Power: DefaultPowerModel().Power(nl, nil)}
-
-	// Magnitudes and unwrapped phase relative to the DC response. The
-	// opamp may be inverting; phase is referenced so φ(DC) = 0.
-	href := pts[0].H
-	if href == 0 {
-		return Report{}, fmt.Errorf("measure: zero response at DC")
-	}
-	mags := make([]float64, len(pts))
-	phase := make([]float64, len(pts))
-	prev := 0.0
-	for i, p := range pts {
-		mags[i] = cmplx.Abs(p.H)
+	rep := Report{Power: DefaultPowerModel().Power(nl, nil), GM: math.Inf(1)}
+	var (
+		href              complex128 // H at DC: the phase reference
+		f0, m0, ph0       float64    // the previous point's Hz, |H| and phase (°)
+		unwrapped, target float64    // running phase (rad); DCGain/√2
+		f3, unity, gm     bool       // which crossings are found
+	)
+	_, err = c.Sweep(ctx, out, sweepStart, sweepStop, sweepPerDecade, func(p mna.TFPoint) bool {
+		first := href == 0
+		if first {
+			if p.H == 0 {
+				return false
+			}
+			href = p.H
+		}
+		// Magnitude and phase relative to the DC response. The opamp may
+		// be inverting; phase is referenced so φ(DC) = 0.
+		m := cmplx.Abs(p.H)
 		raw := cmplx.Phase(p.H / href)
-		// unwrap against previous point
-		d := raw - math.Mod(prev, 2*math.Pi)
+		// unwrap against the previous point
+		d := raw - math.Mod(unwrapped, 2*math.Pi)
 		for d > math.Pi {
 			d -= 2 * math.Pi
 		}
 		for d < -math.Pi {
 			d += 2 * math.Pi
 		}
-		prev += d
-		phase[i] = units.Deg(prev)
-	}
-
-	rep.DCGain = mags[0]
-	rep.GainDB = units.DB(mags[0])
-
-	// −3 dB bandwidth: first crossing below DCGain/√2.
-	target := rep.DCGain / math.Sqrt2
-	for i := 1; i < len(pts); i++ {
-		if mags[i-1] >= target && mags[i] < target {
-			rep.F3dB = logInterp(pts[i-1].Freq, pts[i].Freq, mags[i-1], mags[i], target)
-			break
+		unwrapped += d
+		ph := units.Deg(unwrapped)
+		if first {
+			rep.DCGain = m
+			rep.GainDB = units.DB(m)
+			target = rep.DCGain / math.Sqrt2
+		} else {
+			// −3 dB bandwidth: first crossing below DCGain/√2.
+			if !f3 && m0 >= target && m < target {
+				rep.F3dB = logInterp(f0, p.Freq, m0, m, target)
+				f3 = true
+			}
+			// Unity-gain crossing.
+			if !unity && m0 >= 1 && m < 1 {
+				rep.GBW = logInterp(f0, p.Freq, m0, m, 1)
+				// Phase at the crossing, linear in log f.
+				t := math.Log(rep.GBW/f0) / math.Log(p.Freq/f0)
+				phiU := ph0 + t*(ph-ph0)
+				rep.PM = 180 + phiU
+				unity = true
+			}
+			// Gain margin: gain in dB at the −180° phase crossing.
+			if !gm && ph0 > -180 && ph <= -180 {
+				t := (-180 - ph0) / (ph - ph0)
+				lm := math.Log(m0) + t*(math.Log(m)-math.Log(m0))
+				rep.GM = -units.DB(math.Exp(lm))
+				gm = true
+			}
 		}
+		f0, m0, ph0 = p.Freq, m, ph
+		return !(f3 && unity && gm)
+	})
+	if err != nil {
+		return Report{}, err
 	}
-
-	// Unity-gain crossing.
-	for i := 1; i < len(pts); i++ {
-		if mags[i-1] >= 1 && mags[i] < 1 {
-			rep.GBW = logInterp(pts[i-1].Freq, pts[i].Freq, mags[i-1], mags[i], 1)
-			// Phase at the crossing, linear in log f.
-			t := math.Log(rep.GBW/pts[i-1].Freq) / math.Log(pts[i].Freq/pts[i-1].Freq)
-			phiU := phase[i-1] + t*(phase[i]-phase[i-1])
-			rep.PM = 180 + phiU
-			break
-		}
-	}
-
-	// Gain margin: gain in dB at the −180° phase crossing.
-	rep.GM = math.Inf(1)
-	for i := 1; i < len(pts); i++ {
-		if phase[i-1] > -180 && phase[i] <= -180 {
-			t := (-180 - phase[i-1]) / (phase[i] - phase[i-1])
-			lm := math.Log(mags[i-1]) + t*(math.Log(mags[i])-math.Log(mags[i-1]))
-			rep.GM = -units.DB(math.Exp(lm))
-			break
-		}
+	if href == 0 {
+		return Report{}, fmt.Errorf("measure: zero response at DC")
 	}
 
 	// Stability via pole locations. A root-finder failure is surfaced in

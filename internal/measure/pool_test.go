@@ -1,7 +1,6 @@
 package measure_test
 
 import (
-	"context"
 	"errors"
 	"math"
 	"testing"
@@ -50,13 +49,13 @@ func TestStepNewtonTyped(t *testing.T) {
 // FuzzAnalyze drives the metric extraction over generated circuits: the
 // seed picks a task as bench.NewTask does for the pool, and each input
 // byte b scales one device by exp(int8(b)/32), a factor in [e^-4, e^4].
-// AnalyzeContext runs on the scaled netlist, and a Monte-Carlo session
-// of the nominal design on the same scale factors. Neither may panic,
+// AnalyzeContext runs on the scaled netlist and must agree with the
+// full-sweep oracle bit for bit, and a Monte-Carlo session of the
+// nominal design runs on the same scale factors. Neither may panic,
 // and a nil error must come with finite GainDB, GBW, PM and Power. The
 // checked-in corpus holds pool circuits 0, 4 (no GBW: the step window
 // cannot be sized) and 22 (transient Newton does not converge).
 func FuzzAnalyze(f *testing.F) {
-	ctx := context.Background()
 	f.Fuzz(func(t *testing.T, seed int64, factors []byte) {
 		task, err := bench.NewTask(0, seed)
 		if err != nil {
@@ -82,7 +81,7 @@ func FuzzAnalyze(f *testing.F) {
 				}
 			}
 		}
-		if rep, err := measure.AnalyzeContext(ctx, drawn, "out"); err == nil {
+		if rep, err := checkAnalyze(t, "AnalyzeContext", drawn); err == nil {
 			finite("AnalyzeContext", rep)
 		}
 		a, err := measure.NewMCAnalyzer(nl, "out")

@@ -16,50 +16,54 @@ type TFPoint struct {
 	H    complex128 // V(out) per unit excitation
 }
 
-// Sweep computes the transfer function V(out) over a logarithmic frequency
-// sweep from fStart to fStop (Hz) with the given points per decade. The
+// Sweep solves the transfer function V(out) over a logarithmic frequency
+// sweep from fStart to fStop (Hz) with the given points per decade and
+// hands each point to visit, in order of increasing frequency. The
 // excitation is the netlist's independent sources (normally a single 1 V
-// AC source), so H is V(out) directly. The points are solved in order on
-// one pooled Workspace, and the first failing frequency is the one
-// reported. When ctx carries a tracer the sweep is recorded as an
-// "mna.sweep" span with the matrix size and point count.
-func (c *Circuit) Sweep(ctx context.Context, out string, fStart, fStop float64, perDecade int) ([]TFPoint, error) {
+// AC source), so H is V(out) directly. The points are solved one at a
+// time on one pooled Workspace; the sweep stops after the first point
+// for which visit returns false, or at the first frequency that fails to
+// solve, which is the one reported. It returns the number of points
+// solved and handed to visit. When ctx carries a tracer the sweep is
+// recorded as an "mna.sweep" span with the matrix size and that count.
+func (c *Circuit) Sweep(ctx context.Context, out string, fStart, fStop float64, perDecade int, visit func(TFPoint) bool) (int, error) {
 	_, span := telemetry.StartSpan(ctx, "mna.sweep")
 	defer span.End()
-	pts, err := c.sweep(out, fStart, fStop, perDecade)
+	n, err := c.sweep(out, fStart, fStop, perDecade, visit)
 	if span != nil { // untraced sweeps skip formatting the attributes
 		span.SetAttr("size", strconv.Itoa(c.Size()))
-		span.SetAttr("points", strconv.Itoa(len(pts)))
+		span.SetAttr("points", strconv.Itoa(n))
 	}
-	return pts, err
+	return n, err
 }
 
 // sweep is Sweep without the span.
-func (c *Circuit) sweep(out string, fStart, fStop float64, perDecade int) ([]TFPoint, error) {
+func (c *Circuit) sweep(out string, fStart, fStop float64, perDecade int, visit func(TFPoint) bool) (int, error) {
 	// Negated so NaN fails; the ratio bound rejects +Inf and a range
 	// whose fStop/fStart overflows.
 	if !(fStart > 0 && fStop > fStart && fStop/fStart <= math.MaxFloat64) {
-		return nil, fmt.Errorf("mna: bad sweep range [%g, %g]", fStart, fStop)
+		return 0, fmt.Errorf("mna: bad sweep range [%g, %g]", fStart, fStop)
 	}
 	if perDecade < 1 {
-		return nil, fmt.Errorf("mna: perDecade must be >= 1")
+		return 0, fmt.Errorf("mna: perDecade must be >= 1")
 	}
 	j, err := c.NodeIndex(out)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	freqs := sweepGrid(fStart, fStop, perDecade)
-	pts := make([]TFPoint, len(freqs))
 	w := c.workspace()
 	defer c.release(w)
 	for i, f := range freqs {
 		x, err := w.SolveAt(Omega(f))
 		if err != nil {
-			return nil, fmt.Errorf("mna: sweep at %g Hz: %w", f, err)
+			return i, fmt.Errorf("mna: sweep at %g Hz: %w", f, err)
 		}
-		pts[i] = TFPoint{Freq: f, H: x[j]}
+		if !visit(TFPoint{Freq: f, H: x[j]}) {
+			return i + 1, nil
+		}
 	}
-	return pts, nil
+	return len(freqs), nil
 }
 
 // maxSweepGrids bounds the grid memo: mna is a library, and callers may

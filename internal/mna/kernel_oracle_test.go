@@ -297,3 +297,47 @@ func TestNoiseSweepMatchesPerSource(t *testing.T) {
 		t.Fatal("no generated circuit has two sources on one node pair")
 	}
 }
+
+// pivotReciprocal is the reciprocal LU.factor stores for a 1×1 matrix
+// holding z: its written-out division of 1 by the pivot.
+func pivotReciprocal(z complex128) complex128 {
+	a := NewMatrix(1)
+	a.Set(0, 0, z)
+	var lu LU
+	lu.FactorInto(a)
+	return lu.idiag[0]
+}
+
+// TestPivotReciprocalMatchesDivision compares LU.factor's reciprocal with
+// the runtime's 1/z on every pair of parts from {±0, ±the least
+// denormal, ±1, ±MaxFloat64, ±Inf, NaN} and on random bit patterns. A
+// zero pivot is flagged singular before any reciprocal is taken.
+func TestPivotReciprocalMatchesDivision(t *testing.T) {
+	var special []float64
+	for _, v := range []float64{0, math.SmallestNonzeroFloat64, 1, math.MaxFloat64, math.Inf(1)} {
+		special = append(special, v, -v)
+	}
+	special = append(special, math.NaN())
+	check := func(z complex128) {
+		if z == 0 {
+			return
+		}
+		if got, want := pivotReciprocal(z), 1/z; !sameBits(got, want) {
+			t.Fatalf("1/(%v) [%016x %016x]: factor %v, runtime %v", z,
+				math.Float64bits(real(z)), math.Float64bits(imag(z)), got, want)
+		}
+	}
+	for _, re := range special {
+		for _, im := range special {
+			check(complex(re, im))
+		}
+	}
+	rng := rand.New(rand.NewSource(29))
+	for i := 0; i < 1_000_000; i++ {
+		re, im := math.Float64frombits(rng.Uint64()), math.Float64frombits(rng.Uint64())
+		if i%2 == 1 { // parts of similar size, where the branches meet
+			im = re * (0.5 + rng.Float64())
+		}
+		check(complex(re, im))
+	}
+}

@@ -162,7 +162,24 @@ func (lu *LU) factor() {
 			continue
 		}
 		rowk := d[k*n : k*n+n]
-		ipv := 1 / pv // one division per column, multiplies below
+		// ipv = 1/pv, one division per column, multiplies below. This is
+		// the runtime's complex division (Smith's algorithm) written out
+		// for the numerator 1+0i, term for term in the runtime's order,
+		// so it rounds the same and saves the call; when both parts come
+		// out NaN the runtime's own division applies its C99 fix-up.
+		var ipv complex128
+		if re, im := real(pv), imag(pv); math.Abs(re) >= math.Abs(im) {
+			ratio := im / re
+			denom := re + ratio*im
+			ipv = complex((1+0*ratio)/denom, (0-1*ratio)/denom)
+		} else {
+			ratio := re / im
+			denom := im + ratio*re
+			ipv = complex((1*ratio+0)/denom, (0*ratio-1)/denom)
+		}
+		if e, f := real(ipv), imag(ipv); e != e && f != f {
+			ipv = 1 / pv
+		}
 		lu.idiag[k] = ipv
 		for i := k + 1; i < n; i++ {
 			rowi := d[i*n : i*n+n]

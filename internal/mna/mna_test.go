@@ -6,11 +6,13 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"artisan/internal/netlist"
+	"artisan/internal/telemetry"
 	"artisan/internal/units"
 )
 
@@ -238,7 +240,7 @@ func TestNMCDCGain(t *testing.T) {
 func TestNMCUnityGainAndPhase(t *testing.T) {
 	c := compileOK(t, buildNMC())
 	// GBW should be near gm1/(2π·Cm1) = 1 MHz.
-	pts, err := c.Sweep(context.Background(), "out", 0.1, 1e9, 40)
+	pts, err := sweepPoints(c, "out", 0.1, 1e9, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,23 +334,69 @@ func TestSweepValidation(t *testing.T) {
 		{1, math.Inf(1)},
 		{5e-324, 1e10}, // fStop/fStart overflows
 	} {
-		_, err := c.Sweep(context.Background(), "out", r.fStart, r.fStop, 10)
+		_, err := sweepPoints(c, "out", r.fStart, r.fStop, 10)
 		if err == nil || !strings.Contains(err.Error(), "bad sweep range") {
 			t.Errorf("range [%g, %g]: err = %v, want bad sweep range", r.fStart, r.fStop, err)
 		}
 	}
-	if _, err := c.Sweep(context.Background(), "out", 1, 10, 0); err == nil {
+	if _, err := sweepPoints(c, "out", 1, 10, 0); err == nil {
 		t.Error("zero perDecade accepted")
 	}
-	if _, err := c.Sweep(context.Background(), "nonode", 1, 10, 10); err == nil {
+	if _, err := sweepPoints(c, "nonode", 1, 10, 10); err == nil {
 		t.Error("unknown node accepted")
 	}
-	pts, err := c.Sweep(context.Background(), "out", 1, 1e3, 5)
+	pts, err := sweepPoints(c, "out", 1, 1e3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pts[0].Freq != 1 || pts[len(pts)-1].Freq != 1e3 {
 		t.Errorf("sweep endpoints %g..%g, want 1..1000", pts[0].Freq, pts[len(pts)-1].Freq)
+	}
+}
+
+// sweepPoints collects every point of c's sweep.
+func sweepPoints(c *Circuit, out string, fStart, fStop float64, perDecade int) ([]TFPoint, error) {
+	var pts []TFPoint
+	_, err := c.Sweep(context.Background(), out, fStart, fStop, perDecade, func(p TFPoint) bool {
+		pts = append(pts, p)
+		return true
+	})
+	return pts, err
+}
+
+// TestSweepStopsWhenVisitDeclines: the sweep hands over the points in
+// order and solves none after the one its visitor declines; the count it
+// returns, and the traced span's points attribute, are the points solved.
+func TestSweepStopsWhenVisitDeclines(t *testing.T) {
+	c := compileOK(t, buildNMC())
+	all, err := sweepPoints(c, "out", 1, 1e9, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stop := range []int{0, 1, 50, len(all) - 1, len(all)} {
+		tracer := telemetry.NewTracer(1)
+		var seen []TFPoint
+		n, err := c.Sweep(telemetry.WithTracer(context.Background(), tracer), "out", 1, 1e9, 12,
+			func(p TFPoint) bool {
+				seen = append(seen, p)
+				return len(seen) <= stop
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := min(stop+1, len(all))
+		if n != want || len(seen) != want {
+			t.Errorf("declined after %d points: solved %d, visited %d, want %d", stop, n, len(seen), want)
+		}
+		for i, p := range seen {
+			if p != all[i] {
+				t.Fatalf("declined after %d points: point %d is %v, the full sweep's %v", stop, i, p, all[i])
+			}
+		}
+		sp := tracer.Traces()[0]
+		if got := sp.Attrs()[1]; got != (telemetry.Attr{Key: "points", Value: strconv.Itoa(want)}) {
+			t.Errorf("declined after %d points: span attribute %v, want points=%d", stop, got, want)
+		}
 	}
 }
 

@@ -109,7 +109,7 @@ func TestSweepMatchesVoltageAt(t *testing.T) {
 			nl.AddG("Gx", "out", "0", "in", "0", 1e-4*(1+rng.Float64()))
 		}
 		c := compileOK(t, nl)
-		pts, err := c.Sweep(context.Background(), "out", 1e-1, 1e9, 24)
+		pts, err := sweepPoints(c, "out", 1e-1, 1e9, 24)
 		if err != nil {
 			t.Fatalf("seed %d: sweep: %v", seed, err)
 		}
@@ -232,7 +232,7 @@ func TestConcurrentAnalyses(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		go func() {
 			for i := 0; i < 5; i++ {
-				if _, err := c.Sweep(context.Background(), "out", 1, 1e9, 12); err != nil {
+				if _, err := sweepPoints(c, "out", 1, 1e9, 12); err != nil {
 					done <- err
 					return
 				}

@@ -36,7 +36,7 @@ type gp struct {
 	attempt int  // position of jitter in the escalation sequence
 	broken  bool // no jitter in the sequence factors the kernel
 	alpha   []float64
-	ks      []float64 // candidate-major cross-covariances, then L⁻¹k*
+	ks      []float64 // candidate-major cross-covariances; sd solves in place
 }
 
 // newGP sizes a regressor for at most nmax observations in d dimensions
@@ -146,12 +146,12 @@ func (g *gp) fit() {
 	}
 }
 
-// predict writes the posterior mean and standard deviation, in the
-// original target units, of each of the len(mu) candidates stored
-// row-major in cands. Each candidate's arithmetic runs in the same order
-// as a one-point-at-a-time prediction, so the results are bit-identical
-// to it; only the interleaving across candidates differs.
-func (g *gp) predict(cands, mu, sd []float64) {
+// means writes the posterior mean, in the original target units, of each
+// of the len(mu) candidates stored row-major in cands, and leaves each
+// candidate's cross-covariance row k* in ks for sd. Each candidate's
+// arithmetic runs in the same order as a one-point-at-a-time
+// prediction, so the results are bit-identical to it.
+func (g *gp) means(cands, mu []float64) {
 	n, d := g.n, g.d
 	ks := g.ks[:len(mu)*n]
 	alpha := g.alpha[:n]
@@ -177,26 +177,23 @@ func (g *gp) predict(cands, mu, sd []float64) {
 		}
 		mu[c] = m*g.std + g.mean
 	}
-	// v = L⁻¹k*, in place. Four candidates per pass share every load of
-	// L across four independent dependency chains; a one-candidate loop
-	// takes the remainder.
-	c := 0
-	for ; c+4 <= len(mu); c += 4 {
-		g.solve4(ks[c*n:(c+4)*n], n)
+}
+
+// sd returns the posterior standard deviation, in the original target
+// units, of candidate c of the last means call. It solves L·v = k* in
+// place of c's row, so it may be called once per candidate.
+func (g *gp) sd(c int) float64 {
+	n := g.n
+	v := g.ks[c*n : (c+1)*n]
+	g.forward(v)
+	var2 := g.sigF2 + g.sigN2
+	for _, vi := range v {
+		var2 -= vi * vi
 	}
-	for ; c < len(mu); c++ {
-		g.forward(ks[c*n : (c+1)*n])
+	if var2 < 1e-12 {
+		var2 = 1e-12
 	}
-	for c := range sd {
-		var2 := g.sigF2 + g.sigN2
-		for _, vi := range ks[c*n : (c+1)*n] {
-			var2 -= vi * vi
-		}
-		if var2 < 1e-12 {
-			var2 = 1e-12
-		}
-		sd[c] = math.Sqrt(var2) * g.std
-	}
+	return math.Sqrt(var2) * g.std
 }
 
 // forward solves L·v = b in place, b being v's contents on entry.
@@ -211,22 +208,59 @@ func (g *gp) forward(v []float64) {
 	}
 }
 
-// solve4 is forward on four consecutive length-n rows of k at once.
-func (g *gp) solve4(k []float64, n int) {
-	v0, v1, v2, v3 := k[:n], k[n:2*n], k[2*n:3*n], k[3*n:4*n]
-	for i := 0; i < n; i++ {
-		li := g.l[i*(i+1)/2 : i*(i+1)/2+i+1]
-		s0, s1, s2, s3 := v0[i], v1[i], v2[i], v3[i]
-		a0, a1, a2, a3 := v0[:i], v1[:i], v2[:i], v3[:i]
-		for j, lij := range li[:i] {
-			s0 -= lij * a0[j]
-			s1 -= lij * a1[j]
-			s2 -= lij * a2[j]
-			s3 -= lij * a3[j]
+// eiMargin is the slack, in units of |μ − best| + σ_max, that acquire's
+// ceiling adds for rounding: normCDF carries an absolute error near
+// 2⁻⁵³ and every other step a few ulps, so a computed EI strays from
+// the exact one by far less than 1e-12 of that scale.
+const eiMargin = 1e-12
+
+// acquire returns the first candidate of maximal expected improvement
+// over best among the candidates of the last means call, or -1 when no
+// EI exceeds −Inf: the pick of scoring every candidate, first strict
+// maximum winning. It also reports the number of σ solves.
+//
+// σ never exceeds the prior σ_max = √(σf²+σn²)·std: sd's variance starts
+// at σf²+σn² and only loses squares, and rounding, the clamp far below
+// σf², Sqrt and the product with std are all monotone. EI grows with σ
+// (∂EI/∂σ = φ(z) > 0), so EI(μ, σ_max) plus the margin is a ceiling
+// (kept in ceil) on a candidate's computed EI. acquire solves for σ
+// first at the highest ceiling, then in index order wherever the
+// ceiling is at least that EI and the running best. A tie therefore
+// still goes to the lower index, and a NaN ceiling, whose exact EI would
+// be NaN too, is skipped.
+func (g *gp) acquire(mu, ceil []float64, best float64) (pick, solves int) {
+	sdMax := math.Sqrt(g.sigF2+g.sigN2) * g.std
+	top, topCeil := -1, math.Inf(-1)
+	for c, m := range mu {
+		ceil[c] = expectedImprovement(m, sdMax, best) + eiMargin*(math.Abs(m-best)+sdMax)
+		if ceil[c] > topCeil {
+			top, topCeil = c, ceil[c]
 		}
-		p := li[i]
-		v0[i], v1[i], v2[i], v3[i] = s0/p, s1/p, s2/p, s3/p
 	}
+	if top < 0 {
+		return -1, 0
+	}
+	eiTop := expectedImprovement(mu[top], g.sd(top), best)
+	solves = 1
+	floor := eiTop
+	if math.IsNaN(floor) {
+		floor = math.Inf(-1)
+	}
+	pick, bestEI := -1, math.Inf(-1)
+	for c, cu := range ceil {
+		if !(cu >= floor && cu >= bestEI) {
+			continue
+		}
+		ei := eiTop
+		if c != top {
+			ei = expectedImprovement(mu[c], g.sd(c), best)
+			solves++
+		}
+		if ei > bestEI {
+			pick, bestEI = c, ei
+		}
+	}
+	return pick, solves
 }
 
 // expectedImprovement for maximization.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 
 	"artisan/internal/telemetry"
 )
@@ -61,7 +62,8 @@ func (p Problem) denorm(x, u []float64) {
 // reports nothing but an error: the objective sees every point evaluated
 // and keeps whatever incumbent or history its caller needs. The run
 // emits telemetry spans ("sizing.optimize" with "sizing.init" and
-// "sizing.bo" children) when the context carries a tracer, and a
+// "sizing.bo" children) when the context carries a tracer, the first
+// annotated with its evaluations and its posterior σ solves, and a
 // cancelled context stops the BO loop at the next iteration boundary
 // with the context's error.
 func Optimize(ctx context.Context, p Problem, o Options) error {
@@ -97,7 +99,7 @@ func Optimize(ctx context.Context, p Problem, o Options) error {
 	g := newGP(d, nmax, o.Candidates)
 	// bestY is the best sanitized value, the incumbent expected
 	// improvement is measured against.
-	bestY, evals := math.Inf(-1), 0
+	bestY, evals, sdSolves := math.Inf(-1), 0, 0
 	// A single non-finite objective value would poison the GP
 	// standardization (NaN mean/std make every EI comparison false, so no
 	// candidate ever wins). Clamp NaN/±Inf to just below the worst finite
@@ -127,7 +129,12 @@ func Optimize(ctx context.Context, p Problem, o Options) error {
 			bestY = y
 		}
 	}
-	defer func() { span.SetAttr("evals", fmt.Sprintf("%d", evals)) }()
+	defer func() {
+		if span != nil { // untraced runs skip formatting the attributes
+			span.SetAttr("evals", strconv.Itoa(evals))
+			span.SetAttr("sd_solves", strconv.Itoa(sdSolves))
+		}
+	}()
 
 	_, initSpan := telemetry.StartSpan(ctx, "sizing.init")
 	if o.Init != nil {
@@ -147,12 +154,14 @@ func Optimize(ctx context.Context, p Problem, o Options) error {
 
 	_, boSpan := telemetry.StartSpan(ctx, "sizing.bo")
 	defer boSpan.End()
-	// Each iteration draws its whole candidate pool, then scores it in
-	// one batched prediction: prediction consumes no randomness, so the
-	// rng sequence is that of drawing and scoring one candidate at a time.
+	// Each iteration draws its whole candidate pool, then scores it: the
+	// posterior mean of every candidate, then σ only where expected
+	// improvement can win (gp.acquire). Scoring consumes no randomness,
+	// so the rng sequence is that of drawing and scoring one candidate at
+	// a time, and the pick is that of scoring every candidate.
 	cands := make([]float64, o.Candidates*d)
 	mu := make([]float64, o.Candidates)
-	sd := make([]float64, o.Candidates)
+	ceil := make([]float64, o.Candidates)
 	randomPoint := func() []float64 {
 		u := cands[:d]
 		for i := range u {
@@ -187,13 +196,9 @@ func Optimize(ctx context.Context, p Problem, o Options) error {
 				}
 			}
 		}
-		g.predict(cands, mu, sd)
-		best, bestEI := -1, math.Inf(-1)
-		for c := range mu {
-			if ei := expectedImprovement(mu[c], sd[c], bestY); ei > bestEI {
-				best, bestEI = c, ei
-			}
-		}
+		g.means(cands, mu)
+		best, n := g.acquire(mu, ceil, bestY)
+		sdSolves += n
 		if best < 0 {
 			// No candidate won (EI degenerate everywhere): evaluate a
 			// random point instead.

@@ -291,9 +291,9 @@ func fitted(xs [][]float64, ys []float64) *gp {
 
 // predictAt is the posterior (μ, σ) at a single point.
 func (g *gp) predictAt(xq []float64) (mu, sd float64) {
-	m, s := make([]float64, 1), make([]float64, 1)
-	g.predict(xq, m, s)
-	return m[0], s[0]
+	m := make([]float64, 1)
+	g.means(xq, m)
+	return m[0], g.sd(0)
 }
 
 func TestGPInterpolates(t *testing.T) {

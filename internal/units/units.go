@@ -168,8 +168,32 @@ func FormatUnit(v float64, unit string) string {
 	return s + unit
 }
 
+// trimFloat renders v ≥ 0 with four decimals, then trims trailing zeros
+// and a bare point. strconv serves the 'f' format from its big-decimal
+// path; for 1 ≤ v < 1e14 the same digits come from the 'e' format at
+// (integer digits + 4) significant digits, at most 18, which strconv
+// serves from its fixed-digit Ryū path. Both round the exact binary
+// value half to even, at the same decimal place.
 func trimFloat(v float64) string {
-	s := strconv.FormatFloat(v, 'f', 4, 64)
+	var s string
+	if v >= 1 && v < 1e14 {
+		k := 1 // integer digits: 10^(k-1) ≤ v < 10^k, powers held exactly
+		for p := 10.0; v >= p; p *= 10 {
+			k++
+		}
+		var buf [32]byte
+		// d.ddd…e+XX, k+4 digits; XX is k-1, or k when rounding carried
+		// into a new digit and v rounds to 10^k exactly.
+		b := strconv.AppendFloat(buf[:0], v, 'e', k+3, 64)
+		if int(b[k+7]-'0')*10+int(b[k+8]-'0') == k {
+			return "100000000000000"[:k+1]
+		}
+		copy(b[1:k], b[2:k+1]) // the integer digits, then the point
+		b[k] = '.'
+		s = string(b[:k+5])
+	} else {
+		s = strconv.FormatFloat(v, 'f', 4, 64)
+	}
 	s = strings.TrimRight(s, "0")
 	s = strings.TrimRight(s, ".")
 	return s

@@ -2,6 +2,9 @@ package units
 
 import (
 	"math"
+	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -160,4 +163,63 @@ func TestMustParsePanics(t *testing.T) {
 		}
 	}()
 	MustParse("not-a-number")
+}
+
+// trimFloatBig is trimFloat on strconv's 'f' format alone: its oracle.
+func trimFloatBig(v float64) string {
+	s := strconv.FormatFloat(v, 'f', 4, 64)
+	s = strings.TrimRight(s, "0")
+	s = strings.TrimRight(s, ".")
+	return s
+}
+
+// TestTrimFloatMatchesBigDecimal: trimFloat renders what the 'f' format
+// renders on random values across and beyond [1, 1e14), on exact
+// half-way cases at the fourth decimal (odd multiples of 1/32), on
+// decimal x.xxxx5 inputs, which sit just off the tie, and on values that
+// round up into a new integer digit (10^k − 0.00005 and its neighbours).
+func TestTrimFloatMatchesBigDecimal(t *testing.T) {
+	check := func(v float64) {
+		if got, want := trimFloat(v), trimFloatBig(v); got != want {
+			t.Fatalf("trimFloat(%v) [%016x] = %q, 'f' format %q", v, math.Float64bits(v), got, want)
+		}
+	}
+	near := func(v float64) {
+		check(v)
+		for _, dir := range []float64{0, math.Inf(1)} {
+			w := v
+			for i := 0; i < 3; i++ {
+				w = math.Nextafter(w, dir)
+				check(w)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(29))
+	for i := 0; i < 200_000; i++ {
+		check(math.Pow(10, -3+20*rng.Float64())) // log-uniform over 1e-3…1e17
+		check(math.Abs(math.Float64frombits(rng.Uint64())))
+	}
+	for k := 0; k <= 14; k++ {
+		p := math.Pow(10, float64(k))
+		near(p)
+		near(p - 0.00005)
+		near(p - 0.0001)
+	}
+	for i := 0; i < 50_000; i++ {
+		n := math.Floor(math.Pow(10, 14*rng.Float64()))
+		check(n + float64(2*rng.Intn(16)+1)/32) // exact ties
+		s := strconv.FormatFloat(n, 'f', 0, 64) + "." + strconv.Itoa(1000+rng.Intn(9000)) + "5"
+		v, err := strconv.ParseFloat(s, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		near(v)
+	}
+}
+
+func BenchmarkTrimFloat(b *testing.B) {
+	vs := []float64{251.2, 4.7, 1.8, 33.333333, 999.99996, 12.5e3}
+	for i := 0; i < b.N; i++ {
+		trimFloat(vs[i%len(vs)])
+	}
 }

@@ -37,9 +37,11 @@ go test ./internal/chaos -race -count=2
 # the parsers that face raw bytes (SPICE netlists, spec JSON, the journal
 # replay path and topology JSON), the white-box seed and gm/Id mapping
 # that consume decoded topologies, the metric extraction over scaled
-# generated circuits (the simulator's assembly and real-s determinant
-# paths), and the calculator, whose parse cache must answer as a fresh
-# parse does, seeded from the checked-in corpus under testdata/fuzz/.
+# generated circuits against the full-sweep oracle (the simulator's
+# assembly and real-s determinant paths, and the one-pass analysis), the
+# bounded expected-improvement pick against scoring every candidate, and
+# the calculator, whose parse cache must answer as a fresh parse does,
+# seeded from the checked-in corpus under testdata/fuzz/.
 # Crashers land in testdata/fuzz/<Target>/ and fail this gate until
 # fixed.
 for target in \
@@ -50,6 +52,7 @@ for target in \
     'FuzzFromJSON ./internal/topology' \
     'FuzzSeed ./internal/backend' \
     'FuzzAnalyze ./internal/measure' \
+    'FuzzAcquire ./internal/sizing' \
     'FuzzEval ./internal/calc'; do
     set -- $target
     go test -run '^$' -fuzz "^$1\$" -fuzztime 10s "$2"
