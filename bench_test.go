@@ -340,15 +340,16 @@ func BenchmarkMNASolve(b *testing.B) {
 	}
 }
 
-// BenchmarkCircuitSolveAt measures one workspace-backed MNA solve of the
-// reference NMC system — the innermost unit of every sweep, pole search,
-// and BO evaluation. Steady state must be allocation-free.
+// BenchmarkCircuitSolveAt measures one MNA solve of the reference NMC
+// system in the circuit's own scratch — the innermost unit of every
+// sweep, pole search, and BO evaluation. Steady state must be
+// allocation-free.
 func BenchmarkCircuitSolveAt(b *testing.B) {
-	ws := nmcRefCircuit(b).NewWorkspace()
+	c := nmcRefCircuit(b)
 	s := mna.Omega(1e6)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ws.SolveAt(s); err != nil {
+		if _, err := c.SolveAt(s); err != nil {
 			b.Fatal(err)
 		}
 	}

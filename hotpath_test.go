@@ -44,15 +44,15 @@ func TestHotPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector defeats sync.Pool caching; allocation counts are meaningless")
 	}
-	// A collection empties the sync.Pools the hot path reuses, and the
-	// refills would count as allocations, so the collector stays off.
+	// A collection empties the router's pooled copy buffers, the one
+	// sync.Pool on the gated path, and the refills would count as
+	// allocations, so the collector stays off.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
 	ctx := context.Background()
 	topo, env := nmcRef(), topology.DefaultEnv()
 	nl := nmcRefNetlist(t)
 	c := nmcRefCircuit(t)
-	ws := c.NewWorkspace()
 	g1, g1nl := g1Design(t)
 	g5, _ := spec.Group("G-5")
 	// A node with a journal, as deployed; the gate's warm-up call runs the
@@ -112,7 +112,7 @@ func TestHotPathAllocs(t *testing.T) {
 		want float64
 		op   func() error
 	}{
-		{"Fig1Skeleton", 141, func() error {
+		{"Fig1Skeleton", 136, func() error {
 			nl, err := topo.Elaborate(env)
 			if err != nil {
 				return err
@@ -120,19 +120,19 @@ func TestHotPathAllocs(t *testing.T) {
 			_, err = measure.Analyze(nl, "out")
 			return err
 		}},
-		{"MNASolve", 69, func() error {
+		{"MNASolve", 64, func() error {
 			_, err := measure.Analyze(nl, "out")
 			return err
 		}},
 		{"CircuitSolveAt", 0, func() error {
-			_, err := ws.SolveAt(mna.Omega(1e6))
+			_, err := c.SolveAt(mna.Omega(1e6))
 			return err
 		}},
 		{"CircuitSweep", 0, func() error {
 			_, err := c.Sweep(ctx, "out", 1e-2, 1e10, 24, everyPoint)
 			return err
 		}},
-		{"PoleZero", 69, func() error {
+		{"PoleZero", 64, func() error {
 			c, err := mna.Compile(nl)
 			if err != nil {
 				return err
@@ -143,7 +143,7 @@ func TestHotPathAllocs(t *testing.T) {
 			_, err = c.Zeros(ctx, "out")
 			return err
 		}},
-		{"TransientStep", 211, func() error {
+		{"TransientStep", 206, func() error {
 			_, err := measure.StepAnalyze(g1nl, "out", measure.DefaultStepOpts())
 			return err
 		}},
@@ -152,24 +152,24 @@ func TestHotPathAllocs(t *testing.T) {
 			return err
 		}},
 		// One worker at a fixed seed: perfbench circuit_sim's setting.
-		{"MonteCarloYield", 554, func() error {
+		{"MonteCarloYield", 549, func() error {
 			_, err := experiment.MonteCarloYield(g1nl, g1,
 				experiment.YieldOpts{Samples: 120, Sigma: 0.05, Seed: 1, Workers: 1})
 			return err
 		}},
 		// One untuned run of the whole workflow; G-5's design fails, so
 		// it skips the gm/Id mapping.
-		{"CoreDesign/G-1", 1096, func() error {
+		{"CoreDesign/G-1", 1086, func() error {
 			_, err := core.New(7).Design(ctx, g1)
 			return err
 		}},
-		{"CoreDesign/G-5", 1076, func() error {
+		{"CoreDesign/G-5", 1066, func() error {
 			_, err := core.New(7).Design(ctx, g5)
 			return err
 		}},
 		// The same G-1 run for a reply that returns no transcript, as the
 		// server runs it without transcript or verify.
-		{"CoreDesign/G-1/no-transcript", 498, func() error {
+		{"CoreDesign/G-1/no-transcript", 488, func() error {
 			a := core.New(7)
 			a.Opts.NoTranscript = true
 			_, err := a.Design(ctx, g1)
@@ -207,12 +207,12 @@ func TestHotPathAllocs(t *testing.T) {
 		evals int // simulator evaluations per call
 		op    func() (int, error)
 	}{
-		{"SizeLadder/bo", 8857, 60, size("bo")},
-		{"SizeLadder/ga", 8533, 58, size("ga")},
-		{"SizeLadder/hybrid", 8990, 60, size("hybrid")},
-		{"SizeLadder/whitebox", 8033, 53, size("whitebox")},
+		{"SizeLadder/bo", 8557, 60, size("bo")},
+		{"SizeLadder/ga", 8243, 58, size("ga")},
+		{"SizeLadder/hybrid", 8690, 60, size("hybrid")},
+		{"SizeLadder/whitebox", 7768, 53, size("whitebox")},
 		// The design's verification plus the tuner's budget.
-		{"TunedSession", 8683, 54, func() (int, error) {
+		{"TunedSession", 8413, 54, func() (int, error) {
 			out, err := tuningSession(g4, 2, true)
 			if err != nil {
 				return 0, err

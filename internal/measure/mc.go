@@ -18,7 +18,7 @@ import (
 // a small perturbation of one nominal design. MCAnalyzer exploits both:
 //
 //   - the netlist is compiled once; each sample re-stamps matrix values
-//     through Circuit.Restamped (shared node index and degree memo);
+//     through Circuit.Restamped (shared node index and capacitor slots);
 //   - DC gain is one solve at the sweep's DC anchor frequency;
 //   - GBW is a log-domain bisection for the unity crossing, bracketed
 //     around the nominal design's GBW;
@@ -39,7 +39,9 @@ const mcGBWRelTol = 1e-4
 
 // MCAnalyzer is the per-design state shared by all Monte-Carlo workers:
 // the compiled nominal circuit, its nominal GBW (bisection bracket hint),
-// and its nominal poles (warm-start seeds for stability).
+// and its nominal poles (warm-start seeds for stability). Workers only
+// restamp the nominal circuit, which reads it; each analyzes its own
+// restamp target.
 type MCAnalyzer struct {
 	nl    *netlist.Netlist
 	out   string

@@ -21,7 +21,7 @@ type TFPoint struct {
 // hands each point to visit, in order of increasing frequency. The
 // excitation is the netlist's independent sources (normally a single 1 V
 // AC source), so H is V(out) directly. The points are solved one at a
-// time on one pooled Workspace; the sweep stops after the first point
+// time in the circuit's scratch; the sweep stops after the first point
 // for which visit returns false, or at the first frequency that fails to
 // solve, which is the one reported. It returns the number of points
 // solved and handed to visit. When ctx carries a tracer the sweep is
@@ -52,10 +52,8 @@ func (c *Circuit) sweep(out string, fStart, fStop float64, perDecade int, visit 
 		return 0, err
 	}
 	freqs := sweepGrid(fStart, fStop, perDecade)
-	w := c.workspace()
-	defer c.release(w)
 	for i, f := range freqs {
-		x, err := w.SolveAt(Omega(f))
+		x, err := c.SolveAt(Omega(f))
 		if err != nil {
 			return i, fmt.Errorf("mna: sweep at %g Hz: %w", f, err)
 		}

@@ -4,20 +4,16 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"artisan/internal/netlist"
 )
 
 // Circuit is a netlist compiled for MNA analysis: a node index, the
 // frequency-independent conductance matrix G, the susceptance matrix C
-// (A(s) = G + sC), and the excitation vector b. A compiled Circuit is
-// immutable, so all its analysis entry points are safe for concurrent
-// use: per-solve scratch lives in pooled Workspaces.
-//
-// The exception is a circuit produced by Restamped, which is mutable by
-// construction (its values are rewritten per evaluation point) and is
-// owned by a single goroutine at a time.
+// (A(s) = G + sC), and the excitation vector b. A circuit also owns the
+// scratch its analyses solve in, made on first use, so a circuit,
+// compiled or Restamped, is used by one goroutine at a time: goroutines
+// that analyze one netlist concurrently compile it once each.
 type Circuit struct {
 	nl       *netlist.Netlist
 	nodeIdx  map[string]int // non-ground nodes → 0..nn-1
@@ -34,19 +30,17 @@ type Circuit struct {
 	// here. Structural, hence shared with Restamped variants.
 	capSlots []int
 
-	wsPool sync.Pool // *Workspace scratch for the pooled entry points
+	// Analysis scratch, made on first use (see solve.go). Every
+	// per-frequency operation — a sweep point, a determinant for the root
+	// finder, a noise solve — is one assembly and factorization here, so
+	// steady-state use allocates nothing.
+	a   *Matrix // A(s); overwritten by the in-place LU
+	lu  LU
+	x   []complex128 // the solution SolveAt returns
+	re  []float64    // Re A(s) for determinants at real s, factored by realDet
+	rhs []complex128 // noise-analysis right-hand side
 
-	// Memoized polynomial-degree probes for the root finder (see degMemo).
-	// Shared between a circuit and its Restamped variants: the degree of
-	// det(G+sC) is a structural property, unchanged by value perturbation.
-	deg *degMemo
-
-	// Lazily built structural CSC pattern (union of the G and C stamps)
-	// for the transient engine.
-	patMu sync.Mutex
-	pat   *Pattern
-
-	tranPool sync.Pool // *tranScratch for Transient
+	tran *tranScratch // transient engine state, made by the first Transient
 }
 
 // stampSink receives the MNA stamps of a device walk. Indices passed to G,
@@ -190,7 +184,7 @@ func Compile(nl *netlist.Netlist) (*Circuit, error) {
 	if err := nl.Validate(); err != nil {
 		return nil, fmt.Errorf("mna: %w", err)
 	}
-	c := &Circuit{nl: nl, nodeIdx: map[string]int{}, branches: map[string]int{}, deg: &degMemo{}}
+	c := &Circuit{nl: nl, nodeIdx: map[string]int{}, branches: map[string]int{}}
 	for _, nd := range nl.NonGroundNodes() {
 		c.nodeIdx[nd] = c.nn
 		c.nodes = append(c.nodes, nd)
@@ -229,14 +223,13 @@ func Compile(nl *netlist.Netlist) (*Circuit, error) {
 // Restamped re-stamps the circuit's topology with per-device value scale
 // factors (scale[i] multiplies nl.Devices[i].Value) into a reusable target
 // circuit, allocating one when into is nil. The result shares the node
-// index, branch map, and degree memo with the base — only matrix values
-// are rebuilt — which is what makes Monte-Carlo and corner sampling
-// cheap: the symbolic work survives across samples.
-//
-// A restamped circuit is NOT immutable: it is owned by the goroutine that
-// restamps it, and in-flight Workspaces on it become stale after the next
-// Restamped call. Its netlist pointer still reports the base (unscaled)
-// device values.
+// index, branch map and capacitor slots with the base — only matrix
+// values are rebuilt — which is what makes Monte-Carlo and corner
+// sampling cheap: the symbolic work survives across samples. The base is
+// only read, so goroutines may restamp one base into targets of their
+// own. Restamping into a target overwrites its values, so a slice its
+// SolveAt returned is stale afterwards. Its netlist pointer still
+// reports the base (unscaled) device values.
 func (c *Circuit) Restamped(scale []float64, into *Circuit) (*Circuit, error) {
 	if len(scale) != len(c.nl.Devices) {
 		return nil, fmt.Errorf("mna: restamp scale length %d, want %d devices", len(scale), len(c.nl.Devices))
@@ -245,7 +238,7 @@ func (c *Circuit) Restamped(scale []float64, into *Circuit) (*Circuit, error) {
 		n := c.Size()
 		into = &Circuit{
 			nl: c.nl, nodeIdx: c.nodeIdx, nodes: c.nodes, nn: c.nn, nb: c.nb,
-			branches: c.branches, deg: c.deg, capSlots: c.capSlots,
+			branches: c.branches, capSlots: c.capSlots,
 			G: NewMatrix(n), C: NewMatrix(n), b: make([]complex128, n),
 		}
 	}
@@ -262,23 +255,18 @@ func (c *Circuit) Restamped(scale []float64, into *Circuit) (*Circuit, error) {
 	return into, nil
 }
 
-// pattern returns the structural CSC pattern of A = G + sC (union of the
-// G and C stamps), building it on first use. The pattern is immutable.
+// pattern builds the structural CSC pattern of A = G + sC (union of the
+// G and C stamps) for the transient engine.
 func (c *Circuit) pattern() *Pattern {
-	c.patMu.Lock()
-	defer c.patMu.Unlock()
-	if c.pat == nil {
-		ps := &patternSink{}
-		// stampInto cannot fail here: Compile already walked these devices.
-		_ = c.stampInto(nil, ps)
-		// Diagonal entries keep the pattern factorizable even when a node's
-		// only stamps are off-diagonal couplings that later cancel.
-		for i := 0; i < c.Size(); i++ {
-			ps.entry(i, i)
-		}
-		c.pat = NewPattern(c.Size(), ps.rows, ps.cols)
+	ps := &patternSink{}
+	// stampInto cannot fail here: Compile already walked these devices.
+	_ = c.stampInto(nil, ps)
+	// Diagonal entries keep the pattern factorizable even when a node's
+	// only stamps are off-diagonal couplings that later cancel.
+	for i := 0; i < c.Size(); i++ {
+		ps.entry(i, i)
 	}
-	return c.pat
+	return NewPattern(c.Size(), ps.rows, ps.cols)
 }
 
 // Size returns the total number of MNA unknowns.
@@ -299,20 +287,6 @@ func (c *Circuit) NodeIndex(node string) (int, error) {
 	return i, nil
 }
 
-// SolveAt solves the MNA system at complex frequency s and returns the
-// full unknown vector (node voltages then branch currents). The returned
-// slice is caller-owned; the one allocation per call is that result. Use
-// a Workspace directly for the fully allocation-free variant.
-func (c *Circuit) SolveAt(s complex128) ([]complex128, error) {
-	w := c.workspace()
-	defer c.release(w)
-	x, err := w.SolveAt(s)
-	if err != nil {
-		return nil, err
-	}
-	return append([]complex128(nil), x...), nil
-}
-
 // VoltageAt solves at s and returns the voltage of one node.
 func (c *Circuit) VoltageAt(node string, s complex128) (complex128, error) {
 	if node == netlist.Ground {
@@ -322,9 +296,7 @@ func (c *Circuit) VoltageAt(node string, s complex128) (complex128, error) {
 	if err != nil {
 		return 0, err
 	}
-	w := c.workspace()
-	defer c.release(w)
-	x, err := w.SolveAt(s)
+	x, err := c.SolveAt(s)
 	if err != nil {
 		return 0, err
 	}

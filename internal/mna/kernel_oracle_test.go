@@ -13,7 +13,7 @@ import (
 
 // This file keeps the plain kernels — A(s) = G + sC by Matrix.AddScaled
 // over every entry, the complex LU for every determinant, and one noise
-// solve per source — as the oracles for the workspace's fast paths:
+// solve per source — as the oracles for the circuit's fast paths:
 // capacitor-slot assembly, real-arithmetic determinants at real s, and
 // one noise solve per node pair. The fast paths must return their bits.
 
@@ -164,22 +164,21 @@ func sameBits(a, b complex128) bool {
 // for bit at every kind of s, on generated and restamped circuits.
 func TestAssembleMatchesAddScaled(t *testing.T) {
 	for ci, c := range oracleCircuits(t, 24) {
-		w := c.NewWorkspace()
 		want := NewMatrix(c.Size())
 		for _, s := range oracleS(c) {
-			w.assemble(s)
+			c.assemble(s)
 			want.AddScaled(c.G, c.C, s)
 			for i := range want.data {
-				if !sameBits(w.a.data[i], want.data[i]) {
+				if !sameBits(c.a.data[i], want.data[i]) {
 					t.Fatalf("circuit %d s=%v entry %d: assembled %v, AddScaled %v",
-						ci, s, i, w.a.data[i], want.data[i])
+						ci, s, i, c.a.data[i], want.data[i])
 				}
 			}
 		}
 	}
 }
 
-// TestRealDetMatchesComplexLU: at real s, DetAt and NumerDetAt equal the
+// TestRealDetMatchesComplexLU: at real s, DetAt and numerDet equal the
 // complex LU determinant of an AddScaled matrix: the mantissa's real part
 // and the exponent bit for bit, the imaginary part up to the sign of zero.
 // Elsewhere (the complex and non-finite points) they are bit-identical.
@@ -198,7 +197,6 @@ func TestRealDetMatchesComplexLU(t *testing.T) {
 	}
 	nReal := 0
 	for ci, c := range oracleCircuits(t, 24) {
-		w := c.NewWorkspace()
 		j, err := c.NodeIndex("out")
 		if err != nil {
 			t.Fatal(err)
@@ -209,15 +207,11 @@ func TestRealDetMatchesComplexLU(t *testing.T) {
 				nReal++
 			}
 			a.AddScaled(c.G, c.C, s)
-			check(fmt.Sprintf("circuit %d DetAt", ci), s, w.DetAt(s), Factor(a).Det())
+			check(fmt.Sprintf("circuit %d DetAt", ci), s, c.DetAt(s), Factor(a).Det())
 			for i := 0; i < a.N; i++ {
 				a.Set(i, j, c.b[i])
 			}
-			got, err := w.NumerDetAt("out", s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			check(fmt.Sprintf("circuit %d NumerDetAt", ci), s, got, Factor(a).Det())
+			check(fmt.Sprintf("circuit %d numerDet", ci), s, c.numerDet(j, s), Factor(a).Det())
 		}
 	}
 	if nReal == 0 {

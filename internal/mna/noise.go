@@ -123,15 +123,16 @@ func (c *Circuit) NoiseSweep(out string, fStart, fStop float64, perDecade int, o
 		hh = make([]float64, len(first))
 	}
 
-	// One workspace serves the whole sweep: each frequency is a single
-	// in-place factorization, each pair one allocation-free solve into
-	// workspace-owned scratch.
-	w := c.workspace()
-	defer c.release(w)
+	// Each frequency is a single in-place factorization, each pair one
+	// allocation-free solve in the circuit's scratch; the solution lands
+	// in the vector SolveAt returns.
+	if c.rhs == nil {
+		c.rhs = make([]complex128, c.Size())
+	}
+	rhs := c.rhs
 	pts := make([]NoisePoint, 0, len(freqs))
-	rhs, x := w.noiseBuffers()
 	for _, f := range freqs {
-		lu := w.factorAt(Omega(f))
+		lu := c.factorAt(Omega(f))
 		if !lu.OK() {
 			return nil, singularf("mna: singular at %g Hz", f)
 		}
@@ -151,10 +152,10 @@ func (c *Circuit) NoiseSweep(out string, fStart, fStop float64, perDecade int, o
 				if s.b >= 0 {
 					rhs[s.b] += 1
 				}
-				if err := lu.SolveInto(x, rhs); err != nil {
+				if err := lu.SolveInto(c.x, rhs); err != nil {
 					return nil, err
 				}
-				h := cmplx.Abs(x[j])
+				h := cmplx.Abs(c.x[j])
 				hh[p] = h * h
 			}
 			total += hh[p] * s.si

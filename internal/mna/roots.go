@@ -8,7 +8,6 @@ import (
 	"math/cmplx"
 	"sort"
 	"strconv"
-	"sync"
 
 	"artisan/internal/telemetry"
 )
@@ -48,7 +47,9 @@ const (
 
 // polyDegree estimates deg D by the slope of log10|D| between two radii far
 // outside the root cluster: for |s| ≫ all roots, |D(s)| ≈ |a_d|·|s|^d.
-// Several probe angles are averaged for robustness.
+// Several probe angles are averaged for robustness. The degree follows
+// the values, not just the topology — a capacitor scaled to zero lowers
+// it — so each Poles or Zeros call probes its own circuit.
 func polyDegree(f detFunc) (int, error) {
 	angles := []float64{0.41, 1.73, 2.9}
 	slope := 0.0
@@ -226,67 +227,6 @@ func sortRoots(rs []complex128) {
 	})
 }
 
-// degMemo memoizes the polynomial-degree probes for the root finder: the
-// degree of det(G+sC) (and of each output's Cramer numerator) is a
-// structural property of the topology, so six high-radius determinant
-// evaluations per Poles/Zeros call collapse to one probe — shared between
-// a compiled circuit and every Restamped variant of it, since value
-// perturbations move the roots but not the degree.
-type degMemo struct {
-	mu       sync.Mutex
-	polesDeg int
-	polesOK  bool
-	zerosDeg map[string]int
-}
-
-func (m *degMemo) poles(f detFunc) (int, error) {
-	m.mu.Lock()
-	if m.polesOK {
-		d := m.polesDeg
-		m.mu.Unlock()
-		return d, nil
-	}
-	m.mu.Unlock()
-	d, err := polyDegree(f)
-	if err != nil {
-		return 0, err
-	}
-	m.mu.Lock()
-	m.polesDeg, m.polesOK = d, true
-	m.mu.Unlock()
-	return d, nil
-}
-
-func (m *degMemo) zeros(out string, f detFunc) (int, error) {
-	m.mu.Lock()
-	if d, ok := m.zerosDeg[out]; ok {
-		m.mu.Unlock()
-		return d, nil
-	}
-	m.mu.Unlock()
-	d, err := polyDegree(f)
-	if err != nil {
-		return 0, err
-	}
-	m.mu.Lock()
-	if m.zerosDeg == nil {
-		m.zerosDeg = map[string]int{}
-	}
-	m.zerosDeg[out] = d
-	m.mu.Unlock()
-	return d, nil
-}
-
-// polesDegree returns the memoized degree of det(G + sC), probing it on
-// first use.
-func (c *Circuit) polesDegree(f detFunc) (int, error) { return c.deg.poles(f) }
-
-// zerosDegree returns the memoized Cramer-numerator degree for one output
-// node.
-func (c *Circuit) zerosDegree(out string, f detFunc) (int, error) {
-	return c.deg.zeros(out, f)
-}
-
 // StableNear classifies the circuit's stability by polishing a set of
 // warm-start pole seeds (typically the nominal design's poles) with
 // Aberth iteration on this circuit's determinant. It is the fast path for
@@ -303,9 +243,7 @@ func (c *Circuit) StableNear(seeds []complex128) (stable, ok bool) {
 	if len(seeds) == 0 {
 		return false, false
 	}
-	w := c.workspace()
-	defer c.release(w)
-	f := func(s complex128) ScaledDet { return w.DetAt(s) }
+	f := c.DetAt
 	roots := append(make([]complex128, 0, len(seeds)), seeds...)
 	steps := make([]float64, len(roots))
 	const polishMaxIter = 24
@@ -392,20 +330,18 @@ func (c *Circuit) StableNear(seeds []complex128) (stable, ok bool) {
 // Poles returns the natural frequencies of the circuit: the roots of
 // det(G + sC) in rad/s, sorted by magnitude. The excitation sources are
 // part of the system (a voltage source pins its node), matching what a
-// simulator's pz analysis reports for the driven network. All determinant
-// evaluations share one Workspace, so a Poles call is a single small
-// allocation burst. When ctx carries a tracer the call is recorded as an
-// "mna.poles" span with the pole count.
+// simulator's pz analysis reports for the driven network. Every
+// determinant is evaluated in the circuit's scratch, so a Poles call is a
+// single small allocation burst. When ctx carries a tracer the call is
+// recorded as an "mna.poles" span with the pole count.
 func (c *Circuit) Poles(ctx context.Context) (poles []complex128, err error) {
 	_, span := telemetry.StartSpan(ctx, "mna.poles")
 	defer func() {
 		span.SetAttr("n", strconv.Itoa(len(poles)))
 		span.End()
 	}()
-	w := c.workspace()
-	defer c.release(w)
-	f := func(s complex128) ScaledDet { return w.DetAt(s) }
-	deg, err := c.polesDegree(f)
+	f := c.DetAt
+	deg, err := polyDegree(f)
 	if err != nil {
 		return nil, err
 	}
@@ -425,10 +361,8 @@ func (c *Circuit) Zeros(ctx context.Context, out string) (zeros []complex128, er
 	if err != nil {
 		return nil, err
 	}
-	w := c.workspace()
-	defer c.release(w)
-	f := func(s complex128) ScaledDet { return w.numerDet(j, s) }
-	deg, err := c.zerosDegree(out, f)
+	f := func(s complex128) ScaledDet { return c.numerDet(j, s) }
+	deg, err := polyDegree(f)
 	if err != nil {
 		return nil, err
 	}

@@ -178,8 +178,8 @@ const refactorPivTol = 1e-6
 //	lu.Refactor(vals2)  // every later point: numeric replay
 //	lu.SolveInto(x, b)
 //
-// A SparseLU is single-goroutine scratch, exactly like the dense LU: give
-// each worker its own (the pooled transient scratch does).
+// A SparseLU is single-goroutine scratch, exactly like the dense LU: each
+// circuit's transient scratch holds its own.
 type SparseLU struct {
 	pat *Pattern
 	q   []int // column order (minimum degree)

@@ -227,9 +227,6 @@ func TestSparseLUSolveAliasing(t *testing.T) {
 }
 
 func TestSparseLUSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are unreliable under -race")
-	}
 	rng := rand.New(rand.NewSource(41))
 	pat, vals := randSparseSystem(rng, 25, 80)
 	var lu SparseLU

@@ -19,13 +19,13 @@ import (
 // The integrator runs on the sparse real engine: the circuit's structural
 // pattern is analyzed once, the companion matrix is factored once, and
 // each step (or Newton Jacobian refresh) is a numeric Refactor replaying
-// the recorded pivot sequence. All step state lives in a per-circuit
-// pooled scratch, so steady-state integration performs no allocations
-// beyond the returned waveform. The Newton Jacobian is additionally
-// frozen across iterations and steps while the saturating devices'
-// effective transconductances hold still (within jacDriftTol), which
-// collapses the settled tail of a step response to one refactor-free
-// chord iteration per step.
+// the recorded pivot sequence. All step state lives in the circuit's
+// transient scratch, so repeated integrations on a circuit perform no
+// allocations beyond the returned waveform. The Newton Jacobian is
+// additionally frozen across iterations and steps while the saturating
+// devices' effective transconductances hold still (within jacDriftTol),
+// which collapses the settled tail of a step response to one
+// refactor-free chord iteration per step.
 
 // ErrNewtonNoConverge reports that a transient step's Newton iteration
 // exhausted TranOpts.MaxNewton without meeting its tolerance.
@@ -77,11 +77,11 @@ const jacDriftTol = 1e-5
 // spurious final micro-step.
 const stepRoundTol = 1e-9
 
-// tranScratch is the pooled per-circuit transient engine state: the
-// analyzed factorization plus every pattern-aligned value array and step
-// vector. One scratch serves one Transient call at a time; the pool hands
-// it back for the next call so repeated integrations on a circuit reach
-// zero steady-state allocations.
+// tranScratch is a circuit's transient engine state: its structural
+// pattern, the analyzed factorization, and every pattern-aligned value
+// array and step vector. The first Transient on a circuit makes it; later
+// runs reuse it, which is what brings them to zero steady-state
+// allocations.
 type tranScratch struct {
 	pat *Pattern
 	lu  SparseLU
@@ -100,10 +100,15 @@ type tranScratch struct {
 	lastGeff []float64
 }
 
-func (ts *tranScratch) ensure(pat *Pattern, nSats int) {
-	n, nnz := pat.N, pat.NNZ()
-	if ts.pat != pat {
-		ts.pat = pat
+// tranState returns the circuit's transient scratch, sized for nSats
+// saturating devices, making it and analyzing the pattern on first use.
+func (c *Circuit) tranState(nSats int) *tranScratch {
+	ts := c.tran
+	if ts == nil {
+		pat := c.pattern()
+		n, nnz := pat.N, pat.NNZ()
+		ts = &tranScratch{pat: pat}
+		c.tran = ts
 		ts.lu.Analyze(pat)
 		ts.gv = make([]float64, nnz)
 		ts.cv = make([]float64, nnz)
@@ -126,6 +131,7 @@ func (ts *tranScratch) ensure(pat *Pattern, nSats int) {
 	}
 	ts.satTanh = ts.satTanh[:nSats]
 	ts.lastGeff = ts.lastGeff[:nSats]
+	return ts
 }
 
 // Transient integrates the circuit and returns the waveform of node out.
@@ -154,13 +160,8 @@ func (c *Circuit) Transient(out string, opts TranOpts) ([]TranPoint, error) {
 		return nil, err
 	}
 
-	pat := c.pattern()
-	ts, _ := c.tranPool.Get().(*tranScratch)
-	if ts == nil {
-		ts = &tranScratch{}
-	}
-	defer c.tranPool.Put(ts)
-	ts.ensure(pat, len(sats))
+	ts := c.tranState(len(sats))
+	pat := ts.pat
 	n := pat.N
 	h := opts.Dt
 

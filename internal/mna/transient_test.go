@@ -406,12 +406,10 @@ func TestSatDevicesRejections(t *testing.T) {
 	}
 }
 
-// Repeated transient runs on one circuit must reuse the pooled scratch:
-// only the returned waveform and a handful of setup crumbs may allocate.
+// Repeated transient runs on one circuit must reuse its transient
+// scratch: only the returned waveform and a handful of setup crumbs may
+// allocate.
 func TestTransientSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are unreliable under -race")
-	}
 	nl := netlist.New("alloc")
 	nl.AddV("V1", "in", "0", 1)
 	nl.AddG("G1", "0", "out", "in", "0", 1e-3)

@@ -20,7 +20,10 @@ go test -count=1 -run '^TestHotPathAllocs$' -cpu 1,2,4 .
 # The benchmark is its own module, so ./... above does not reach it:
 # vet it and run its tests; -short skips the workload smoke runs.
 (cd perfbench && go vet ./... && go test -short ./...)
-# Every package must stay race-clean.
+# Every package must stay race-clean. In internal/mna the race pass
+# guards the one-owner rule (a compiled or restamped circuit, and the
+# scratch it solves in, is used by one goroutine at a time) and runs the
+# simulator's allocation guards with it.
 go test -race ./...
 
 # Chaos smoke: the seeded fault injector, retry, and breaker tests must
