@@ -112,7 +112,7 @@ func TestHotPathAllocs(t *testing.T) {
 		want float64
 		op   func() error
 	}{
-		{"Fig1Skeleton", 136, func() error {
+		{"Fig1Skeleton", 131, func() error {
 			nl, err := topo.Elaborate(env)
 			if err != nil {
 				return err
@@ -120,7 +120,7 @@ func TestHotPathAllocs(t *testing.T) {
 			_, err = measure.Analyze(nl, "out")
 			return err
 		}},
-		{"MNASolve", 64, func() error {
+		{"MNASolve", 59, func() error {
 			_, err := measure.Analyze(nl, "out")
 			return err
 		}},
@@ -132,7 +132,7 @@ func TestHotPathAllocs(t *testing.T) {
 			_, err := c.Sweep(ctx, "out", 1e-2, 1e10, 24, everyPoint)
 			return err
 		}},
-		{"PoleZero", 64, func() error {
+		{"PoleZero", 60, func() error {
 			c, err := mna.Compile(nl)
 			if err != nil {
 				return err
@@ -152,24 +152,24 @@ func TestHotPathAllocs(t *testing.T) {
 			return err
 		}},
 		// One worker at a fixed seed: perfbench circuit_sim's setting.
-		{"MonteCarloYield", 549, func() error {
+		{"MonteCarloYield", 548, func() error {
 			_, err := experiment.MonteCarloYield(g1nl, g1,
 				experiment.YieldOpts{Samples: 120, Sigma: 0.05, Seed: 1, Workers: 1})
 			return err
 		}},
 		// One untuned run of the whole workflow; G-5's design fails, so
 		// it skips the gm/Id mapping.
-		{"CoreDesign/G-1", 1086, func() error {
+		{"CoreDesign/G-1", 1076, func() error {
 			_, err := core.New(7).Design(ctx, g1)
 			return err
 		}},
-		{"CoreDesign/G-5", 1066, func() error {
+		{"CoreDesign/G-5", 1056, func() error {
 			_, err := core.New(7).Design(ctx, g5)
 			return err
 		}},
 		// The same G-1 run for a reply that returns no transcript, as the
 		// server runs it without transcript or verify.
-		{"CoreDesign/G-1/no-transcript", 488, func() error {
+		{"CoreDesign/G-1/no-transcript", 478, func() error {
 			a := core.New(7)
 			a.Opts.NoTranscript = true
 			_, err := a.Design(ctx, g1)
@@ -207,12 +207,12 @@ func TestHotPathAllocs(t *testing.T) {
 		evals int // simulator evaluations per call
 		op    func() (int, error)
 	}{
-		{"SizeLadder/bo", 8557, 60, size("bo")},
-		{"SizeLadder/ga", 8243, 58, size("ga")},
-		{"SizeLadder/hybrid", 8690, 60, size("hybrid")},
-		{"SizeLadder/whitebox", 7768, 53, size("whitebox")},
+		{"SizeLadder/bo", 8257, 60, size("bo")},
+		{"SizeLadder/ga", 7953, 58, size("ga")},
+		{"SizeLadder/hybrid", 8390, 60, size("hybrid")},
+		{"SizeLadder/whitebox", 7503, 53, size("whitebox")},
 		// The design's verification plus the tuner's budget.
-		{"TunedSession", 8413, 54, func() (int, error) {
+		{"TunedSession", 8143, 54, func() (int, error) {
 			out, err := tuningSession(g4, 2, true)
 			if err != nil {
 				return 0, err
@@ -293,7 +293,7 @@ func TestHotPathAllocs(t *testing.T) {
 	// analyses solve.
 	g1Spans := map[string]int{"core.design": 1, "agents.session": 1,
 		"llm.propose_architectures": 1, "llm.propose_knobs": 2, "cot.design": 2,
-		"tool.simulator": 2, "mna.sweep": 2, "mna.poles": 2, "mna.zeros": 2,
+		"tool.simulator": 2, "mna.sweep": 2, "mna.poles": 2,
 		"llm.propose_modification": 1, "gmid.map": 1}
 	g5Spans := map[string]int{}
 	for name, n := range g1Spans {

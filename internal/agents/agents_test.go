@@ -166,6 +166,19 @@ func TestDescribeFailureWording(t *testing.T) {
 	}
 }
 
+// TestDescribeFailureUnverifiedStability: a report whose pole find
+// failed tells the LLM that stability is unverified, not that the
+// amplifier is unstable.
+func TestDescribeFailureUnverifiedStability(t *testing.T) {
+	g1, _ := spec.Group("G-1")
+	msg := describeFailure(g1, measure.Report{GainDB: 100, GBW: 10e6, PM: 60, Power: 50e-6,
+		PoleZeroErr: "mna: root finder did not converge"})
+	want := "pole extraction failed (mna: root finder did not converge), stability is unverified"
+	if !strings.Contains(msg, want) {
+		t.Errorf("failure text %q missing %q", msg, want)
+	}
+}
+
 func TestTranscriptNumbering(t *testing.T) {
 	tr := &Transcript{Model: "test"}
 	tr.QA("q one", "a one")

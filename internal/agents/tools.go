@@ -127,9 +127,9 @@ func describeFailure(sp spec.Spec, rep measure.Report) string {
 	var parts []string
 	if rep.PoleZeroErr != "" {
 		// Distinguish "verified unstable" from "stability unknown": the
-		// simulator's root finder failed, so the stability verdict below
+		// simulator's pole find failed, so the stability verdict below
 		// is not evidence about the circuit.
-		parts = append(parts, fmt.Sprintf("pole/zero extraction failed (%s), stability is unverified", rep.PoleZeroErr))
+		parts = append(parts, fmt.Sprintf("pole extraction failed (%s), stability is unverified", rep.PoleZeroErr))
 	}
 	for _, v := range vs {
 		switch v.Metric {

@@ -11,9 +11,9 @@ import (
 )
 
 // Monte-Carlo fast path: spec-directed re-measurement of a perturbed
-// design without re-compiling, re-sweeping, or cold-starting the root
-// finder. A full Analyze runs a 289-point sweep plus two cold Aberth
-// root finds per sample; yield analysis only consumes the five fields
+// design without re-compiling, re-sweeping, or finding the poles afresh.
+// A full Analyze runs the frequency sweep plus an eigenvalue pole find
+// per sample; yield analysis only consumes the five fields
 // spec.Check reads (GainDB, GBW, PM, Power, Stable), and every sample is
 // a small perturbation of one nominal design. MCAnalyzer exploits both:
 //
@@ -85,9 +85,9 @@ type MCSession struct {
 
 // Analyze measures one sample: scale[i] multiplies device i's nominal
 // value. The returned report carries exactly the spec-checked metrics
-// (GainDB, GBW, PM, Power, Stable); secondary fields (F3dB, GM, pole and
-// zero counts) are only populated when the sample took the full-analysis
-// fallback.
+// (GainDB, GBW, PM, Power, Stable) and the pole count; the secondary
+// fields (F3dB, GM) are only populated when the sample took the
+// full-analysis fallback.
 func (s *MCSession) Analyze(scale []float64) (Report, error) {
 	circ, err := s.a.base.Restamped(scale, s.circ)
 	if err != nil {

@@ -35,11 +35,10 @@ type Report struct {
 	Power    float64 // W, from the gm/Id power model
 	Stable   bool    // all poles strictly in the LHP
 	NumPoles int
-	NumZeros int
-	// PoleZeroErr is non-empty when pole/zero extraction failed (e.g. the
-	// root finder did not converge). Stable=false with a non-empty
-	// PoleZeroErr means "stability unknown", not "verified unstable" —
-	// previously the two cases were indistinguishable.
+	// PoleZeroErr is non-empty when pole extraction failed (e.g. the root
+	// finder did not converge). Stable=false with a non-empty PoleZeroErr
+	// means "stability unknown", not "verified unstable" — previously the
+	// two cases were indistinguishable.
 	PoleZeroErr string
 }
 
@@ -109,8 +108,9 @@ func Analyze(nl *netlist.Netlist, out string) (Report, error) {
 }
 
 // AnalyzeContext is Analyze with context propagation: the MNA solves it
-// performs (sweep, poles, zeros) emit telemetry spans when the context
-// carries a tracer.
+// performs (sweep, poles) emit telemetry spans when the context carries a
+// tracer. No report field reads the transfer function's zeros, so none
+// are found.
 //
 // The sweep is read in one pass. Each crossing test compares a point
 // with the one before it, so only the previous point's frequency,
@@ -203,15 +203,6 @@ func AnalyzeContext(ctx context.Context, nl *netlist.Netlist, out string) (Repor
 				rep.Stable = false
 			}
 		}
-	}
-	zeros, zerr := c.Zeros(ctx, out)
-	switch {
-	case zerr != nil:
-		if rep.PoleZeroErr == "" {
-			rep.PoleZeroErr = zerr.Error()
-		}
-	default:
-		rep.NumZeros = len(zeros)
 	}
 	return rep, nil
 }

@@ -40,6 +40,7 @@ type Circuit struct {
 	re  []float64    // Re A(s) for determinants at real s, factored by realDet
 	rhs []complex128 // noise-analysis right-hand side
 
+	rs   rootScratch  // eigenvalue root-find state, made by the first Poles or Zeros
 	tran *tranScratch // transient engine state, made by the first Transient
 }
 

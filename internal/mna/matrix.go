@@ -3,8 +3,9 @@
 // replacement for the Cadence Spectre AC analyses the paper relies on
 // (§4.1.3): it stamps R, C, VCCS, VCVS, V and I elements into
 // A(s) = G + sC, solves A(jω)x = b across a frequency sweep, and extracts
-// poles and zeros as the roots of det A(s) and of the Cramer numerator,
-// using scaled LU determinants and Aberth–Ehrlich simultaneous iteration.
+// poles and zeros, the roots of det A(s) and of the Cramer numerator, as
+// the finite eigenvalues of a small shifted-and-inverted real
+// eigenproblem, each checked by a Newton step on the determinant.
 package mna
 
 import (

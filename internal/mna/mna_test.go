@@ -529,7 +529,8 @@ func TestSingularMatrix(t *testing.T) {
 
 // TestSingularErrorsTyped: every singular-system error matches
 // ErrSingular and keeps its message. Two voltage sources in parallel pin
-// one node twice, so A(s) and the transient systems are singular.
+// one node twice, so A(s) and the transient systems are singular, and
+// det(G + sC) ≡ 0 leaves the pole find no shift to factor.
 func TestSingularErrorsTyped(t *testing.T) {
 	nl := netlist.New("parallel sources")
 	nl.AddV("V1", "in", "0", 1)
@@ -543,6 +544,7 @@ func TestSingularErrorsTyped(t *testing.T) {
 	_, solveErr := c.SolveAt(Omega(1e3))
 	_, noiseErr := c.NoiseSweep("out", 1, 10, 1, NoiseOpts{})
 	_, tranErr := c.Transient("out", TranOpts{TEnd: 1e-6, Dt: 1e-9})
+	_, polesErr := c.Poles(context.Background())
 	for _, tc := range []struct {
 		err  error
 		want string
@@ -552,6 +554,7 @@ func TestSingularErrorsTyped(t *testing.T) {
 		{sparse.SolveInto(make([]float64, 1), make([]float64, 1)), "mna: singular sparse matrix"},
 		{noiseErr, "mna: singular at 1 Hz"},
 		{tranErr, "mna: transient consistent initialization singular (dt=1e-09)"},
+		{polesErr, "mna: root pencil singular at s = 0 and s = -1e+09 rad/s"},
 	} {
 		if !errors.Is(tc.err, ErrSingular) {
 			t.Errorf("%v does not match ErrSingular", tc.err)

@@ -69,23 +69,6 @@ func (c *Circuit) DetAt(s complex128) ScaledDet {
 	return c.factorAt(s).Det()
 }
 
-// numerDet returns the Cramer numerator determinant for the output at
-// matrix index j (A(s) with column j replaced by the excitation b),
-// allocation-free.
-func (c *Circuit) numerDet(j int, s complex128) ScaledDet {
-	if c.assembleReal(s, j) {
-		if d, ok := c.realDet(); ok {
-			return d
-		}
-	}
-	c.assemble(s)
-	for i := 0; i < c.a.N; i++ {
-		c.a.Set(i, j, c.b[i])
-	}
-	c.lu.FactorInto(c.a)
-	return c.lu.Det()
-}
-
 // assembleReal reports whether s is real and finite, and if so writes
 // Re A(s) into the real scratch, with column j replaced by Re b when
 // j >= 0. At such s every entry of A(s) has imaginary part ±0, and its
@@ -116,10 +99,10 @@ func (c *Circuit) assembleReal(s complex128, j int) bool {
 	return true
 }
 
-// realDet factors the real scratch in place and returns its determinant:
-// LU.factor followed by LU.Det, step for step, on float64. With every
-// imaginary part ±0, the complex elimination's real parts are exactly
-// this one's: abs1 is |re|, so the pivots match (strict >, full-row
+// realDet factors the real scratch in place (factorReal) and returns its
+// determinant: LU.factor followed by LU.Det, step for step, on float64.
+// With every imaginary part ±0, the complex elimination's real parts are
+// exactly this one's: abs1 is |re|, so the pivots match (strict >, full-row
 // swaps, a zero pivot skipped), each complex product and quotient rounds
 // its real part as one float64 operation, and the imaginary parts stay
 // ±0. The two can differ only in the sign of a zero, which no nonzero
@@ -131,39 +114,7 @@ func (c *Circuit) assembleReal(s complex128, j int) bool {
 func (c *Circuit) realDet() (d ScaledDet, ok bool) {
 	n := c.Size()
 	a := c.re
-	sign := 1.0
-	for k := 0; k < n; k++ {
-		p, best := k, math.Abs(a[k*n+k])
-		for i := k + 1; i < n; i++ {
-			if v := math.Abs(a[i*n+k]); v > best {
-				p, best = i, v
-			}
-		}
-		rowk := a[k*n : k*n+n]
-		if p != k {
-			rp := a[p*n : p*n+n]
-			for j := range rowk {
-				rowk[j], rp[j] = rp[j], rowk[j]
-			}
-			sign = -sign
-		}
-		pv := rowk[k]
-		if pv == 0 {
-			continue
-		}
-		ipv := 1 / pv
-		for i := k + 1; i < n; i++ {
-			rowi := a[i*n : i*n+n]
-			f := float64(rowi[k] * ipv)
-			rowi[k] = f
-			if f == 0 {
-				continue
-			}
-			for j := k + 1; j < n; j++ {
-				rowi[j] -= float64(f * rowk[j])
-			}
-		}
-	}
+	sign := factorReal(a, n, nil)
 	for _, v := range a {
 		if !finite(v) {
 			return ScaledDet{}, false

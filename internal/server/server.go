@@ -635,7 +635,7 @@ type metricsJSON struct {
 	// JSON has no representation for +Inf.
 	GMdB    *float64 `json:"gmDB"`
 	NumPole int      `json:"numPoles"`
-	// PoleZeroErr is set when pole/zero extraction failed: stable=false
+	// PoleZeroErr is set when pole extraction failed: stable=false
 	// then means "stability unknown", not "verified unstable".
 	PoleZeroErr string `json:"poleZeroErr,omitempty"`
 }

@@ -42,9 +42,11 @@ go test ./internal/chaos -race -count=2
 # that consume decoded topologies, the metric extraction over scaled
 # generated circuits against the full-sweep oracle (the simulator's
 # assembly and real-s determinant paths, and the one-pass analysis), the
-# bounded expected-improvement pick against scoring every candidate, and
-# the calculator, whose parse cache must answer as a fresh parse does,
-# seeded from the checked-in corpus under testdata/fuzz/.
+# eigenvalue pole and zero find over scaled generated circuits against
+# the Aberth oracle, the bounded expected-improvement pick against
+# scoring every candidate, and the calculator, whose parse cache must
+# answer as a fresh parse does, seeded from the checked-in corpus under
+# testdata/fuzz/.
 # Crashers land in testdata/fuzz/<Target>/ and fail this gate until
 # fixed.
 for target in \
@@ -55,6 +57,7 @@ for target in \
     'FuzzFromJSON ./internal/topology' \
     'FuzzSeed ./internal/backend' \
     'FuzzAnalyze ./internal/measure' \
+    'FuzzPoles ./internal/mna' \
     'FuzzAcquire ./internal/sizing' \
     'FuzzEval ./internal/calc'; do
     set -- $target
