@@ -1,18 +1,19 @@
 // Command artisan-router is the stateless front of a multi-node Artisan
 // fleet. It owns no serving state — restart it freely — and proxies the
 // serving API to worker nodes (artisan-server processes) selected by
-// consistent hashing over the canonical request body, so duplicate
-// requests land on the same node and its singleflight coalescing fires
-// exactly once fleet-wide.
+// consistent hashing over the request, so equivalent design requests
+// share an owner and its result cache.
 //
 //	artisan-router -addr :8080 -nodes http://10.0.0.1:8081,http://10.0.0.2:8081
 //
 // Behaviour:
 //
-//   - POST /design, /design/batch, /simulate, /simulate/batch, /jobs are
-//     sharded to the owning node by canonical body hash, failing over
-//     clockwise around the ring (with backoff and a per-node circuit
-//     breaker) while nodes are down.
+//   - POST /design and /jobs are sharded by the design key a node caches
+//     the body under, /design/batch and /simulate[/batch] by their bytes,
+//     failing over clockwise around the ring (with backoff and a per-node
+//     circuit breaker) while nodes are down. A tuned body without
+//     "backend" is keyed with the default backend, as on a node started
+//     without -sizing-backend.
 //   - GET/DELETE /jobs/{id} route by the node prefix of fleet-unique job
 //     ids (workers started with -node-id); GET /jobs and GET /stats fan
 //     out to every node and merge.

@@ -176,7 +176,7 @@ func TestHotPathAllocs(t *testing.T) {
 			return err
 		}},
 		{"DesignHandler/cached", 64, postDesign},
-		{"RoutedDesign/cached", 130, routeDesign},
+		{"RoutedDesign/cached", 128, routeDesign},
 	}
 	// One trial per sizing backend on the reference NMC under G-1's load
 	// (budget 60, seed 3), and one tuned session: BenchmarkAblationTuning's

@@ -287,7 +287,7 @@ func TestChaosBrokenInvariantDetected(t *testing.T) {
 	}
 
 	rep := &Report{
-		Accepted: []Accepted{{ID: "n0-j-9", Key: "k"}},
+		Accepted: []Accepted{{ID: "n0-j-9"}},
 		Sweeps:   []NodeSweep{{Node: 0, Alive: true}},
 	}
 	if vs := CheckNoLostJobs(rep, []NodeJournal{{Node: 0}}); len(vs) != 1 {

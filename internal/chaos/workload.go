@@ -41,7 +41,6 @@ type Event struct {
 // Accepted records one submission the client saw acknowledged.
 type Accepted struct {
 	ID         string // fleet-unique job id ("n0-j-7")
-	Key        string // canonical body — the coalescing/cache key
 	Cached     bool   // served from a result cache, not journaled
 	DeadlineMs int    // budget the submission carried (0 = none)
 }
@@ -205,8 +204,7 @@ func (f *Fleet) submit(rep *Report, body string, deadlineMs int) {
 		return
 	}
 	rep.Accepted = append(rep.Accepted, Accepted{
-		ID: ack.ID, Key: cluster.ShardKey([]byte(body)),
-		Cached: ack.Cached, DeadlineMs: deadlineMs,
+		ID: ack.ID, Cached: ack.Cached, DeadlineMs: deadlineMs,
 	})
 }
 

@@ -3,10 +3,9 @@
 // fleet.
 //
 //   - Ring: a consistent-hash ring with virtual nodes. The router shards
-//     design/simulate work across worker nodes by canonical request key,
-//     so the per-node result caches and singleflight coalescing maps
-//     partition cleanly — duplicate work lands on one node and runs once
-//     fleet-wide.
+//     work across worker nodes by it: a design body by the key its node
+//     caches it under, so equivalent designs share an owner and its
+//     cache; any other body by its bytes.
 //   - Store / PersistentManager: an append-only journal plus snapshot
 //     under a data dir, the only durable job table. Job submissions and
 //     state transitions are logged; on restart OpenStore folds the
@@ -18,9 +17,9 @@
 //     the noisiest tenant with 429 + Retry-After instead of crashing the
 //     node or starving everyone equally.
 //   - Router: a thin stateless HTTP router that proxies the serving API
-//     to the owning shard by key, with health-checked membership, breaker
-//   - backoff retry onto the next ring candidate when a node is down,
-//     and X-Request-ID pass-through.
+//     to the owning shard by key. It keeps membership by health checks,
+//     retries onto the next ring candidate with backoff and a per-node
+//     breaker when a node is down, and passes X-Request-ID through.
 //
 // Everything here is stdlib-only, like the rest of the repo.
 package cluster

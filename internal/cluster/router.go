@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"artisan/internal/core"
 	"artisan/internal/resilience"
 	"artisan/internal/telemetry"
 )
@@ -143,9 +144,9 @@ func (n *routerNode) id() string {
 
 // Router is the thin stateless front of the fleet. It owns no serving
 // state beyond the health-checked membership view — restarting it loses
-// nothing — and shards work across nodes by the canonical hash of the
-// request body, so duplicate requests land on the same node and its
-// singleflight coalescing fires exactly once fleet-wide.
+// nothing — and shards work across nodes by request body: a design body
+// by the node's own design key (placeKey), so equivalent design bodies
+// share an owner and its result cache.
 type Router struct {
 	cfg   RouterConfig
 	ring  *Ring
@@ -322,15 +323,18 @@ func (rt *Router) probe(n *routerNode) (ok bool, id string) {
 	return resp.StatusCode == http.StatusOK, body.Node
 }
 
-// ShardKey canonicalizes a request body for ring placement: the JSON is
-// decoded and re-encoded (Go maps marshal with sorted keys), so two
-// requests that differ only in key order or whitespace shard — and
-// therefore coalesce — identically. Non-JSON bodies hash as raw bytes.
-func ShardKey(body []byte) string {
-	var v any
-	if err := json.Unmarshal(body, &v); err == nil {
-		if canon, err := json.Marshal(v); err == nil {
-			return string(canon)
+// placeKey is the ring key of a sharded request body. A design body is
+// placed by the key its node caches it under (resolved with the default
+// sizing backend), so equivalent bodies share an owner and its cache.
+// Any other body, and a design body every node rejects with the same
+// 400, is placed by its raw bytes.
+func placeKey(path string, body []byte) string {
+	if path == "/design" || path == "/jobs" {
+		var req core.Request
+		if json.Unmarshal(body, &req) == nil {
+			if sp, err := req.Resolve(""); err == nil {
+				return req.Key(sp)
+			}
 		}
 	}
 	return string(body)
@@ -376,14 +380,14 @@ func (rt *Router) budgetCtx(r *http.Request) (context.Context, time.Time, contex
 func (rt *Router) handleSharded(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, rt.cfg.MaxBody+1))
 	if err != nil {
-		http.Error(w, `{"error":"read body"}`, http.StatusBadRequest)
+		writeRouterErr(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
 		return
 	}
 	if int64(len(body)) > rt.cfg.MaxBody {
-		http.Error(w, `{"error":"body too large"}`, http.StatusRequestEntityTooLarge)
+		writeRouterErr(w, http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", rt.cfg.MaxBody))
 		return
 	}
-	candidates := rt.ring.Owners(ShardKey(body), len(rt.nodes))
+	candidates := rt.ring.Owners(placeKey(r.URL.Path, body), len(rt.nodes))
 	rt.forward(w, r, candidates, body)
 }
 
@@ -538,9 +542,7 @@ func copyResponse(w http.ResponseWriter, resp *http.Response) {
 }
 
 func writeRouterErr(w http.ResponseWriter, status int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
+	writeRouterJSON(w, status, map[string]string{"error": err.Error()})
 }
 
 // healthyNodes returns the healthy node set in stable (URL-sorted)

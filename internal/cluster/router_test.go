@@ -13,7 +13,9 @@ import (
 	"testing"
 	"time"
 
+	"artisan/internal/backend"
 	"artisan/internal/resilience"
+	"artisan/internal/spec"
 )
 
 // fakeWorker is a minimal artisan-server stand-in: /healthz with a node
@@ -98,23 +100,97 @@ func postJSON(t *testing.T, url, body string) (int, map[string]string, http.Head
 	return resp.StatusCode, out, resp.Header
 }
 
-func TestShardKeyCanonical(t *testing.T) {
-	a := ShardKey([]byte(`{"b": 2, "a": 1}`))
-	b := ShardKey([]byte(`{"a":1,"b":2}`))
-	if a != b {
-		t.Fatalf("key-order variants shard differently: %q vs %q", a, b)
+// TestPlaceKeyEquivalentBodies: a design body and any body its node
+// resolves to the same design key get the same owners at every ring
+// size, on both design routes; distinct designs still spread, and every
+// other body is placed by its bytes.
+func TestPlaceKeyEquivalentBodies(t *testing.T) {
+	// Formats over (group name, seed, the group as an inline spec).
+	const orig = `{"group":%[1]q,"seed":%[2]d}`
+	pairs := [][2]string{
+		{orig, `{"group":%[1]q,"seed":%[2]d,"backend":"ga"}`},
+		{orig, `{"group":%[1]q,"seed":%[2]d,"tune":false}`},
+		{orig, `{"group":%[1]q,"seed":%[2]d,"treeWidth":1}`},
+		{orig, `{"group":%[1]q,"seed":%[2]d,"temperature":0}`},
+		{orig, `{"group":%[1]q,"seed":%[2]d,"note":"again"}`},
+		{orig, "{ \"seed\" : %[2]d,\n\t\"group\" : %[1]q }"},
+		{orig, `{"spec":%[3]s,"seed":%[2]d}`},
+		{`{"group":%[1]q,"seed":%[2]d,"tune":true}`,
+			`{"group":%[1]q,"seed":%[2]d,"tune":true,"backend":"` + backend.DefaultName + `"}`},
 	}
-	if ShardKey([]byte(`{"a":1}`)) == ShardKey([]byte(`{"a":2}`)) {
-		t.Fatal("different bodies collapsed to one shard key")
+	const seeds = 200
+	for size := 1; size <= 5; size++ {
+		ring := NewRing(DefaultVNodes)
+		for i := 0; i < size; i++ {
+			ring.Add(fmt.Sprintf("http://node-%d", i))
+		}
+		primaries := map[string]bool{}
+		for n := 0; n < seeds; n++ {
+			g, err := spec.Group(fmt.Sprintf("G-%d", 1+n%5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			inline, err := json.Marshal(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, path := range []string{"/design", "/jobs"} {
+				for _, p := range pairs {
+					a, b := fmt.Sprintf(p[0], g.Name, n, inline), fmt.Sprintf(p[1], g.Name, n, inline)
+					oa := ring.Owners(placeKey(path, []byte(a)), size)
+					ob := ring.Owners(placeKey(path, []byte(b)), size)
+					if fmt.Sprint(oa) != fmt.Sprint(ob) {
+						t.Fatalf("ring of %d, %s: %s owned by %v, %s by %v", size, path, a, oa, b, ob)
+					}
+				}
+			}
+			body := fmt.Sprintf(orig, g.Name, n)
+			primaries[ring.Owners(placeKey("/design", []byte(body)), 1)[0]] = true
+		}
+		if len(primaries) != size {
+			t.Fatalf("ring of %d: %d distinct designs landed on %d nodes", size, seeds, len(primaries))
+		}
 	}
-	if ShardKey([]byte("not json")) != "not json" {
-		t.Fatal("non-JSON body must hash as raw bytes")
+	// Other routes, and design bodies no node accepts, place by bytes.
+	for _, tc := range [][2]string{
+		{"/simulate", `{"group":"G-1"}`}, {"/design", "not json"}, {"/jobs", `{"group":"G-9"}`},
+	} {
+		if got := placeKey(tc[0], []byte(tc[1])); got != tc[1] {
+			t.Errorf("%s %s placed by %q, want its bytes", tc[0], tc[1], got)
+		}
+	}
+}
+
+// TestRouterOversizeBodyJSON: a body over MaxBody is refused at the
+// router with 413 and the JSON error body a node would send.
+func TestRouterOversizeBodyJSON(t *testing.T) {
+	w1 := newFakeWorker(t, "n1")
+	rt, err := NewRouter(RouterConfig{Nodes: []string{w1.srv.URL}, MaxBody: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	front := httptest.NewServer(rt)
+	defer front.Close()
+
+	status, out, hdr := postJSON(t, front.URL+"/design", fmt.Sprintf(`{"prompt":%q}`, strings.Repeat("x", 64)))
+	if status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413", status)
+	}
+	if ct := hdr.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("Content-Type %q, want application/json", ct)
+	}
+	if out["error"] == "" {
+		t.Errorf("body %v carries no error", out)
+	}
+	if w1.hits.Load() != 0 {
+		t.Error("oversize body reached the node")
 	}
 }
 
 // TestRouterShardsDeterministically: identical bodies — including
-// key-order variants — always land on the same node, so that node's
-// coalescing dedups them fleet-wide; distinct bodies spread out.
+// key-order variants — always land on the same node, so they share its
+// cache; distinct bodies spread out.
 func TestRouterShardsDeterministically(t *testing.T) {
 	w1, w2 := newFakeWorker(t, "n1"), newFakeWorker(t, "n2")
 	rt := newTestRouter(t, w1, w2)
@@ -164,7 +240,7 @@ func TestRouterFailover(t *testing.T) {
 	var body string
 	for i := 0; ; i++ {
 		b := fmt.Sprintf(`{"seed":%d}`, i)
-		owners := rt.ring.Owners(ShardKey([]byte(b)), 2)
+		owners := rt.ring.Owners(placeKey("/design", []byte(b)), 2)
 		if owners[0] == w2.srv.URL {
 			body = b
 			break
@@ -212,7 +288,7 @@ func TestRouterShedPassThrough(t *testing.T) {
 	var body string
 	for i := 0; ; i++ {
 		b := fmt.Sprintf(`{"seed":%d}`, i)
-		if owners := rt.ring.Owners(ShardKey([]byte(b)), 2); owners[0] == shedding.URL {
+		if owners := rt.ring.Owners(placeKey("/design", []byte(b)), 2); owners[0] == shedding.URL {
 			body = b
 			break
 		}

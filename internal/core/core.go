@@ -10,10 +10,12 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"strings"
 
 	"artisan/internal/agents"
+	"artisan/internal/backend"
 	"artisan/internal/corpus"
 	"artisan/internal/gmid"
 	"artisan/internal/llm"
@@ -168,6 +170,87 @@ func numberNear(low string, keys []string) (float64, error) {
 		}
 	}
 	return 0, fmt.Errorf("no value found for %v in prompt", keys)
+}
+
+const maxTreeWidth = 4 // bound on the client-requested ToT width
+
+// Request is the POST /design and POST /jobs body (and one item of a
+// POST /design/batch), which nodes and the router both resolve.
+type Request struct {
+	Group  string `json:"group,omitempty"`
+	Prompt string `json:"prompt,omitempty"`
+	// Spec is a full custom specification in the GET /groups wire form,
+	// strictly decoded and range-validated by spec.ParseJSON. It takes
+	// precedence over Group and Prompt.
+	Spec        json.RawMessage `json:"spec,omitempty"`
+	Seed        int64           `json:"seed,omitempty"`
+	Temperature float64         `json:"temperature,omitempty"`
+	TreeWidth   int             `json:"treeWidth,omitempty"`
+	Tune        bool            `json:"tune,omitempty"`
+	Transcript  bool            `json:"transcript,omitempty"`
+	// Verify runs the groundedness verifier over the session transcript
+	// against the produced netlist and returns its report — the serving-
+	// tier hook of the generative benchmark harness.
+	Verify bool `json:"verify,omitempty"`
+	// Backend selects the sizing backend for tuned requests ("bo", "ga",
+	// "whitebox", "hybrid"). Empty takes the default Resolve is given.
+	// Validated on every request, ignored unless Tune is set.
+	Backend string `json:"backend,omitempty"`
+}
+
+// Resolve validates a decoded request, fills in its defaults and
+// resolves its spec. An empty Backend takes defaultBackend, if set.
+func (req *Request) Resolve(defaultBackend string) (spec.Spec, error) {
+	var sp spec.Spec
+	var err error
+	switch {
+	case len(req.Spec) > 0:
+		sp, err = spec.ParseJSON(req.Spec)
+	case req.Group != "":
+		sp, err = spec.Group(req.Group)
+	case req.Prompt != "":
+		sp, err = ParsePrompt(req.Prompt)
+	default:
+		err = fmt.Errorf("provide spec, group, or prompt")
+	}
+	if err != nil {
+		return sp, err
+	}
+	if req.TreeWidth < 1 {
+		req.TreeWidth = 1
+	}
+	if req.TreeWidth > maxTreeWidth {
+		return sp, fmt.Errorf("treeWidth %d exceeds limit %d", req.TreeWidth, maxTreeWidth)
+	}
+	if req.Temperature < 0 || req.Temperature > 1 {
+		return sp, fmt.Errorf("temperature %g out of [0,1]", req.Temperature)
+	}
+	// Canonicalize the sizing backend so the key and the session see the
+	// same resolved name regardless of which default filled it in.
+	if req.Backend == "" {
+		req.Backend = defaultBackend
+	}
+	if req.Backend == "" {
+		req.Backend = backend.DefaultName
+	}
+	if _, err := backend.Get(req.Backend); err != nil {
+		return sp, err
+	}
+	if !req.Tune {
+		// An untuned session never runs a backend, so the name must not
+		// split the key.
+		req.Backend = ""
+	}
+	return sp, nil
+}
+
+// Key canonicalizes a resolved request for the result cache, the journal
+// and the router. The spec fields, not the raw group/prompt strings, form
+// the key, so a group request and the equivalent prompt share an entry.
+func (req Request) Key(sp spec.Spec) string {
+	return fmt.Sprintf("design|gain=%g|gbw=%g|pm=%g|pow=%g|cl=%g|rl=%g|vdd=%g|seed=%d|temp=%g|width=%d|tune=%t|chat=%t|verify=%t|backend=%s",
+		sp.MinGainDB, sp.MinGBW, sp.MinPM, sp.MaxPower, sp.CL, sp.RL, sp.VDD,
+		req.Seed, req.Temperature, req.TreeWidth, req.Tune, req.Transcript, req.Verify, req.Backend)
 }
 
 // TrainPipeline builds the dataset at the given scale and trains the

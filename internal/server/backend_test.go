@@ -84,7 +84,7 @@ func TestDesignBackendDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	if resp.Cached {
-		t.Error("different backend served from cache: designKey missing backend")
+		t.Error("different backend served from cache: the design key misses the backend")
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"net/http"
 	"time"
 
+	"artisan/internal/core"
 	"artisan/internal/jobs"
 	"artisan/internal/measure"
 	"artisan/internal/netlist"
@@ -62,10 +63,10 @@ func (s *Server) checkBatchSize(w http.ResponseWriter, n int) bool {
 	return true
 }
 
-// handleDesignBatch serves POST /design/batch: {"items":[DesignRequest…]}.
+// handleDesignBatch serves POST /design/batch: {"items":[core.Request…]}.
 func (s *Server) handleDesignBatch(w http.ResponseWriter, r *http.Request) {
 	var req struct {
-		Items []DesignRequest `json:"items"`
+		Items []core.Request `json:"items"`
 	}
 	if !decodeJSON(w, r, &req) {
 		return
@@ -86,7 +87,7 @@ func (s *Server) handleDesignBatch(w http.ResponseWriter, r *http.Request) {
 		entries []batchEntry
 	)
 	for i := range req.Items {
-		sp, err := s.parseDesignRequest(&req.Items[i])
+		sp, err := req.Items[i].Resolve(s.opts.SizingBackend)
 		if err != nil {
 			invalid = append(invalid, BatchItemResult{Index: i, Error: err.Error()})
 			continue
@@ -104,16 +105,12 @@ func (s *Server) handleDesignBatch(w http.ResponseWriter, r *http.Request) {
 		})
 }
 
-// SimulateBatchItem is one item of a POST /simulate/batch body. It is
-// the SimulateRequest wire form, aliased for the batch envelope docs.
-type SimulateBatchItem = SimulateRequest
-
 // handleSimulateBatch serves POST /simulate/batch: {"items":[{"netlist":…}…]}.
 // Simulations route through the same pool and cache as designs; items
 // with byte-identical netlists (and output node) coalesce to one solve.
 func (s *Server) handleSimulateBatch(w http.ResponseWriter, r *http.Request) {
 	var req struct {
-		Items []SimulateBatchItem `json:"items"`
+		Items []SimulateRequest `json:"items"`
 	}
 	if !decodeJSON(w, r, &req) {
 		return

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"artisan/internal/cluster"
+	"artisan/internal/spec"
 )
 
 // TestTwoNodesBehindRouter drives two real nodes through the consistent-
@@ -109,6 +111,66 @@ func TestTwoNodesBehindRouter(t *testing.T) {
 		served := strings.Contains(scrape(t, s), `route="GET /jobs/{id}"`)
 		if want := s.opts.NodeID == owner; served != want {
 			t.Errorf("node %s served reads of %s: %v, want %v", s.opts.NodeID, accepted.ID, served, want)
+		}
+	}
+}
+
+// TestRouterPlacesEquivalentDesigns: through the router, a body that
+// spells an earlier design differently is served from the cache of the
+// node that ran it.
+func TestRouterPlacesEquivalentDesigns(t *testing.T) {
+	var urls []string
+	for i := 0; i < 2; i++ {
+		s := NewWithOptions(Options{Workers: 1})
+		ts := httptest.NewServer(s)
+		t.Cleanup(func() {
+			ts.Close()
+			_ = s.Shutdown(context.Background())
+		})
+		urls = append(urls, ts.URL)
+	}
+	rt, err := cluster.NewRouter(cluster.RouterConfig{Nodes: urls})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	g1, err := spec.Group("G-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inline, err := json.Marshal(g1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	design := func(body string) DesignResponse {
+		t.Helper()
+		req := httptest.NewRequest("POST", "/design", strings.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		rt.ServeHTTP(rec, req)
+		var resp DesignResponse
+		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &resp) != nil {
+			t.Fatalf("%s: %d %s", body, rec.Code, rec.Body)
+		}
+		return resp
+	}
+	for seed := 1; seed <= 3; seed++ {
+		orig := fmt.Sprintf(`{"group":"G-1","seed":%d}`, seed)
+		if design(orig).Cached {
+			t.Fatalf("%s: first run read cached", orig)
+		}
+		for _, v := range []string{
+			fmt.Sprintf(`{"group":"G-1","seed":%d,"backend":"ga"}`, seed),
+			fmt.Sprintf(`{"group":"G-1","seed":%d,"tune":false}`, seed),
+			fmt.Sprintf(`{"group":"G-1","seed":%d,"treeWidth":1}`, seed),
+			fmt.Sprintf(`{"group":"G-1","seed":%d,"temperature":0}`, seed),
+			fmt.Sprintf(`{"group":"G-1","seed":%d,"note":"again"}`, seed),
+			fmt.Sprintf("{ \"seed\" : %d,\n\t\"group\" : \"G-1\" }", seed),
+			fmt.Sprintf(`{"spec":%s,"seed":%d}`, inline, seed),
+		} {
+			if !design(v).Cached {
+				t.Errorf("%s after %s: not cached", v, orig)
+			}
 		}
 	}
 }

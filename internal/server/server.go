@@ -39,12 +39,8 @@ import (
 	"artisan/internal/telemetry"
 )
 
-// Resource guards: every POST body is bounded, and so is the
-// client-requested ToT width.
-const (
-	maxBodyBytes = 1 << 20 // 1 MiB
-	maxTreeWidth = 4
-)
+// maxBodyBytes bounds every POST body.
+const maxBodyBytes = 1 << 20 // 1 MiB
 
 // traceCapacity bounds the ring buffer of recent design traces served by
 // GET /traces.
@@ -572,29 +568,8 @@ func (s *Server) handleArchitectures(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// DesignRequest is the POST /design and POST /jobs body (and one item
-// of a POST /design/batch).
-type DesignRequest struct {
-	Group  string `json:"group,omitempty"`
-	Prompt string `json:"prompt,omitempty"`
-	// Spec is a full custom specification in the GET /groups wire form,
-	// strictly decoded and range-validated by spec.ParseJSON. It takes
-	// precedence over Group and Prompt.
-	Spec        json.RawMessage `json:"spec,omitempty"`
-	Seed        int64           `json:"seed,omitempty"`
-	Temperature float64         `json:"temperature,omitempty"`
-	TreeWidth   int             `json:"treeWidth,omitempty"`
-	Tune        bool            `json:"tune,omitempty"`
-	Transcript  bool            `json:"transcript,omitempty"`
-	// Verify runs the groundedness verifier over the session transcript
-	// against the produced netlist and returns its report — the serving-
-	// tier hook of the generative benchmark harness.
-	Verify bool `json:"verify,omitempty"`
-	// Backend selects the sizing backend for tuned requests ("bo", "ga",
-	// "whitebox", "hybrid"). Empty falls back to the server's configured
-	// default. Validated on every request, ignored unless Tune is set.
-	Backend string `json:"backend,omitempty"`
-}
+// DesignRequest names core.Request, the design body, for this package's clients.
+type DesignRequest = core.Request
 
 // DesignResponse is the POST /design reply (and the result payload of a
 // finished design job).
@@ -644,67 +619,12 @@ type modeledDurations struct {
 	Artisan string `json:"artisan"`
 }
 
-// parseDesignRequest validates a decoded request and resolves its spec.
-// A non-nil error carries the HTTP status to write.
-func (s *Server) parseDesignRequest(req *DesignRequest) (spec.Spec, error) {
-	var sp spec.Spec
-	var err error
-	switch {
-	case len(req.Spec) > 0:
-		sp, err = spec.ParseJSON(req.Spec)
-	case req.Group != "":
-		sp, err = spec.Group(req.Group)
-	case req.Prompt != "":
-		sp, err = core.ParsePrompt(req.Prompt)
-	default:
-		err = fmt.Errorf("provide spec, group, or prompt")
-	}
-	if err != nil {
-		return sp, err
-	}
-	if req.TreeWidth < 1 {
-		req.TreeWidth = 1
-	}
-	if req.TreeWidth > maxTreeWidth {
-		return sp, fmt.Errorf("treeWidth %d exceeds limit %d", req.TreeWidth, maxTreeWidth)
-	}
-	if req.Temperature < 0 || req.Temperature > 1 {
-		return sp, fmt.Errorf("temperature %g out of [0,1]", req.Temperature)
-	}
-	// Canonicalize the sizing backend so the cache key and the session see
-	// the same resolved name regardless of which default filled it in.
-	if req.Backend == "" {
-		req.Backend = s.opts.SizingBackend
-	}
-	if req.Backend == "" {
-		req.Backend = backend.DefaultName
-	}
-	if _, err := backend.Get(req.Backend); err != nil {
-		return sp, err
-	}
-	if !req.Tune {
-		// An untuned session never runs a backend, so the name must not
-		// split the cache.
-		req.Backend = ""
-	}
-	return sp, nil
-}
-
-// designKey canonicalizes (spec, options, seed) for the result cache.
-// The spec fields — not the raw group/prompt strings — form the key, so
-// a group request and the equivalent prompt request share an entry.
-func designKey(sp spec.Spec, req DesignRequest) string {
-	return fmt.Sprintf("design|gain=%g|gbw=%g|pm=%g|pow=%g|cl=%g|rl=%g|vdd=%g|seed=%d|temp=%g|width=%d|tune=%t|chat=%t|verify=%t|backend=%s",
-		sp.MinGainDB, sp.MinGBW, sp.MinPM, sp.MaxPower, sp.CL, sp.RL, sp.VDD,
-		req.Seed, req.Temperature, req.TreeWidth, req.Tune, req.Transcript, req.Verify, req.Backend)
-}
-
 // designFunc builds the pool job that runs the full workflow with the
 // service's resilience ladder attached. Each run is traced into the
 // server's ring buffer under a "server.design" root span (carrying the
 // originating request id) and counted into artisan_designs_total and the
 // design-duration histogram.
-func (s *Server) designFunc(sp spec.Spec, req DesignRequest, requestID string) jobs.Func {
+func (s *Server) designFunc(sp spec.Spec, req core.Request, requestID string) jobs.Func {
 	group := req.Group
 	if group == "" {
 		group = "custom"
@@ -826,8 +746,8 @@ func (s *Server) designFunc(sp spec.Spec, req DesignRequest, requestID string) j
 // persistedDesign is the journaled payload of one design job — enough
 // to re-derive the jobs.Func after a restart.
 type persistedDesign struct {
-	Req       DesignRequest `json:"req"`
-	RequestID string        `json:"requestID,omitempty"`
+	Req       core.Request `json:"req"`
+	RequestID string       `json:"requestID,omitempty"`
 	// DeadlineUnixMs is the submitting client's end-to-end budget as a
 	// wall-clock instant (0 = none). Journaled so a replay after a crash
 	// still honours it: a job whose client gave up mid-outage is
@@ -850,7 +770,7 @@ func (s *Server) runPersistedDesign(ctx context.Context, payload json.RawMessage
 		// same terminal state an expired queued job gets.
 		return nil, fmt.Errorf("server: deadline budget exhausted before replayed run: %w", context.Canceled)
 	}
-	sp, err := s.parseDesignRequest(&pd.Req)
+	sp, err := pd.Req.Resolve(s.opts.SizingBackend)
 	if err != nil {
 		return nil, fmt.Errorf("server: persisted design no longer valid: %w", err)
 	}
@@ -879,9 +799,9 @@ func deadlineOf(r *http.Request) time.Time {
 
 // submitDesignJob enqueues one parsed design request, through the
 // persistent store when enabled.
-func (s *Server) submitDesignJob(sp spec.Spec, req DesignRequest, requestID string, coalesce bool, deadline time.Time) (*jobs.Job, bool, error) {
+func (s *Server) submitDesignJob(sp spec.Spec, req core.Request, requestID string, coalesce bool, deadline time.Time) (*jobs.Job, bool, error) {
 	opts := jobs.SubmitOpts{
-		Key: designKey(sp, req), RequestID: requestID,
+		Key: req.Key(sp), RequestID: requestID,
 		Coalesce: coalesce, Deadline: deadline,
 	}
 	if s.persist != nil {
@@ -901,11 +821,11 @@ func (s *Server) submitDesignJob(sp spec.Spec, req DesignRequest, requestID stri
 // submitDesign validates, canonicalizes, admits, and enqueues a design
 // request.
 func (s *Server) submitDesign(w http.ResponseWriter, r *http.Request) (*jobs.Job, bool) {
-	var req DesignRequest
+	var req core.Request
 	if !decodeJSON(w, r, &req) {
 		return nil, false
 	}
-	sp, err := s.parseDesignRequest(&req)
+	sp, err := req.Resolve(s.opts.SizingBackend)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return nil, false

@@ -37,22 +37,24 @@ go test ./internal/resilience/... -race -count=2
 go test ./internal/chaos -race -count=2
 
 # Fuzz smoke: 10 s of coverage-guided input generation per target over
-# the parsers that face raw bytes (SPICE netlists, spec JSON, the journal
-# replay path and topology JSON), the white-box seed and gm/Id mapping
-# that consume decoded topologies, the metric extraction over scaled
-# generated circuits against the full-sweep oracle (the simulator's
-# assembly and real-s determinant paths, and the one-pass analysis), the
-# eigenvalue pole and zero find over scaled generated circuits against
-# the Aberth oracle, the bounded expected-improvement pick against
-# scoring every candidate, and the calculator, whose parse cache must
-# answer as a fresh parse does, seeded from the checked-in corpus under
-# testdata/fuzz/.
+# the parsers that face raw bytes (SPICE netlists, spec JSON, the design
+# request the router resolves from client bodies, whose key must survive
+# a re-encode, the journal replay path and topology JSON), the white-box
+# seed and gm/Id mapping that consume decoded topologies, the metric
+# extraction over scaled generated circuits against the full-sweep
+# oracle (the simulator's assembly and real-s determinant paths, and the
+# one-pass analysis), the eigenvalue pole and zero find over scaled
+# generated circuits against the Aberth oracle, the bounded
+# expected-improvement pick against scoring every candidate, and the
+# calculator, whose parse cache must answer as a fresh parse does, seeded
+# from the checked-in corpus under testdata/fuzz/.
 # Crashers land in testdata/fuzz/<Target>/ and fail this gate until
 # fixed.
 for target in \
     'FuzzParse ./internal/netlist' \
     'FuzzDeviceLineRoundTrip ./internal/netlist' \
     'FuzzSpecJSON ./internal/spec' \
+    'FuzzRequest ./internal/core' \
     'FuzzJournalReplay ./internal/cluster' \
     'FuzzFromJSON ./internal/topology' \
     'FuzzSeed ./internal/backend' \
