@@ -177,12 +177,12 @@ func run(cfg config, w io.Writer) ([]phaseResult, error) {
 	// onePhase measures a single repetition against a fresh target (equal,
 	// cold cache state every time).
 	onePhase := func(mode string) (phaseResult, error) {
-		base, shutdown := cfg.target()
+		base, shutdown, err := cfg.target()
+		if err != nil {
+			return phaseResult{}, err
+		}
 		defer shutdown()
-		var (
-			res phaseResult
-			err error
-		)
+		var res phaseResult
 		switch mode {
 		case "single":
 			res, err = runSingle(base, items, cfg)
@@ -249,17 +249,20 @@ func run(cfg config, w io.Writer) ([]phaseResult, error) {
 // target returns the base URL to drive and its teardown. With no -url an
 // in-process server is started — one per phase, so compare runs measure
 // both paths against identical (cold) cache state.
-func (c config) target() (string, func()) {
+func (c config) target() (string, func(), error) {
 	if c.url != "" {
-		return strings.TrimRight(c.url, "/"), func() {}
+		return strings.TrimRight(c.url, "/"), func() {}, nil
 	}
-	svc := server.NewWithOptions(server.Options{
+	svc, err := server.NewServer(server.Options{
 		Workers:  c.workers,
 		Queue:    c.n + c.batch,
 		MaxBatch: c.batch,
 	})
+	if err != nil {
+		return "", nil, err
+	}
 	ts := httptest.NewServer(svc)
-	return ts.URL, ts.Close
+	return ts.URL, ts.Close, nil
 }
 
 // makeWorkload builds the deterministic request mix: round(n*(1-dup))

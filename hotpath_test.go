@@ -57,7 +57,10 @@ func TestHotPathAllocs(t *testing.T) {
 	g5, _ := spec.Group("G-5")
 	// A node with a journal, as deployed; the gate's warm-up call runs the
 	// design and every counted call is served from the cache.
-	srv := server.NewWithOptions(server.Options{Workers: 1, DataDir: t.TempDir()})
+	srv, err := server.NewServer(server.Options{Workers: 1, DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer func() {
 		if err := srv.Shutdown(ctx); err != nil {
 			t.Error(err)
@@ -76,7 +79,10 @@ func TestHotPathAllocs(t *testing.T) {
 	// not for an hour; the gate waits for that probe to name the node
 	// before it counts.
 	vnet := chaos.NewVNet()
-	node := server.NewWithOptions(server.Options{Workers: 1, DataDir: t.TempDir(), NodeID: "n1"})
+	node, err := server.NewServer(server.Options{Workers: 1, DataDir: t.TempDir(), NodeID: "n1"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer func() {
 		if err := node.Shutdown(ctx); err != nil {
 			t.Error(err)
@@ -175,8 +181,10 @@ func TestHotPathAllocs(t *testing.T) {
 			_, err := a.Design(ctx, g1)
 			return err
 		}},
-		{"DesignHandler/cached", 64, postDesign},
-		{"RoutedDesign/cached", 128, routeDesign},
+		// The node reads its body whole and decodes it with one
+		// json.Unmarshal, as the router does (cluster.ReadBody).
+		{"DesignHandler/cached", 63, postDesign},
+		{"RoutedDesign/cached", 127, routeDesign},
 	}
 	// One trial per sizing backend on the reference NMC under G-1's load
 	// (budget 60, seed 3), and one tuned session: BenchmarkAblationTuning's

@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"os"
 	"strconv"
-	"strings"
 
 	"artisan/internal/cluster"
+	"artisan/internal/jobs"
 )
 
 // Violation is one invariant breach, phrased for a human debugging the
@@ -57,7 +57,7 @@ func isTerminal(op cluster.Op) bool {
 // nodeOf extracts the owning node index from a fleet job id
 // ("n2-j-17" → 2); -1 when the id does not parse.
 func nodeOf(id string) int {
-	prefix, _, ok := strings.Cut(id, "-j-")
+	prefix, _, ok := jobs.ParseID(id)
 	if !ok || len(prefix) < 2 || prefix[0] != 'n' {
 		return -1
 	}

@@ -72,10 +72,6 @@ type AdmissionConfig struct {
 	// Burst is the bucket depth — the instantaneous excursion a tenant is
 	// allowed above the sustained rate. Default 2*Rate (min 1).
 	Burst float64
-	// MaxTenants bounds the tenant table so an attacker cannot exhaust
-	// memory by inventing tenant names; beyond it, new tenants share the
-	// overflow bucket. Default 1024.
-	MaxTenants int
 	// Now is the clock; tests substitute a fake. Default time.Now.
 	Now func() time.Time
 }
@@ -84,16 +80,18 @@ func (c AdmissionConfig) withDefaults() AdmissionConfig {
 	if c.Burst <= 0 {
 		c.Burst = math.Max(1, 2*c.Rate)
 	}
-	if c.MaxTenants < 1 {
-		c.MaxTenants = 1024
-	}
 	if c.Now == nil {
 		c.Now = time.Now
 	}
 	return c
 }
 
-// overflowTenant is the shared bucket for tenants beyond MaxTenants.
+// maxTenants bounds the tenant table so an attacker cannot exhaust
+// memory by inventing tenant names; beyond it, new tenants share the
+// overflow bucket.
+const maxTenants = 1024
+
+// overflowTenant is the shared bucket for tenants beyond maxTenants.
 const overflowTenant = "!overflow"
 
 // Admission is the per-tenant admission controller: one token bucket
@@ -135,7 +133,7 @@ func (a *Admission) tenant(name string) *tenantState {
 	if t, ok := a.tenants[name]; ok {
 		return t
 	}
-	if len(a.tenants) >= a.cfg.MaxTenants {
+	if len(a.tenants) >= maxTenants {
 		if t, ok := a.tenants[overflowTenant]; ok {
 			return t
 		}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -110,24 +111,26 @@ func TestAdmissionTenantIsolation(t *testing.T) {
 	}
 }
 
-// TestAdmissionOverflowTenant: beyond MaxTenants, new tenant names share
+// TestAdmissionOverflowTenant: beyond maxTenants, new tenant names share
 // one overflow bucket instead of growing the table without bound.
 func TestAdmissionOverflowTenant(t *testing.T) {
 	clk := newFakeClock()
-	a := NewAdmission(AdmissionConfig{Rate: 1, Burst: 1, MaxTenants: 2, Now: clk.now})
-	q := NewPQueue(8, 1, nil)
-	admitN(a, q, "t1", 1)
-	admitN(a, q, "t2", 1)
-	// Table full: t3 and t4 share the overflow bucket (burst 1 total).
-	if d, _ := admitN(a, q, "t3", 1); !d.OK {
+	a := NewAdmission(AdmissionConfig{Rate: 1, Burst: 1, Now: clk.now})
+	q := NewPQueue(maxTenants+2, 1, nil)
+	for i := 1; i <= maxTenants; i++ {
+		admitN(a, q, fmt.Sprintf("t%d", i), 1)
+	}
+	// Table full: the next two tenants share the overflow bucket (burst 1
+	// total).
+	if d, _ := admitN(a, q, "late1", 1); !d.OK {
 		t.Fatal("first overflow take refused")
 	}
-	if d, _ := admitN(a, q, "t4", 1); d.OK {
-		t.Fatal("overflow bucket should be shared — t4 must be refused after t3 drained it")
+	if d, _ := admitN(a, q, "late2", 1); d.OK {
+		t.Fatal("overflow bucket should be shared — late2 must be refused after late1 drained it")
 	}
 	snap := a.Snapshot()
-	if len(snap) != 3 {
-		t.Fatalf("tenant table grew to %d entries, want 2 + overflow", len(snap))
+	if len(snap) != maxTenants+1 {
+		t.Fatalf("tenant table grew to %d entries, want %d + overflow", len(snap), maxTenants)
 	}
 	if snap[0].Tenant != overflowTenant {
 		t.Fatalf("Snapshot[0] = %q, want the overflow tenant first (sorts before letters)", snap[0].Tenant)
@@ -138,9 +141,6 @@ func TestAdmissionDefaults(t *testing.T) {
 	cfg := AdmissionConfig{Rate: 5}.withDefaults()
 	if cfg.Burst != 10 {
 		t.Errorf("default Burst = %g, want 2*Rate", cfg.Burst)
-	}
-	if cfg.MaxTenants != 1024 {
-		t.Errorf("default MaxTenants = %d", cfg.MaxTenants)
 	}
 	if cfg.Now == nil {
 		t.Error("default Now missing")

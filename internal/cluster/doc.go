@@ -20,6 +20,9 @@
 //     to the owning shard by key. It keeps membership by health checks,
 //     retries onto the next ring candidate with backoff and a per-node
 //     breaker when a node is down, and passes X-Request-ID through.
+//   - ReadBody / WriteJSON / WriteError: the one POST body reader (at
+//     most MaxBodyBytes, 413 over it) and the one JSON reply and
+//     {"error":…} body, shared by the router and every node.
 //
 // Everything here is stdlib-only, like the rest of the repo.
 package cluster

@@ -168,14 +168,17 @@ type ReplayStats struct {
 	Interrupted int `json:"interrupted"`
 }
 
-// Replay rebuilds serving state from the jobs OpenStore recovered:
-// journaled done results are decoded and re-installed in the result
-// cache under their original keys, then queued and interrupted jobs are
-// resubmitted in their original order. Jobs whose key now hits the
-// warmed cache complete instantly without re-running. Call once, before
-// serving traffic.
+// Replay rebuilds serving state from the jobs OpenStore recovered. It
+// first reserves every journaled job id, so the manager never mints an
+// id the journal already holds (a reused id would merge two unrelated
+// jobs' histories). Journaled done results are then decoded and
+// re-installed in the result cache under their original keys, and
+// queued and interrupted jobs are resubmitted in their original order.
+// Jobs whose key now hits the warmed cache complete instantly without
+// re-running. Call once, before serving traffic.
 func (p *PersistentManager) Replay(rec Recovered) (ReplayStats, error) {
 	var stats ReplayStats
+	p.m.ReserveIDs(rec.IDs)
 	for _, d := range rec.Done {
 		if d.Key == "" || len(d.Result) == 0 || p.ex.Decode == nil {
 			continue

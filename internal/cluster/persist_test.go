@@ -406,3 +406,51 @@ func TestPersistCloseJournalsResults(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayReservesJournaledIDs: Replay reserves every id the journal
+// holds, so a restarted node mints its next id past them and never
+// reuses a journaled one, even with "-j-" inside its node id.
+func TestReplayReservesJournaledIDs(t *testing.T) {
+	dir := t.TempDir()
+	store, _, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []Record{
+		{Op: OpSubmit, ID: "eu-j-1-j-7", Key: "k7", Payload: payloadFor(7)},
+		{Op: OpDone, ID: "eu-j-1-j-7", Result: json.RawMessage(`14`)},
+		{Op: OpSubmit, ID: "eu-j-1-j-3", Key: "k3", Payload: payloadFor(3)},
+	} {
+		if err := store.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	store2, rec2, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := jobs.NewManager(jobs.Config{Workers: 1, Queue: 8, IDPrefix: "eu-j-1"})
+	pm := NewPersistentManager(m, store2, testExecutor(newRunCounter(), nil, nil))
+	if _, err := pm.Replay(rec2); err != nil {
+		t.Fatal(err)
+	}
+	j, _, err := pm.Submit(payloadFor(9), jobs.SubmitOpts{Key: "k9"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The resubmitted pending job took eu-j-1-j-8 in memory; the fresh
+	// submission is the next one.
+	if j.ID() != "eu-j-1-j-9" {
+		t.Errorf("new job id %q, want eu-j-1-j-9", j.ID())
+	}
+	if err := m.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := pm.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

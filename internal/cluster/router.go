@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"artisan/internal/core"
+	"artisan/internal/jobs"
 	"artisan/internal/resilience"
 	"artisan/internal/telemetry"
 )
@@ -27,6 +28,41 @@ import (
 // candidate node after two slow failures inherits only what is left of
 // the client's patience, not a fresh allowance.
 const DeadlineHeader = "X-Deadline-Ms"
+
+// MaxBodyBytes bounds every POST body a node or the router reads, and
+// every upstream reply the router buffers.
+const MaxBodyBytes = 1 << 20 // 1 MiB
+
+// ReadBody reads r's body whole, at most MaxBodyBytes of it. When it
+// reports false it has already answered: 413 for a body over the bound,
+// 400 for a failed read.
+func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	if err == nil {
+		return body, true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		WriteError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", tooBig.Limit))
+	} else {
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
+	}
+	return nil, false
+}
+
+// WriteJSON answers with status and v encoded as the JSON body.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	// The status is sent; an encode error means the client is gone.
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// WriteError answers with status and the error body node and router
+// both send, {"error":"<err>"}.
+func WriteError(w http.ResponseWriter, status int, err error) {
+	WriteJSON(w, status, map[string]string{"error": err.Error()})
+}
 
 // RouterConfig tunes a Router.
 type RouterConfig struct {
@@ -49,10 +85,6 @@ type RouterConfig struct {
 	// Client is the forwarding HTTP client; default has no global timeout
 	// (batch streams are long-lived) — per-request contexts bound it.
 	Client *http.Client
-	// Registry, when non-nil, receives the router's metrics.
-	Registry *telemetry.Registry
-	// MaxBody bounds a proxied request body; default 1 MiB.
-	MaxBody int64
 	// HedgeDelay is how long a hedgeable read (GET /jobs/{id}, the
 	// per-node /stats fetch) waits before a second request is launched
 	// against the rest of the fleet. Default 25ms; negative disables
@@ -62,9 +94,6 @@ type RouterConfig struct {
 	// requests that arrive without one. 0 leaves unbudgeted requests
 	// unbounded (the pre-deadline behaviour).
 	DefaultDeadline time.Duration
-	// Counters, when non-nil, receives the router's resilience events
-	// (hedges). Default: a private set, still surfaced on /metrics.
-	Counters *resilience.Counters
 }
 
 func (c RouterConfig) withDefaults() RouterConfig {
@@ -91,9 +120,6 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	if c.HedgeDelay == 0 {
 		c.HedgeDelay = 25 * time.Millisecond
 	}
-	if c.Counters == nil {
-		c.Counters = &resilience.Counters{}
-	}
 	if c.BreakerThreshold < 1 {
 		c.BreakerThreshold = 3
 	}
@@ -102,9 +128,6 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	}
 	if c.Client == nil {
 		c.Client = &http.Client{}
-	}
-	if c.MaxBody <= 0 {
-		c.MaxBody = 1 << 20
 	}
 	return c
 }
@@ -161,6 +184,10 @@ type Router struct {
 	// re-synchronizing the very storm the jitter exists to break up.
 	reqSeq atomic.Int64
 
+	// counters holds the router's resilience events (hedges), read by
+	// /metrics.
+	counters resilience.Counters
+
 	reg             *telemetry.Registry
 	proxied         *telemetry.CounterVec // node, outcome
 	retries         *telemetry.Counter
@@ -200,18 +227,16 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		}
 		rt.ring.Add(u)
 	}
-	rt.initMetrics(cfg.Registry)
+	rt.initMetrics()
 	rt.routes()
 	rt.stopWG.Add(1)
 	go rt.healthLoop()
 	return rt, nil
 }
 
-func (rt *Router) initMetrics(reg *telemetry.Registry) {
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
-	rt.reg = reg
+func (rt *Router) initMetrics() {
+	rt.reg = telemetry.NewRegistry()
+	reg := rt.reg
 	rt.proxied = reg.CounterVec("artisan_router_proxied_total",
 		"Requests proxied to worker nodes, by node URL and outcome (ok|error).",
 		"node", "outcome")
@@ -223,7 +248,7 @@ func (rt *Router) initMetrics(reg *telemetry.Registry) {
 		"Requests whose end-to-end deadline budget ran out before any node answered.")
 	reg.CounterFunc("artisan_router_hedges_total",
 		"Hedged second reads launched after the primary exceeded the hedge delay.",
-		func() float64 { return float64(rt.cfg.Counters.Hedges.Load()) })
+		func() float64 { return float64(rt.counters.Hedges.Load()) })
 	reg.GaugeFunc("artisan_router_nodes_healthy",
 		"Worker nodes currently in the ring.",
 		func() float64 { return float64(rt.ring.Size()) })
@@ -254,9 +279,6 @@ func (rt *Router) routes() {
 
 // ServeHTTP implements http.Handler.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.mux.ServeHTTP(w, r) }
-
-// Registry exposes the router's metrics registry.
-func (rt *Router) Registry() *telemetry.Registry { return rt.reg }
 
 // Close stops the health-check loop.
 func (rt *Router) Close() {
@@ -378,13 +400,8 @@ func (rt *Router) budgetCtx(r *http.Request) (context.Context, time.Time, contex
 // over clockwise around the ring (with the retry policy's backoff and
 // each node's breaker) while nodes are down.
 func (rt *Router) handleSharded(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, rt.cfg.MaxBody+1))
-	if err != nil {
-		writeRouterErr(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
-		return
-	}
-	if int64(len(body)) > rt.cfg.MaxBody {
-		writeRouterErr(w, http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", rt.cfg.MaxBody))
+	body, ok := ReadBody(w, r)
+	if !ok {
 		return
 	}
 	candidates := rt.ring.Owners(placeKey(r.URL.Path, body), len(rt.nodes))
@@ -401,7 +418,7 @@ func (rt *Router) handleSharded(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) forward(w http.ResponseWriter, r *http.Request, candidates []string, body []byte) {
 	if len(candidates) == 0 {
 		rt.rejected.Inc()
-		writeRouterErr(w, http.StatusServiceUnavailable, errNoHealthyNode)
+		WriteError(w, http.StatusServiceUnavailable, errNoHealthyNode)
 		return
 	}
 	ctx, deadline, cancel := rt.budgetCtx(r)
@@ -448,7 +465,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, candidates []s
 			rt.deadlineExpired.Inc()
 			status = http.StatusGatewayTimeout
 		}
-		writeRouterErr(w, status, err)
+		WriteError(w, status, err)
 	}
 }
 
@@ -541,10 +558,6 @@ func copyResponse(w http.ResponseWriter, resp *http.Response) {
 	}
 }
 
-func writeRouterErr(w http.ResponseWriter, status int, err error) {
-	writeRouterJSON(w, status, map[string]string{"error": err.Error()})
-}
-
 // healthyNodes returns the healthy node set in stable (URL-sorted)
 // order.
 func (rt *Router) healthyNodes() []*routerNode {
@@ -600,7 +613,7 @@ func (rt *Router) capture(ctx context.Context, n *routerNode, r *http.Request) (
 		return nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, rt.cfg.MaxBody))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, MaxBodyBytes))
 	if err != nil {
 		rt.proxied.With(n.url, "error").Inc()
 		return nil, err
@@ -629,14 +642,15 @@ func (rt *Router) sweepJobRead(ctx context.Context, r *http.Request, nodes []*ro
 
 // handleJobByID routes a job poll/cancel to the node that owns the id:
 // with -node-id set, worker job ids are "<node>-j-<n>" and the prefix
-// names the owner; without a prefix match the request fans out until a
-// node answers something other than 404. Polls (GET) of a known owner
-// are hedged: when the owner sits on the request past HedgeDelay, a
-// sweep of the rest of the fleet races it and the first answer wins.
+// jobs.ParseID reads names the owner; without a prefix match the request
+// fans out until a node answers something other than 404. Polls (GET)
+// of a known owner are hedged: when the owner sits on the request past
+// HedgeDelay, a sweep of the rest of the fleet races it and the first
+// answer wins.
 func (rt *Router) handleJobByID(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	healthy := rt.healthyNodes()
-	if node, pre, ok := strings.Cut(id, "-j-"); ok && pre != "" {
+	if node, _, ok := jobs.ParseID(id); ok && node != "" {
 		for _, n := range healthy {
 			if n.id() == node {
 				if r.Method == http.MethodGet && rt.cfg.HedgeDelay > 0 && len(healthy) > 1 {
@@ -653,7 +667,7 @@ func (rt *Router) handleJobByID(w http.ResponseWriter, r *http.Request) {
 		writeCaptured(w, c)
 		return
 	}
-	writeRouterErr(w, http.StatusNotFound, fmt.Errorf("no node owns job %s", id))
+	WriteError(w, http.StatusNotFound, fmt.Errorf("no node owns job %s", id))
 }
 
 // hedgedJobRead races the owner against a sweep of the other nodes.
@@ -671,9 +685,9 @@ func (rt *Router) hedgedJobRead(w http.ResponseWriter, r *http.Request, owner *r
 		}
 		return nil, fmt.Errorf("cluster: hedge sweep: no other node had the job")
 	}
-	c, err := resilience.Hedge(r.Context(), rt.cfg.HedgeDelay, rt.cfg.Counters, primary, secondary)
+	c, err := resilience.Hedge(r.Context(), rt.cfg.HedgeDelay, &rt.counters, primary, secondary)
 	if err != nil {
-		writeRouterErr(w, http.StatusBadGateway, err)
+		WriteError(w, http.StatusBadGateway, err)
 		return
 	}
 	writeCaptured(w, c)
@@ -692,9 +706,9 @@ type nodeReply struct {
 }
 
 // fanout sends r to every node at once and returns their replies in URL
-// order. Each fetch runs under HealthTimeout, reads at most MaxBody and
-// must return JSON. With hedge set (and a positive HedgeDelay) a second
-// identical fetch races a slow first one.
+// order. Each fetch runs under HealthTimeout, reads at most MaxBodyBytes
+// and must return JSON. With hedge set (and a positive HedgeDelay) a
+// second identical fetch races a slow first one.
 func (rt *Router) fanout(r *http.Request, nodes []*routerNode, hedge bool) []nodeReply {
 	out := make([]nodeReply, len(nodes))
 	var wg sync.WaitGroup
@@ -711,7 +725,7 @@ func (rt *Router) fanout(r *http.Request, nodes []*routerNode, hedge bool) []nod
 					return nil, err
 				}
 				defer resp.Body.Close()
-				blob, err := io.ReadAll(io.LimitReader(resp.Body, rt.cfg.MaxBody))
+				blob, err := io.ReadAll(io.LimitReader(resp.Body, MaxBodyBytes))
 				if err != nil {
 					return nil, err
 				}
@@ -721,7 +735,7 @@ func (rt *Router) fanout(r *http.Request, nodes []*routerNode, hedge bool) []nod
 				return blob, nil
 			}
 			if hedge && rt.cfg.HedgeDelay > 0 {
-				rep.body, rep.err = resilience.Hedge(r.Context(), rt.cfg.HedgeDelay, rt.cfg.Counters, fetch, fetch)
+				rep.body, rep.err = resilience.Hedge(r.Context(), rt.cfg.HedgeDelay, &rt.counters, fetch, fetch)
 			} else {
 				rep.body, rep.err = fetch(r.Context())
 			}
@@ -746,7 +760,7 @@ func (rt *Router) handleJobsFanout(w http.ResponseWriter, r *http.Request) {
 			out = append(out, nodeJobs{Node: rep.node.id(), URL: rep.node.url, Body: rep.body})
 		}
 	}
-	writeRouterJSON(w, http.StatusOK, map[string]any{"nodes": out})
+	WriteJSON(w, http.StatusOK, map[string]any{"nodes": out})
 }
 
 // handleStatsFanout merges GET /stats from every node (down nodes are
@@ -776,7 +790,7 @@ func (rt *Router) handleStatsFanout(w http.ResponseWriter, r *http.Request) {
 		}
 		out = append(out, st)
 	}
-	writeRouterJSON(w, http.StatusOK, map[string]any{"nodes": out})
+	WriteJSON(w, http.StatusOK, map[string]any{"nodes": out})
 }
 
 // handleHealth reports the router's own health: 200 while at least one
@@ -804,13 +818,7 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusServiceUnavailable
 		state = "no-healthy-nodes"
 	}
-	writeRouterJSON(w, status, map[string]any{
+	WriteJSON(w, status, map[string]any{
 		"status": state, "healthy": healthy, "total": len(rt.nodes), "nodes": nodes,
 	})
-}
-
-func writeRouterJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
 }

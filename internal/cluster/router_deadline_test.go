@@ -147,13 +147,11 @@ func TestRouterHedgedJobRead(t *testing.T) {
 	owner := mkWorker("n1", 250*time.Millisecond)
 	fast := mkWorker("n2", 0)
 
-	ctrs := &resilience.Counters{}
 	rt, err := NewRouter(RouterConfig{
 		Nodes:          []string{owner.URL, fast.URL},
 		HealthInterval: 10 * time.Millisecond,
 		HealthTimeout:  time.Second,
 		HedgeDelay:     5 * time.Millisecond,
-		Counters:       ctrs,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -183,8 +181,8 @@ func TestRouterHedgedJobRead(t *testing.T) {
 	if elapsed >= 250*time.Millisecond {
 		t.Fatalf("poll took %s; hedge did not race the slow owner", elapsed)
 	}
-	if ctrs.Hedges.Load() < 1 {
-		t.Fatal("hedge launched but Counters.Hedges did not tick")
+	if rt.counters.Hedges.Load() < 1 {
+		t.Fatal("hedge launched but the router's Hedges counter did not tick")
 	}
 	if slowHits.Load() < 1 {
 		t.Fatal("owner was never tried; hedge must race, not replace, the primary")

@@ -25,6 +25,8 @@ type fakeWorker struct {
 	id       string
 	draining atomic.Bool
 	hits     atomic.Int64
+	// jobDelay (ns) holds each /jobs/{id} answer back.
+	jobDelay atomic.Int64
 	srv      *httptest.Server
 }
 
@@ -50,15 +52,18 @@ func newFakeWorker(t *testing.T, id string) *fakeWorker {
 	}
 	mux.HandleFunc("POST /design", echo)
 	mux.HandleFunc("POST /jobs", echo)
-	mux.HandleFunc("GET /jobs/{id}", func(rw http.ResponseWriter, r *http.Request) {
+	job := func(rw http.ResponseWriter, r *http.Request) {
 		w.hits.Add(1)
+		time.Sleep(time.Duration(w.jobDelay.Load()))
 		id := r.PathValue("id")
 		if !strings.HasPrefix(id, w.id+"-j-") {
 			http.Error(rw, `{"error":"not found"}`, http.StatusNotFound)
 			return
 		}
 		_ = json.NewEncoder(rw).Encode(map[string]string{"node": w.id, "job": id})
-	})
+	}
+	mux.HandleFunc("GET /jobs/{id}", job)
+	mux.HandleFunc("DELETE /jobs/{id}", job)
 	mux.HandleFunc("GET /stats", func(rw http.ResponseWriter, r *http.Request) {
 		_ = json.NewEncoder(rw).Encode(map[string]string{"node": w.id})
 	})
@@ -161,11 +166,11 @@ func TestPlaceKeyEquivalentBodies(t *testing.T) {
 	}
 }
 
-// TestRouterOversizeBodyJSON: a body over MaxBody is refused at the
+// TestRouterOversizeBodyJSON: a body over MaxBodyBytes is refused at the
 // router with 413 and the JSON error body a node would send.
 func TestRouterOversizeBodyJSON(t *testing.T) {
 	w1 := newFakeWorker(t, "n1")
-	rt, err := NewRouter(RouterConfig{Nodes: []string{w1.srv.URL}, MaxBody: 64})
+	rt, err := NewRouter(RouterConfig{Nodes: []string{w1.srv.URL}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +178,7 @@ func TestRouterOversizeBodyJSON(t *testing.T) {
 	front := httptest.NewServer(rt)
 	defer front.Close()
 
-	status, out, hdr := postJSON(t, front.URL+"/design", fmt.Sprintf(`{"prompt":%q}`, strings.Repeat("x", 64)))
+	status, out, hdr := postJSON(t, front.URL+"/design", fmt.Sprintf(`{"prompt":%q}`, strings.Repeat("x", MaxBodyBytes)))
 	if status != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status %d, want 413", status)
 	}
@@ -408,6 +413,59 @@ func TestRouterJobByIDPrefixRouting(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown job id = %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestRouterJobIDNodeWithSeparator: a node id may itself contain "-j-".
+// A poll of one of its jobs is routed to it and hedged, and a cancel
+// reaches it and no other node.
+func TestRouterJobIDNodeWithSeparator(t *testing.T) {
+	owner, other := newFakeWorker(t, "eu-j-1"), newFakeWorker(t, "us")
+	rt := newTestRouter(t, owner, other)
+	front := httptest.NewServer(rt)
+	defer front.Close()
+	waitForCond(t, func() bool {
+		for _, n := range rt.nodes {
+			if n.id() == "" {
+				return false
+			}
+		}
+		return true
+	})
+	do := func(method string) (int, map[string]string) {
+		t.Helper()
+		req, err := http.NewRequest(method, front.URL+"/jobs/eu-j-1-j-5", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out map[string]string
+		_ = json.NewDecoder(resp.Body).Decode(&out)
+		return resp.StatusCode, out
+	}
+
+	// The owner answers past the hedge delay, so the router, polling its
+	// known owner, launches a hedge; the other node's 404 does not
+	// pre-empt the owner's answer.
+	owner.jobDelay.Store(int64(100 * time.Millisecond))
+	if status, out := do(http.MethodGet); status != http.StatusOK || out["node"] != "eu-j-1" {
+		t.Fatalf("GET: status %d out %v, want eu-j-1 to answer", status, out)
+	}
+	if rt.counters.Hedges.Load() < 1 {
+		t.Error("GET of an owned job was not hedged: the router did not find its owner")
+	}
+
+	owner.jobDelay.Store(0)
+	before := other.hits.Load()
+	if status, out := do(http.MethodDelete); status != http.StatusOK || out["node"] != "eu-j-1" {
+		t.Fatalf("DELETE: status %d out %v, want eu-j-1 to answer", status, out)
+	}
+	if n := other.hits.Load() - before; n != 0 {
+		t.Errorf("DELETE reached the other node %d times, want the owner only", n)
 	}
 }
 

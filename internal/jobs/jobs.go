@@ -13,6 +13,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -241,17 +243,37 @@ func (m *Manager) jobID() string {
 	return fmt.Sprintf("j-%d", m.seq)
 }
 
-// ReserveIDs advances the job-id counter so the next minted id's
-// sequence number is above n. The persistence layer calls this after a
-// journal replay with the highest sequence it has ever journaled:
-// without it a restarted process would restart the counter at 1 and a
-// brand-new job could reuse the logical id of a pre-crash job, silently
-// merging two different jobs' histories in the journal.
-func (m *Manager) ReserveIDs(n int64) {
+// ParseID splits a job id a Manager minted into its prefix
+// (Config.IDPrefix; empty for an unprefixed "j-<n>") and its sequence
+// number; ok is false for any other string. The split is at the last
+// "-j-", so a prefix may itself contain "-j-".
+func ParseID(id string) (prefix string, seq int64, ok bool) {
+	rest, unprefixed := strings.CutPrefix(id, "j-")
+	if i := strings.LastIndex(id, "-j-"); i > 0 {
+		prefix, rest = id[:i], id[i+len("-j-"):]
+	} else if !unprefixed {
+		return "", 0, false
+	}
+	n, err := strconv.ParseUint(rest, 10, 63)
+	if err != nil || n == 0 {
+		return "", 0, false
+	}
+	return prefix, int64(n), true
+}
+
+// ReserveIDs advances the job-id counter past the sequence number of
+// every id in ids that ParseID accepts, so no later job reuses one of
+// them. The persistence layer passes the journal's ids on replay: a
+// restarted process would otherwise restart the counter at 1, and a new
+// job could take the logical id of a pre-crash job, merging the two
+// jobs' histories in the journal.
+func (m *Manager) ReserveIDs(ids []string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if n > m.seq {
-		m.seq = n
+	for _, id := range ids {
+		if _, seq, ok := ParseID(id); ok && seq > m.seq {
+			m.seq = seq
+		}
 	}
 }
 

@@ -419,3 +419,45 @@ func TestMapEmptyAndContext(t *testing.T) {
 		t.Fatalf("cancelled map: %v", err)
 	}
 }
+
+// TestParseID: ParseID reads back every id a Manager mints, with or
+// without a prefix, and splits at the last "-j-" so a prefix may contain
+// one; anything else does not parse.
+func TestParseID(t *testing.T) {
+	for _, prefix := range []string{"", "n1", "eu-j-1", "j", "a-j-"} {
+		m := NewManager(Config{Workers: 1, IDPrefix: prefix})
+		for want := int64(1); want <= 2; want++ {
+			j, _, err := m.Submit(func(ctx context.Context) (any, error) { return nil, nil }, SubmitOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, seq, ok := ParseID(j.ID())
+			if !ok || got != prefix || seq != want {
+				t.Errorf("ParseID(%q) = %q, %d, %v; want %q, %d", j.ID(), got, seq, ok, prefix, want)
+			}
+		}
+		if err := m.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range []string{"", "j-", "j-0", "j-x", "-j-3", "n1-j-", "n1-j-3x", "n1-j-+3", "n1-j3", "nope"} {
+		if p, seq, ok := ParseID(id); ok {
+			t.Errorf("ParseID(%q) = %q, %d, true; want no parse", id, p, seq)
+		}
+	}
+}
+
+// TestReserveIDs: after ReserveIDs the next id is past the highest
+// sequence among the ids that parse, whatever their prefix.
+func TestReserveIDs(t *testing.T) {
+	m := NewManager(Config{Workers: 1, IDPrefix: "eu-j-1"})
+	defer m.Shutdown(context.Background())
+	m.ReserveIDs([]string{"eu-j-1-j-7", "j-3", "junk", "eu-j-1-j-x"})
+	j, _, err := m.Submit(func(ctx context.Context) (any, error) { return nil, nil }, SubmitOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.ID() != "eu-j-1-j-8" {
+		t.Errorf("next id %q, want eu-j-1-j-8", j.ID())
+	}
+}

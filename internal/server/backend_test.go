@@ -11,7 +11,7 @@ import (
 // TestDesignBackendValidation rejects unknown backend names at parse
 // time (request field) and at construction time (server default).
 func TestDesignBackendValidation(t *testing.T) {
-	rec, body := doJSON(t, New(), "POST", "/design",
+	rec, body := doJSON(t, newServer(t, Options{}), "POST", "/design",
 		DesignRequest{Group: "G-1", Tune: true, Backend: "annealing"})
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("unknown backend: code %d %s", rec.Code, body)
@@ -29,7 +29,7 @@ func TestDesignBackendValidation(t *testing.T) {
 // seed/temperature pair is chosen so the direct design just misses the
 // phase-margin spec, forcing the last-resort tuner to fire.
 func TestDesignBackendRouting(t *testing.T) {
-	srv := New()
+	srv := newServer(t, Options{})
 	rec, body := doJSON(t, srv, "POST", "/design",
 		DesignRequest{Group: "G-1", Seed: 1, Temperature: 0.9, Tune: true, Backend: "hybrid", Transcript: true})
 	if rec.Code != http.StatusOK {
@@ -60,7 +60,7 @@ func TestDesignBackendRouting(t *testing.T) {
 // the server's configured default, and the cache key separates backends
 // (same spec+seed under a different backend is a cache miss).
 func TestDesignBackendDefault(t *testing.T) {
-	srv := NewWithOptions(Options{SizingBackend: "whitebox"})
+	srv := newServer(t, Options{SizingBackend: "whitebox"})
 	req := DesignRequest{Group: "G-1", Seed: 1, Temperature: 0.9, Tune: true}
 	rec, body := doJSON(t, srv, "POST", "/design", req)
 	if rec.Code != http.StatusOK {
@@ -93,7 +93,7 @@ func TestDesignBackendDefault(t *testing.T) {
 // that names no backend, on a server without a configured default, runs
 // backend.DefaultName (hybrid).
 func TestDesignBackendUntunedAndDefault(t *testing.T) {
-	srv := New()
+	srv := newServer(t, Options{})
 	req := DesignRequest{Group: "G-1", Seed: 1}
 	if rec, body := doJSON(t, srv, "POST", "/design", req); rec.Code != http.StatusOK {
 		t.Fatalf("design: %d %s", rec.Code, body)

@@ -13,14 +13,14 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"time"
 
+	"artisan/internal/cluster"
 	"artisan/internal/core"
 	"artisan/internal/jobs"
-	"artisan/internal/measure"
-	"artisan/internal/netlist"
 	"artisan/internal/telemetry"
 )
 
@@ -48,35 +48,37 @@ type BatchSummary struct {
 	Cached    int  `json:"cached"`
 }
 
-// checkBatchSize enforces the empty-batch and MaxBatch guards; on
-// failure the error response is already written.
-func (s *Server) checkBatchSize(w http.ResponseWriter, n int) bool {
-	if n == 0 {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("batch has no items"))
-		return false
+// decodeBatch decodes the body both batch routes take, {"items":[…]},
+// and refuses an empty batch (400) or one of more than maxBatch items
+// (413). On failure the error response is already written.
+func decodeBatch[T any](w http.ResponseWriter, r *http.Request, maxBatch int) ([]T, bool) {
+	var req struct {
+		Items []T `json:"items"`
 	}
-	if n > s.opts.MaxBatch {
-		writeErr(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("batch of %d items exceeds limit %d", n, s.opts.MaxBatch))
-		return false
+	if !decodeJSON(w, r, &req) {
+		return nil, false
 	}
-	return true
+	switch n := len(req.Items); {
+	case n == 0:
+		cluster.WriteError(w, http.StatusBadRequest, errors.New("batch has no items"))
+	case n > maxBatch:
+		cluster.WriteError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("batch of %d items exceeds limit %d", n, maxBatch))
+	default:
+		return req.Items, true
+	}
+	return nil, false
 }
 
 // handleDesignBatch serves POST /design/batch: {"items":[core.Request…]}.
 func (s *Server) handleDesignBatch(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Items []core.Request `json:"items"`
-	}
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	if !s.checkBatchSize(w, len(req.Items)) {
+	items, ok := decodeBatch[core.Request](w, r, s.opts.MaxBatch)
+	if !ok {
 		return
 	}
 	// Admission charges the whole batch as its item count and one
 	// priority-queue lease, released when the stream finishes.
-	release, ok := s.admit(w, r, len(req.Items))
+	release, ok := s.admit(w, r, len(items))
 	if !ok {
 		return
 	}
@@ -86,8 +88,8 @@ func (s *Server) handleDesignBatch(w http.ResponseWriter, r *http.Request) {
 		invalid []BatchItemResult
 		entries []batchEntry
 	)
-	for i := range req.Items {
-		sp, err := req.Items[i].Resolve(s.opts.SizingBackend)
+	for i := range items {
+		sp, err := items[i].Resolve(s.opts.SizingBackend)
 		if err != nil {
 			invalid = append(invalid, BatchItemResult{Index: i, Error: err.Error()})
 			continue
@@ -96,10 +98,10 @@ func (s *Server) handleDesignBatch(w http.ResponseWriter, r *http.Request) {
 		// journaled when the persistent store is enabled. The whole batch
 		// shares the request's X-Deadline-Ms budget.
 		e := batchEntry{idx: i}
-		e.job, e.coalesced, e.err = s.submitDesignJob(sp, req.Items[i], requestID, true, deadlineOf(r))
+		e.job, e.coalesced, e.err = s.submitDesignJob(sp, items[i], requestID, true, deadlineOf(r))
 		entries = append(entries, e)
 	}
-	s.streamBatch(w, r, "design", len(req.Items), invalid, entries,
+	s.streamBatch(w, r, "design", len(items), invalid, entries,
 		func(line *BatchItemResult, v any) {
 			line.Design = v.(*DesignResponse)
 		})
@@ -109,35 +111,22 @@ func (s *Server) handleDesignBatch(w http.ResponseWriter, r *http.Request) {
 // Simulations route through the same pool and cache as designs; items
 // with byte-identical netlists (and output node) coalesce to one solve.
 func (s *Server) handleSimulateBatch(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Items []SimulateRequest `json:"items"`
-	}
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	if !s.checkBatchSize(w, len(req.Items)) {
+	items, ok := decodeBatch[SimulateRequest](w, r, s.opts.MaxBatch)
+	if !ok {
 		return
 	}
 	requestID := telemetry.RequestIDOf(r.Context())
-	entries := make([]batchEntry, len(req.Items))
-	for i := range req.Items {
-		if req.Items[i].Out == "" {
-			req.Items[i].Out = "out"
-		}
-		item := req.Items[i]
+	entries := make([]batchEntry, len(items))
+	for i, item := range items {
 		fn := func(ctx context.Context) (any, error) {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			nl, err := netlist.Parse(item.Netlist)
+			m, _, err := simulate(ctx, item)
 			if err != nil {
 				return nil, err
 			}
-			rep, err := measure.Analyze(nl, item.Out)
-			if err != nil {
-				return nil, err
-			}
-			return toMetricsJSON(rep), nil
+			return m, nil
 		}
 		e := &entries[i]
 		e.idx = i
@@ -145,7 +134,7 @@ func (s *Server) handleSimulateBatch(w http.ResponseWriter, r *http.Request) {
 			Key: simulateKey(item), RequestID: requestID, Coalesce: true,
 		})
 	}
-	s.streamBatch(w, r, "simulate", len(req.Items), nil, entries,
+	s.streamBatch(w, r, "simulate", len(items), nil, entries,
 		func(line *BatchItemResult, v any) {
 			line.Metrics = v.(*metricsJSON)
 		})
@@ -155,7 +144,7 @@ func (s *Server) handleSimulateBatch(w http.ResponseWriter, r *http.Request) {
 // and the coalescing map: the netlist content hash plus the probed node.
 func simulateKey(req SimulateRequest) string {
 	sum := sha256.Sum256([]byte(req.Netlist))
-	return fmt.Sprintf("sim|%x|out=%s", sum[:16], req.Out)
+	return fmt.Sprintf("sim|%x|out=%s", sum[:16], req.probe())
 }
 
 // batchEntry is one submitted batch item. Exactly one of job and err is

@@ -66,7 +66,7 @@ func byIndex(lines []BatchItemResult) map[int]BatchItemResult {
 }
 
 func TestDesignBatchHappyPath(t *testing.T) {
-	srv := New()
+	srv := newServer(t, Options{})
 	items := []DesignRequest{
 		{Group: "G-1", Seed: 1},
 		{Group: "G-1", Seed: 2},
@@ -102,7 +102,7 @@ func TestDesignBatchCoalescesDuplicates(t *testing.T) {
 	// A blocker pins the only worker, so the first item stays queued, and
 	// so in flight, until every duplicate has attached to it; a design
 	// run fast enough to finish first would turn them into cache hits.
-	srv := NewWithOptions(Options{Workers: 1})
+	srv := newServer(t, Options{Workers: 1})
 	defer srv.Shutdown(context.Background())
 	release := make(chan struct{})
 	blocker, _, err := srv.jobs.Submit(func(ctx context.Context) (any, error) {
@@ -160,7 +160,7 @@ func TestDesignBatchCoalescesDuplicates(t *testing.T) {
 }
 
 func TestDesignBatchOversized(t *testing.T) {
-	srv := NewWithOptions(Options{MaxBatch: 2})
+	srv := newServer(t, Options{MaxBatch: 2})
 	items := []DesignRequest{{Group: "G-1"}, {Group: "G-1"}, {Group: "G-1"}}
 	rec, body := doJSON(t, srv, "POST", "/design/batch", map[string]any{"items": items})
 	if rec.Code != http.StatusRequestEntityTooLarge {
@@ -169,7 +169,7 @@ func TestDesignBatchOversized(t *testing.T) {
 }
 
 func TestDesignBatchEmpty(t *testing.T) {
-	rec, _ := doJSON(t, New(), "POST", "/design/batch", map[string]any{"items": []DesignRequest{}})
+	rec, _ := doJSON(t, newServer(t, Options{}), "POST", "/design/batch", map[string]any{"items": []DesignRequest{}})
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400", rec.Code)
 	}
@@ -177,7 +177,7 @@ func TestDesignBatchEmpty(t *testing.T) {
 
 // One malformed item fails alone; its neighbours still succeed.
 func TestDesignBatchMalformedItem(t *testing.T) {
-	srv := New()
+	srv := newServer(t, Options{})
 	items := []DesignRequest{
 		{Group: "G-1", Seed: 5},
 		{Group: "no-such-group"},
@@ -204,7 +204,7 @@ func TestDesignBatchMalformedItem(t *testing.T) {
 }
 
 func TestSimulateBatch(t *testing.T) {
-	srv := New()
+	srv := newServer(t, Options{})
 	rc := "* rc\nV1 in 0 AC 1\nR1 in out 10k\nC1 out 0 4p\n.end\n"
 	items := []SimulateRequest{
 		{Netlist: rc},
@@ -236,7 +236,7 @@ func TestSimulateBatch(t *testing.T) {
 func TestDesignBatchClientCancel(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
-	svc := NewWithOptions(Options{Workers: 1, Queue: 64})
+	svc := newServer(t, Options{Workers: 1, Queue: 64})
 	ts := httptest.NewServer(svc)
 
 	items := make([]DesignRequest, 12)
@@ -295,7 +295,7 @@ func TestDesignBatchClientCancel(t *testing.T) {
 // once the worker is released the queued item gets an ok line and the
 // summary counts both outcomes.
 func TestBatchQueueFullIsPerItem(t *testing.T) {
-	srv := NewWithOptions(Options{Workers: 1, Queue: 1})
+	srv := newServer(t, Options{Workers: 1, Queue: 1})
 	defer srv.Shutdown(context.Background())
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

@@ -38,7 +38,7 @@ func doJSONHdr(t *testing.T, srv http.Handler, method, path string, body any, hd
 // 503 so the router pulls the node, while the API keeps serving until
 // the drain completes.
 func TestHealthzDraining(t *testing.T) {
-	s := New()
+	s := newServer(t, Options{})
 	rec, _ := doJSON(t, s, "GET", "/healthz", nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("healthz before drain = %d", rec.Code)
@@ -71,7 +71,7 @@ func TestHealthzDraining(t *testing.T) {
 // TestTenantRateLimit: a tenant over its token bucket gets 429 with a
 // Retry-After derived from the bucket wait; other tenants are isolated.
 func TestTenantRateLimit(t *testing.T) {
-	s := NewWithOptions(Options{Workers: 2, TenantRate: 0.5, TenantBurst: 2})
+	s := newServer(t, Options{Workers: 2, TenantRate: 0.5, TenantBurst: 2})
 	req := map[string]string{"group": "G-1"}
 
 	for i := 0; i < 2; i++ {
@@ -132,7 +132,7 @@ func TestTenantRateLimit(t *testing.T) {
 // not admitted, and the waiter whose client gives up as neither. Once
 // the leases free up, a request is admitted.
 func TestQueueShedNotAdmitted(t *testing.T) {
-	s := NewWithOptions(Options{Workers: 1, Queue: 1, TenantRate: 1000})
+	s := newServer(t, Options{Workers: 1, Queue: 1, TenantRate: 1000})
 	// Workers 1 + Queue 1 = two leases; hold both so requests must wait.
 	var held []func()
 	for i := 0; i < 2; i++ {
@@ -211,7 +211,7 @@ func TestQueueShedNotAdmitted(t *testing.T) {
 // TestBatchAdmissionChargesItems: a batch is charged as its item count,
 // so a burst-2 tenant cannot sneak 5 items through one request.
 func TestBatchAdmissionChargesItems(t *testing.T) {
-	s := NewWithOptions(Options{Workers: 2, TenantRate: 0.5, TenantBurst: 2})
+	s := newServer(t, Options{Workers: 2, TenantRate: 0.5, TenantBurst: 2})
 	items := make([]map[string]string, 5)
 	for i := range items {
 		items[i] = map[string]string{"group": "G-1"}
@@ -236,7 +236,7 @@ func TestBatchAdmissionChargesItems(t *testing.T) {
 // documented keys (satellite: Retry-After and queue_depth/queue_capacity
 // observability).
 func TestStatsQueueFields(t *testing.T) {
-	s := NewWithOptions(Options{Workers: 1, Queue: 7})
+	s := newServer(t, Options{Workers: 1, Queue: 7})
 	_, body := doJSON(t, s, "GET", "/stats", nil)
 	var stats struct {
 		QueueDepth    *int   `json:"queue_depth"`

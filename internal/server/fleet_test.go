@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"artisan/internal/cluster"
+	"artisan/internal/jobs"
 	"artisan/internal/spec"
 )
 
@@ -100,7 +101,7 @@ func TestTwoNodesBehindRouter(t *testing.T) {
 	if err := json.Unmarshal(body, &accepted); err != nil {
 		t.Fatal(err)
 	}
-	owner, _, ok := strings.Cut(accepted.ID, "-j-")
+	owner, _, ok := jobs.ParseID(accepted.ID)
 	if !ok || (owner != "n1" && owner != "n2") {
 		t.Fatalf("job id %q carries no node prefix", accepted.ID)
 	}
@@ -121,7 +122,7 @@ func TestTwoNodesBehindRouter(t *testing.T) {
 func TestRouterPlacesEquivalentDesigns(t *testing.T) {
 	var urls []string
 	for i := 0; i < 2; i++ {
-		s := NewWithOptions(Options{Workers: 1})
+		s := newServer(t, Options{Workers: 1})
 		ts := httptest.NewServer(s)
 		t.Cleanup(func() {
 			ts.Close()

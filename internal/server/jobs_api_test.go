@@ -28,13 +28,13 @@ func postJSON(t *testing.T, srv http.Handler, path, contentType string, body []b
 func TestContentTypeRejected(t *testing.T) {
 	body, _ := json.Marshal(DesignRequest{Group: "G-1"})
 	for _, path := range []string{"/design", "/jobs", "/simulate"} {
-		rec := postJSON(t, New(), path, "text/plain", body)
+		rec := postJSON(t, newServer(t, Options{}), path, "text/plain", body)
 		if rec.Code != http.StatusUnsupportedMediaType {
 			t.Errorf("%s with text/plain: %d, want 415", path, rec.Code)
 		}
 	}
 	// application/json (with charset) is accepted.
-	rec := postJSON(t, New(), "/design", "application/json; charset=utf-8", body)
+	rec := postJSON(t, newServer(t, Options{}), "/design", "application/json; charset=utf-8", body)
 	if rec.Code != http.StatusOK {
 		t.Errorf("application/json: %d %s", rec.Code, rec.Body.String())
 	}
@@ -43,7 +43,7 @@ func TestContentTypeRejected(t *testing.T) {
 func TestOversizedBody(t *testing.T) {
 	huge := []byte(`{"group":"` + strings.Repeat("x", 1<<20) + `"}`)
 	for _, path := range []string{"/design", "/jobs", "/simulate"} {
-		rec := postJSON(t, New(), path, "application/json", huge)
+		rec := postJSON(t, newServer(t, Options{}), path, "application/json", huge)
 		if rec.Code != http.StatusRequestEntityTooLarge {
 			t.Errorf("%s oversized: %d, want 413", path, rec.Code)
 		}
@@ -51,11 +51,11 @@ func TestOversizedBody(t *testing.T) {
 }
 
 func TestBadJSONOnJobs(t *testing.T) {
-	rec := postJSON(t, New(), "/jobs", "application/json", []byte("{nope"))
+	rec := postJSON(t, newServer(t, Options{}), "/jobs", "application/json", []byte("{nope"))
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("bad JSON: %d", rec.Code)
 	}
-	rec = postJSON(t, New(), "/jobs", "application/json", []byte(`{"group":"G-9"}`))
+	rec = postJSON(t, newServer(t, Options{}), "/jobs", "application/json", []byte(`{"group":"G-9"}`))
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("bad group: %d", rec.Code)
 	}
@@ -84,7 +84,7 @@ func pollJob(t *testing.T, srv http.Handler, id string) jobJSON {
 }
 
 func TestJobEnqueuePollDone(t *testing.T) {
-	srv := New()
+	srv := newServer(t, Options{})
 	defer srv.Shutdown(context.Background())
 
 	rec, body := doJSON(t, srv, "POST", "/jobs", DesignRequest{Group: "G-1", Seed: 3})
@@ -137,11 +137,11 @@ func TestJobEnqueuePollDone(t *testing.T) {
 }
 
 func TestJobGetUnknown(t *testing.T) {
-	rec, _ := doJSON(t, New(), "GET", "/jobs/j-999", nil)
+	rec, _ := doJSON(t, newServer(t, Options{}), "GET", "/jobs/j-999", nil)
 	if rec.Code != http.StatusNotFound {
 		t.Errorf("unknown job: %d", rec.Code)
 	}
-	rec, _ = doJSON(t, New(), "DELETE", "/jobs/j-999", nil)
+	rec, _ = doJSON(t, newServer(t, Options{}), "DELETE", "/jobs/j-999", nil)
 	if rec.Code != http.StatusNotFound {
 		t.Errorf("cancel unknown job: %d", rec.Code)
 	}
@@ -151,7 +151,7 @@ func TestJobGetUnknown(t *testing.T) {
 // the design job submitted over the API is deterministically queued,
 // then cancels it mid-flight via DELETE.
 func TestJobCancelQueued(t *testing.T) {
-	srv := NewWithOptions(Options{Workers: 1, Queue: 8})
+	srv := newServer(t, Options{Workers: 1, Queue: 8})
 	defer srv.Shutdown(context.Background())
 
 	release := make(chan struct{})
@@ -200,7 +200,7 @@ func TestJobCancelQueued(t *testing.T) {
 // TestQueueFullBackpressure fills the single-slot queue behind a pinned
 // worker: the next enqueue must be rejected with 503, not block.
 func TestQueueFullBackpressureHTTP(t *testing.T) {
-	srv := NewWithOptions(Options{Workers: 1, Queue: 1})
+	srv := newServer(t, Options{Workers: 1, Queue: 1})
 	defer srv.Shutdown(context.Background())
 
 	release := make(chan struct{})
@@ -240,7 +240,7 @@ func TestQueueFullBackpressureHTTP(t *testing.T) {
 // TestDesignCacheHit sends the identical request twice: the second reply
 // must be served from the LRU cache without a fresh agent session.
 func TestDesignCacheHit(t *testing.T) {
-	srv := New()
+	srv := newServer(t, Options{})
 	defer srv.Shutdown(context.Background())
 	req := DesignRequest{Group: "G-1", Seed: 11}
 
@@ -303,7 +303,7 @@ func TestDesignCacheHit(t *testing.T) {
 }
 
 func TestHealthzReportsPool(t *testing.T) {
-	rec, body := doJSON(t, New(), "GET", "/healthz", nil)
+	rec, body := doJSON(t, newServer(t, Options{}), "GET", "/healthz", nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("healthz: %d", rec.Code)
 	}
@@ -322,7 +322,7 @@ func TestHealthzReportsPool(t *testing.T) {
 
 // Empty listings must encode as [] / {} — never JSON null.
 func TestEmptyListingsNotNull(t *testing.T) {
-	rec, body := doJSON(t, New(), "GET", "/jobs", nil)
+	rec, body := doJSON(t, newServer(t, Options{}), "GET", "/jobs", nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET /jobs: %d", rec.Code)
 	}
@@ -334,7 +334,7 @@ func TestEmptyListingsNotNull(t *testing.T) {
 		t.Errorf("null leaked into empty listing: %s", s)
 	}
 	for _, path := range []string{"/groups", "/architectures"} {
-		rec, body := doJSON(t, New(), "GET", path, nil)
+		rec, body := doJSON(t, newServer(t, Options{}), "GET", path, nil)
 		if rec.Code != http.StatusOK || strings.HasPrefix(strings.TrimSpace(string(body)), "null") {
 			t.Errorf("%s: %d %s", path, rec.Code, body)
 		}
@@ -344,7 +344,7 @@ func TestEmptyListingsNotNull(t *testing.T) {
 // TestServerShutdownDrains: jobs accepted before shutdown complete; new
 // submissions are refused afterwards.
 func TestServerShutdownDrains(t *testing.T) {
-	srv := New()
+	srv := newServer(t, Options{})
 	rec, body := doJSON(t, srv, "POST", "/jobs", DesignRequest{Group: "G-4", Seed: 5})
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("enqueue: %d %s", rec.Code, body)
@@ -393,7 +393,7 @@ func TestJobJSONShape(t *testing.T) {
 // hit, whose job is terminal at submission, gives its lease back before
 // the handler returns.
 func TestAdmissionLeaseSpansJob(t *testing.T) {
-	srv := NewWithOptions(Options{Workers: 1, Queue: 8, TenantRate: 1000})
+	srv := newServer(t, Options{Workers: 1, Queue: 8, TenantRate: 1000})
 	defer srv.Shutdown(context.Background())
 	leasesDrain := func() {
 		t.Helper()

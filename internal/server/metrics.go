@@ -23,7 +23,7 @@ var designDurationBuckets = telemetry.ExpBuckets(0.001, 4, 12)
 // initTelemetry builds the registry, tracer, and instrument families and
 // registers the callback instruments that mirror the jobs manager,
 // result cache, resilience counters, and breaker into /metrics. Called
-// once from NewWithOptions before routes are registered (the route
+// once from NewServer before routes are registered (the route
 // middleware needs the HTTP instruments).
 func (s *Server) initTelemetry(o Options) {
 	s.reg = telemetry.NewRegistry()
@@ -172,9 +172,6 @@ func (s *Server) initStoreMetrics(store *cluster.Store) {
 // mirrors it onto the pprof debug mux, and tests scrape it directly.
 func (s *Server) Registry() *telemetry.Registry { return s.reg }
 
-// Tracer exposes the server's trace ring buffer.
-func (s *Server) Tracer() *telemetry.Tracer { return s.tracer }
-
 // handle registers h under the mux pattern wrapped in the telemetry
 // middleware, with the pattern itself as the route label — the stable,
 // low-cardinality name the per-route counters and latency histograms key
@@ -190,7 +187,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.Query().Get("n"); q != "" {
 		v, err := strconv.Atoi(q)
 		if err != nil || v < 1 {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad n %q: want a positive integer", q))
+			cluster.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad n %q: want a positive integer", q))
 			return
 		}
 		limit = v
@@ -203,7 +200,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	for _, root := range roots {
 		traces = append(traces, root.JSON())
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	cluster.WriteJSON(w, http.StatusOK, map[string]any{
 		"total":  s.tracer.Total(),
 		"traces": traces,
 	})

@@ -72,7 +72,7 @@ func TestDesignRepliesPinned(t *testing.T) {
 	if len(pinnedReplyDigests) != len(bodies) {
 		t.Fatalf("%d digests for %d bodies", len(pinnedReplyDigests), len(bodies))
 	}
-	srv := New()
+	srv := newServer(t, Options{})
 	sessions := make([]map[string]int, len(bodies))
 	for i, body := range bodies {
 		rec := httptest.NewRecorder()

@@ -19,7 +19,6 @@ import (
 	"math"
 	"mime"
 	"net/http"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -38,9 +37,6 @@ import (
 	"artisan/internal/spec"
 	"artisan/internal/telemetry"
 )
-
-// maxBodyBytes bounds every POST body.
-const maxBodyBytes = 1 << 20 // 1 MiB
 
 // traceCapacity bounds the ring buffer of recent design traces served by
 // GET /traces.
@@ -62,9 +58,6 @@ type Options struct {
 	// BreakerThreshold is the consecutive-failure count that opens the
 	// circuit breaker guarding the simulator and sizer backends; default 5.
 	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker waits before probing;
-	// default 5s.
-	BreakerCooldown time.Duration
 	// ToolTimeout, when positive, deadline-bounds each individual tool or
 	// designer attempt (the per-attempt deadline of the retry policy).
 	ToolTimeout time.Duration
@@ -171,20 +164,6 @@ type Server struct {
 	tenantQueue *telemetry.GaugeVec
 }
 
-// New builds the service with default options.
-func New() *Server { return NewWithOptions(Options{}) }
-
-// NewWithOptions builds the service with all routes registered. It
-// panics when the persistent job store cannot be opened — use NewServer
-// when Options.DataDir is set and the error should be handled.
-func NewWithOptions(o Options) *Server {
-	s, err := NewServer(o)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // NewServer builds the service with all routes registered, including
 // the distributed-tier wiring (persistent store replay, admission
 // control) when the corresponding options are set.
@@ -194,9 +173,6 @@ func NewServer(o Options) (*Server, error) {
 	}
 	if o.BreakerThreshold < 1 {
 		o.BreakerThreshold = 5
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 5 * time.Second
 	}
 	if o.MaxBatch < 1 {
 		o.MaxBatch = 64
@@ -217,8 +193,7 @@ func NewServer(o Options) (*Server, error) {
 		opts:     o,
 		counters: counters,
 		breaker: resilience.NewBreaker(resilience.BreakerConfig{
-			Threshold: o.BreakerThreshold, Cooldown: o.BreakerCooldown,
-			Counters: counters,
+			Threshold: o.BreakerThreshold, Counters: counters,
 		}),
 	}
 	s.admission = cluster.NewAdmission(cluster.AdmissionConfig{
@@ -229,14 +204,8 @@ func NewServer(o Options) (*Server, error) {
 		// The lease pool covers the workers plus the pending queue; the
 		// wait queue in front of it is deliberately small — overload
 		// should shed quickly, not build unbounded latency.
-		workers, queue := o.Workers, o.Queue
-		if workers < 1 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if queue < 1 {
-			queue = 64
-		}
-		s.pqueue = cluster.NewPQueue(workers+queue, queue, func(tenant string, depth int) {
+		queue := s.jobs.QueueCapacity()
+		s.pqueue = cluster.NewPQueue(s.jobs.Workers()+queue, queue, func(tenant string, depth int) {
 			s.tenantQueue.With(tenant).Set(float64(depth))
 		})
 	}
@@ -247,11 +216,6 @@ func NewServer(o Options) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Reserve the id space the journal already holds: a restarted
-		// process otherwise restarts the manager's counter at 1 and a new
-		// job can mint a logical id the journal has already seen, merging
-		// two unrelated jobs' histories.
-		s.jobs.ReserveIDs(maxJobSeq(recovered.IDs))
 		s.persist = cluster.NewPersistentManager(s.jobs, store, cluster.Executor{
 			Run:    s.runPersistedDesign,
 			Decode: decodePersistedDesign,
@@ -314,57 +278,53 @@ func (s *Server) Persist() *cluster.PersistentManager { return s.persist }
 // Jobs exposes the job manager for fleet introspection in tests.
 func (s *Server) Jobs() *jobs.Manager { return s.jobs }
 
-// maxJobSeq extracts the highest numeric suffix among journaled job ids
-// ("<node>-j-<n>" or "j-<n>"); 0 when none parse.
-func maxJobSeq(ids []string) int64 {
-	var max int64
-	for _, id := range ids {
-		i := strings.LastIndex(id, "j-")
-		if i < 0 {
-			continue
-		}
-		n, err := strconv.ParseInt(id[i+2:], 10, 64)
-		if err == nil && n > max {
-			max = n
-		}
-	}
-	return max
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
-// decodeJSON hardens POST body handling: non-JSON Content-Type → 415,
-// body over maxBodyBytes → 413, malformed JSON → 400. It reports whether
-// decoding succeeded; on failure the error response is already written.
+// decodeJSON hardens POST body handling: non-JSON Content-Type → 415;
+// the body is read as the router reads it (cluster.ReadBody, 413 over
+// the limit) and must be one JSON value with nothing but whitespace
+// after it, else 400. It reports whether decoding succeeded; on failure
+// the error response is already written.
 func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 	if ct := r.Header.Get("Content-Type"); ct != "" {
 		mt, _, err := mime.ParseMediaType(ct)
 		if err != nil || (mt != "application/json" && !strings.HasSuffix(mt, "+json")) {
-			writeErr(w, http.StatusUnsupportedMediaType,
+			cluster.WriteError(w, http.StatusUnsupportedMediaType,
 				fmt.Errorf("unsupported Content-Type %q: use application/json", ct))
 			return false
 		}
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(dst); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeErr(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("body exceeds %d bytes", tooBig.Limit))
-			return false
-		}
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad JSON: %w", err))
+	body, ok := cluster.ReadBody(w, r)
+	if !ok {
+		return false
+	}
+	if err := json.Unmarshal(body, dst); err != nil {
+		cluster.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad JSON: %w", err))
 		return false
 	}
 	return true
+}
+
+// writeJobErr answers an error from submitting, waiting on or cancelling
+// a job. 503 means the node cannot take or finish the work now: a full
+// queue (with Retry-After, so the router passes it on as load shedding),
+// a shutdown, a read-only store (which cannot durably record the
+// submission; /healthz already reports it, so the router stops sending
+// work here), or a request cancelled or out of time. An unknown job is
+// 404, a finished one 409, and anything else 500.
+func (s *Server) writeJobErr(w http.ResponseWriter, err error) {
+	status := http.StatusInternalServerError
+	switch {
+	case errors.Is(err, jobs.ErrQueueFull):
+		s.writeShed(w, http.StatusServiceUnavailable, 0, err)
+		return
+	case errors.Is(err, jobs.ErrShutdown), errors.Is(err, cluster.ErrStoreReadOnly),
+		errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		status = http.StatusServiceUnavailable
+	case errors.Is(err, jobs.ErrNotFound):
+		status = http.StatusNotFound
+	case errors.Is(err, jobs.ErrFinished):
+		status = http.StatusConflict
+	}
+	cluster.WriteError(w, status, err)
 }
 
 // handleHealth is the readiness probe the router keys node membership
@@ -399,7 +359,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	out["status"] = state
-	writeJSON(w, status, out)
+	cluster.WriteJSON(w, status, out)
 }
 
 // handleStats surfaces the service-wide resilience counters, breaker
@@ -446,7 +406,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		// frames, torn tail, and the read-only poison flag.
 		out["store"] = store.Stats()
 	}
-	writeJSON(w, http.StatusOK, out)
+	cluster.WriteJSON(w, http.StatusOK, out)
 }
 
 // tenantOf resolves the admission tenant of a request: the X-Tenant
@@ -499,7 +459,7 @@ func (s *Server) writeShed(w http.ResponseWriter, status int, wait time.Duration
 		}
 	}
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	writeErr(w, status, err)
+	cluster.WriteError(w, status, err)
 }
 
 // admit runs the request through per-tenant admission control and the
@@ -524,7 +484,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, items int) (relea
 		s.writeShed(w, http.StatusTooManyRequests, 0, err)
 		return nil, false
 	case err != nil: // client gave up while waiting
-		writeErr(w, http.StatusServiceUnavailable, err)
+		s.writeJobErr(w, err)
 		return nil, false
 	}
 	s.admits.With(tenant).Add(float64(items))
@@ -551,7 +511,7 @@ func (s *Server) handleGroups(w http.ResponseWriter, r *http.Request) {
 			Prompt: g.Prompt(),
 		})
 	}
-	writeJSON(w, http.StatusOK, out)
+	cluster.WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleArchitectures(w http.ResponseWriter, r *http.Request) {
@@ -565,7 +525,7 @@ func (s *Server) handleArchitectures(w http.ResponseWriter, r *http.Request) {
 	for _, p := range llm.DomainProfiles() {
 		out = append(out, arch{Name: p.Arch, MaxCLF: p.MaxCL, MaxGBWHz: p.MaxGBW, Rationale: p.Rationale})
 	}
-	writeJSON(w, http.StatusOK, out)
+	cluster.WriteJSON(w, http.StatusOK, out)
 }
 
 // DesignRequest names core.Request, the design body, for this package's clients.
@@ -827,7 +787,7 @@ func (s *Server) submitDesign(w http.ResponseWriter, r *http.Request) (*jobs.Job
 	}
 	sp, err := req.Resolve(s.opts.SizingBackend)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		cluster.WriteError(w, http.StatusBadRequest, err)
 		return nil, false
 	}
 	release, ok := s.admit(w, r, 1)
@@ -836,26 +796,9 @@ func (s *Server) submitDesign(w http.ResponseWriter, r *http.Request) (*jobs.Job
 	}
 	requestID := telemetry.RequestIDOf(r.Context())
 	j, _, err := s.submitDesignJob(sp, req, requestID, false, deadlineOf(r))
-	switch {
-	case errors.Is(err, jobs.ErrQueueFull):
+	if err != nil {
 		release()
-		s.writeShed(w, http.StatusServiceUnavailable, 0, err)
-		return nil, false
-	case errors.Is(err, jobs.ErrShutdown):
-		release()
-		writeErr(w, http.StatusServiceUnavailable, err)
-		return nil, false
-	case errors.Is(err, cluster.ErrStoreReadOnly):
-		// The journal cannot durably record the submission; refuse rather
-		// than accept work that a crash would silently lose. /healthz is
-		// already reporting the poisoned store, so the router will stop
-		// sending submissions here.
-		release()
-		writeErr(w, http.StatusServiceUnavailable, err)
-		return nil, false
-	case err != nil:
-		release()
-		writeErr(w, http.StatusInternalServerError, err)
+		s.writeJobErr(w, err)
 		return nil, false
 	}
 	// The admission lease spans the job's whole life — queued, running,
@@ -885,11 +828,7 @@ func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := j.Wait(r.Context())
 	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			writeErr(w, http.StatusServiceUnavailable, err)
-			return
-		}
-		writeErr(w, http.StatusInternalServerError, err)
+		s.writeJobErr(w, err)
 		return
 	}
 	resp := res.(*DesignResponse)
@@ -898,7 +837,7 @@ func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
 		cp.Cached = true
 		resp = &cp
 	}
-	writeJSON(w, http.StatusOK, resp)
+	cluster.WriteJSON(w, http.StatusOK, resp)
 }
 
 // jobJSON is the wire form of a job snapshot.
@@ -945,16 +884,16 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusAccepted, toJobJSON(j.Snapshot(), false))
+	cluster.WriteJSON(w, http.StatusAccepted, toJobJSON(j.Snapshot(), false))
 }
 
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobs.Get(r.PathValue("id"))
 	if !ok {
-		writeErr(w, http.StatusNotFound, jobs.ErrNotFound)
+		s.writeJobErr(w, jobs.ErrNotFound)
 		return
 	}
-	writeJSON(w, http.StatusOK, toJobJSON(j.Snapshot(), true))
+	cluster.WriteJSON(w, http.StatusOK, toJobJSON(j.Snapshot(), true))
 }
 
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
@@ -967,7 +906,7 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 	for _, sn := range snaps {
 		counts[string(sn.Status)]++
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	cluster.WriteJSON(w, http.StatusOK, map[string]any{
 		"jobs":   list,
 		"counts": counts,
 		"cache":  s.jobs.CacheStats(),
@@ -976,16 +915,11 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	switch err := s.jobs.Cancel(id); {
-	case err == nil:
-		writeJSON(w, http.StatusOK, map[string]string{"id": id, "status": "cancelling"})
-	case errors.Is(err, jobs.ErrNotFound):
-		writeErr(w, http.StatusNotFound, err)
-	case errors.Is(err, jobs.ErrFinished):
-		writeErr(w, http.StatusConflict, err)
-	default:
-		writeErr(w, http.StatusInternalServerError, err)
+	if err := s.jobs.Cancel(id); err != nil {
+		s.writeJobErr(w, err)
+		return
 	}
+	cluster.WriteJSON(w, http.StatusOK, map[string]string{"id": id, "status": "cancelling"})
 }
 
 func toMetricsJSON(rep measure.Report) *metricsJSON {
@@ -1001,10 +935,34 @@ func toMetricsJSON(rep measure.Report) *metricsJSON {
 	return m
 }
 
-// SimulateRequest is the POST /simulate body.
+// SimulateRequest is the POST /simulate body and one /simulate/batch
+// item.
 type SimulateRequest struct {
 	Netlist string `json:"netlist"`
 	Out     string `json:"out,omitempty"`
+}
+
+// probe is the node the simulation measures: Out, or "out" when unset.
+func (q SimulateRequest) probe() string {
+	if q.Out == "" {
+		return "out"
+	}
+	return q.Out
+}
+
+// simulate runs one simulation under ctx, the request's or the batch
+// job's. A netlist that does not parse is the client's error (400); one
+// that parses but cannot be analyzed is unprocessable (422).
+func simulate(ctx context.Context, q SimulateRequest) (*metricsJSON, int, error) {
+	nl, err := netlist.Parse(q.Netlist)
+	if err != nil {
+		return nil, http.StatusBadRequest, err
+	}
+	rep, err := measure.AnalyzeContext(ctx, nl, q.probe())
+	if err != nil {
+		return nil, http.StatusUnprocessableEntity, err
+	}
+	return toMetricsJSON(rep), http.StatusOK, nil
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
@@ -1012,18 +970,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	if req.Out == "" {
-		req.Out = "out"
-	}
-	nl, err := netlist.Parse(req.Netlist)
+	m, status, err := simulate(r.Context(), req)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		cluster.WriteError(w, status, err)
 		return
 	}
-	rep, err := measure.Analyze(nl, req.Out)
-	if err != nil {
-		writeErr(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, toMetricsJSON(rep))
+	cluster.WriteJSON(w, http.StatusOK, m)
 }

@@ -9,6 +9,17 @@ import (
 	"testing"
 )
 
+// newServer builds a node with NewServer and fails the test when it
+// cannot.
+func newServer(t testing.TB, o Options) *Server {
+	t.Helper()
+	s, err := NewServer(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func doJSON(t *testing.T, srv http.Handler, method, path string, body any) (*httptest.ResponseRecorder, []byte) {
 	t.Helper()
 	var buf bytes.Buffer
@@ -24,14 +35,14 @@ func doJSON(t *testing.T, srv http.Handler, method, path string, body any) (*htt
 }
 
 func TestHealthz(t *testing.T) {
-	rec, body := doJSON(t, New(), "GET", "/healthz", nil)
+	rec, body := doJSON(t, newServer(t, Options{}), "GET", "/healthz", nil)
 	if rec.Code != http.StatusOK || !strings.Contains(string(body), "ok") {
 		t.Fatalf("healthz: %d %s", rec.Code, body)
 	}
 }
 
 func TestGroups(t *testing.T) {
-	rec, body := doJSON(t, New(), "GET", "/groups", nil)
+	rec, body := doJSON(t, newServer(t, Options{}), "GET", "/groups", nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("groups: %d", rec.Code)
 	}
@@ -48,7 +59,7 @@ func TestGroups(t *testing.T) {
 }
 
 func TestArchitectures(t *testing.T) {
-	rec, body := doJSON(t, New(), "GET", "/architectures", nil)
+	rec, body := doJSON(t, newServer(t, Options{}), "GET", "/architectures", nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("architectures: %d", rec.Code)
 	}
@@ -58,7 +69,7 @@ func TestArchitectures(t *testing.T) {
 }
 
 func TestDesignByGroup(t *testing.T) {
-	rec, body := doJSON(t, New(), "POST", "/design",
+	rec, body := doJSON(t, newServer(t, Options{}), "POST", "/design",
 		DesignRequest{Group: "G-1", Seed: 1, Transcript: true})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("design: %d %s", rec.Code, body)
@@ -91,7 +102,7 @@ func TestDesignByGroup(t *testing.T) {
 }
 
 func TestDesignByPrompt(t *testing.T) {
-	rec, body := doJSON(t, New(), "POST", "/design",
+	rec, body := doJSON(t, newServer(t, Options{}), "POST", "/design",
 		DesignRequest{Prompt: "gain >85dB, PM >55°, GBW >0.7MHz, Power <250uW, CL = 1nF"})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("design: %d %s", rec.Code, body)
@@ -118,7 +129,7 @@ func TestDesignValidation(t *testing.T) {
 		{"bad temperature", DesignRequest{Group: "G-1", Temperature: 5}, http.StatusBadRequest},
 	}
 	for _, c := range cases {
-		rec, _ := doJSON(t, New(), "POST", "/design", c.req)
+		rec, _ := doJSON(t, newServer(t, Options{}), "POST", "/design", c.req)
 		if rec.Code != c.code {
 			t.Errorf("%s: code %d, want %d", c.name, rec.Code, c.code)
 		}
@@ -126,7 +137,7 @@ func TestDesignValidation(t *testing.T) {
 	// Malformed JSON body.
 	req := httptest.NewRequest("POST", "/design", strings.NewReader("{nope"))
 	rec := httptest.NewRecorder()
-	New().ServeHTTP(rec, req)
+	newServer(t, Options{}).ServeHTTP(rec, req)
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("malformed JSON: %d", rec.Code)
 	}
@@ -139,7 +150,7 @@ G1 0 out in 0 1m
 Ro out 0 1MEG
 CL out 0 10p
 .end`
-	rec, body := doJSON(t, New(), "POST", "/simulate", SimulateRequest{Netlist: src})
+	rec, body := doJSON(t, newServer(t, Options{}), "POST", "/simulate", SimulateRequest{Netlist: src})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("simulate: %d %s", rec.Code, body)
 	}
@@ -156,11 +167,11 @@ CL out 0 10p
 }
 
 func TestSimulateErrors(t *testing.T) {
-	rec, _ := doJSON(t, New(), "POST", "/simulate", SimulateRequest{Netlist: "garbage"})
+	rec, _ := doJSON(t, newServer(t, Options{}), "POST", "/simulate", SimulateRequest{Netlist: "garbage"})
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("bad netlist: %d", rec.Code)
 	}
-	rec, _ = doJSON(t, New(), "POST", "/simulate",
+	rec, _ = doJSON(t, newServer(t, Options{}), "POST", "/simulate",
 		SimulateRequest{Netlist: "V1 in 0 1\nR1 in 0 1k\n.end", Out: "missing"})
 	if rec.Code != http.StatusUnprocessableEntity {
 		t.Errorf("missing node: %d", rec.Code)
@@ -168,7 +179,7 @@ func TestSimulateErrors(t *testing.T) {
 }
 
 func TestMethodRouting(t *testing.T) {
-	rec, _ := doJSON(t, New(), "GET", "/design", nil)
+	rec, _ := doJSON(t, newServer(t, Options{}), "GET", "/design", nil)
 	if rec.Code != http.StatusMethodNotAllowed && rec.Code != http.StatusNotFound {
 		t.Errorf("GET /design: %d", rec.Code)
 	}

@@ -16,7 +16,7 @@ import (
 )
 
 func TestStatsEndpoint(t *testing.T) {
-	srv := New()
+	srv := newServer(t, Options{})
 	rec, body := doJSON(t, srv, "GET", "/stats", nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("stats: %d %s", rec.Code, body)
@@ -42,7 +42,7 @@ func TestStatsEndpoint(t *testing.T) {
 }
 
 func TestHealthzCarriesResilience(t *testing.T) {
-	rec, body := doJSON(t, New(), "GET", "/healthz", nil)
+	rec, body := doJSON(t, newServer(t, Options{}), "GET", "/healthz", nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("healthz: %d", rec.Code)
 	}
@@ -61,7 +61,7 @@ func TestHealthzCarriesResilience(t *testing.T) {
 // fallback ladder absorb the injected faults, the response reports any
 // degradation, and the service-wide counters accumulate across requests.
 func TestChaosModeServerDesigns(t *testing.T) {
-	srv := NewWithOptions(Options{FaultRate: 0.3, RetryMax: 5, Workers: 2})
+	srv := newServer(t, Options{FaultRate: 0.3, RetryMax: 5, Workers: 2})
 	var body []byte
 	for seed := int64(1); seed <= 5; seed++ {
 		var rec *httptest.ResponseRecorder
@@ -98,7 +98,7 @@ func TestChaosModeServerDesigns(t *testing.T) {
 // they reach the service-wide counters: /stats and /metrics count the
 // attempts and injected faults of a design that answered 503.
 func TestFailedSessionCountsResilience(t *testing.T) {
-	srv := NewWithOptions(Options{Workers: 1, FaultRate: 1, RetryMax: 10, JobTimeout: 50 * time.Millisecond})
+	srv := newServer(t, Options{Workers: 1, FaultRate: 1, RetryMax: 10, JobTimeout: 50 * time.Millisecond})
 	defer func() {
 		if err := srv.Shutdown(context.Background()); err != nil {
 			t.Error(err)
@@ -166,7 +166,7 @@ func TestStatsJournalRecordCount(t *testing.T) {
 		return bytes.Count(blob, []byte("\n"))
 	}
 
-	srv := NewWithOptions(Options{Workers: 1, DataDir: dir})
+	srv := newServer(t, Options{Workers: 1, DataDir: dir})
 	for i := 0; i < 13; i++ {
 		rec, body := doJSONHdr(t, srv, "POST", "/design", map[string]any{"group": "G-1", "seed": i}, nil)
 		if rec.Code != http.StatusOK {
@@ -188,7 +188,7 @@ func TestStatsJournalRecordCount(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv = NewWithOptions(Options{Workers: 1, DataDir: dir})
+	srv = newServer(t, Options{Workers: 1, DataDir: dir})
 	if got, want := records(srv), fileRecords(); got != want || want < 39 {
 		t.Errorf("reopened node: journal records %d, the file holds %d", got, want)
 	}

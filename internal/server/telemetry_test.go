@@ -28,7 +28,7 @@ func scrape(t *testing.T, srv http.Handler) string {
 // per-route HTTP instruments, the design outcome counters, and the
 // jobs/resilience state folded in from their own packages.
 func TestMetricsEndToEnd(t *testing.T) {
-	srv := New()
+	srv := newServer(t, Options{})
 	rec, body := doJSON(t, srv, "POST", "/design",
 		DesignRequest{Group: "G-1", Seed: 1})
 	if rec.Code != http.StatusOK {
@@ -79,7 +79,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 // report identical cache and queue numbers because both read the same
 // jobs.Manager.
 func TestStatsAndMetricsAgree(t *testing.T) {
-	srv := New()
+	srv := newServer(t, Options{})
 	rec, body := doJSON(t, srv, "POST", "/design", DesignRequest{Group: "G-2", Seed: 3})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("design: %d %s", rec.Code, body)
@@ -123,7 +123,7 @@ func jsonNumber(v int64) string {
 // span tree: a server.design root covering the whole core.Design call
 // with the session and tool children under it.
 func TestTracesEndpoint(t *testing.T) {
-	srv := New()
+	srv := newServer(t, Options{})
 	rec, body := doJSON(t, srv, "POST", "/design", DesignRequest{Group: "G-1", Seed: 2})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("design: %d %s", rec.Code, body)
@@ -176,7 +176,7 @@ func TestTracesEndpoint(t *testing.T) {
 // X-Request-ID is echoed on the response, stored on the job snapshot,
 // and visible in the job listing.
 func TestRequestIDCorrelation(t *testing.T) {
-	srv := New()
+	srv := newServer(t, Options{})
 	body := strings.NewReader(`{"group":"G-1","seed":9}`)
 	req := httptest.NewRequest("POST", "/jobs", body)
 	req.Header.Set("Content-Type", "application/json")

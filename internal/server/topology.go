@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"artisan/internal/cluster"
 	"artisan/internal/topology"
 )
 
@@ -32,22 +33,22 @@ func (s *Server) handleTopologySample(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.Query().Get("seed"); q != "" {
 		v, err := strconv.ParseInt(q, 10, 64)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad seed %q", q))
+			cluster.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad seed %q", q))
 			return
 		}
 		seed = v
 	}
 	topo, nl, err := topology.NewGenerator(seed).Netlist()
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
+		cluster.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	blob, err := topo.ToJSON()
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
+		cluster.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, TopologySampleResponse{
+	cluster.WriteJSON(w, http.StatusOK, TopologySampleResponse{
 		Seed:     seed,
 		Name:     topo.Name,
 		Stages:   topo.NumStages(),

@@ -12,7 +12,7 @@ import (
 // TestTopologySample: the generator endpoint returns a seeded,
 // reproducible draw whose embedded topology JSON re-validates.
 func TestTopologySample(t *testing.T) {
-	srv := New()
+	srv := newServer(t, Options{})
 	rec, body := doJSON(t, srv, "GET", "/topology/sample?seed=7", nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("sample: %d %s", rec.Code, body)
@@ -53,7 +53,7 @@ func TestTopologySample(t *testing.T) {
 // the design response; the domain designer's transcript is grounded, so
 // the verdict metric increments on the pass side.
 func TestDesignVerify(t *testing.T) {
-	srv := New()
+	srv := newServer(t, Options{})
 	rec, body := doJSON(t, srv, "POST", "/design",
 		DesignRequest{Group: "G-1", Seed: 1, Verify: true})
 	if rec.Code != http.StatusOK {

@@ -39,7 +39,9 @@ go test ./internal/chaos -race -count=2
 # Fuzz smoke: 10 s of coverage-guided input generation per target over
 # the parsers that face raw bytes (SPICE netlists, spec JSON, the design
 # request the router resolves from client bodies, whose key must survive
-# a re-encode, the journal replay path and topology JSON), the white-box
+# a re-encode, the node's POST body decode, FuzzDecodeBody, which must
+# accept exactly the bodies json.Unmarshal accepts, as the router does,
+# the journal replay path and topology JSON), the white-box
 # seed and gm/Id mapping that consume decoded topologies, the metric
 # extraction over scaled generated circuits against the full-sweep
 # oracle (the simulator's assembly and real-s determinant paths, and the
@@ -55,6 +57,7 @@ for target in \
     'FuzzDeviceLineRoundTrip ./internal/netlist' \
     'FuzzSpecJSON ./internal/spec' \
     'FuzzRequest ./internal/core' \
+    'FuzzDecodeBody ./internal/server' \
     'FuzzJournalReplay ./internal/cluster' \
     'FuzzFromJSON ./internal/topology' \
     'FuzzSeed ./internal/backend' \
